@@ -229,11 +229,13 @@ def _resolve_input(args, attr, discretize=True):
 
 
 def _num_nodes(args, *curves) -> int:
-    if args.M is not None:
-        if args.N is not None and args.M <= 2 * args.N:
-            raise ValueError("need M > 2N quadrature nodes")
-        return args.M
     order = args.N if args.N is not None else max(c.order for c in curves)
+    if args.M is not None:
+        if args.M <= 2 * order:
+            raise ValueError(
+                f"need M > 2N quadrature nodes (M={args.M}, N={order})"
+            )
+        return args.M
     return max(16, 4 * order)
 
 

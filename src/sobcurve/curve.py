@@ -50,7 +50,14 @@ def grid(num_nodes: int) -> np.ndarray:
 def _eval_matrix(order: int, num_nodes: int, deriv: int) -> np.ndarray:
     """Matrix taking stacked coefficients [a_0..a_N, b_1..b_N] to grid samples
     of the ``deriv``-th theta-derivative.  Shape (M, 2N+1), cached read-only.
+
+    Raises InsufficientSamples unless M > 2N: coarser grids alias the top
+    modes, and every sampled quantity built on them would be quietly wrong.
     """
+    if num_nodes <= 2 * order:
+        raise InsufficientSamples(
+            f"{num_nodes} grid nodes cannot resolve {order} modes (need M > 2N)"
+        )
     theta = grid(num_nodes)
     k = np.arange(order + 1, dtype=float)
     # d^j/dtheta^j cos(k t) = k^j cos(k t + j pi/2), same phase shift for sin

@@ -20,7 +20,12 @@ and serves as a cross-check oracle.
 All energies are discretized by the trapezium rule on the uniform theta grid
 and are exact functions of the sampled jets; ``w_grad`` returns the exact
 gradient of the *discretized* value with respect to both curves' Fourier
-coefficients.
+coefficients.  Both gradients are closed-form reverse sweeps in real
+arithmetic.  For ``w_rat`` one pass through the per-node integrand also
+yields its six partials in the scalar pairings (r, p, q, rho, sigma, tau),
+through every branch: the Taylor guards, the direct inverse-sinc forms and
+the tiny-v quadrature fallback.  Those partials are then chained to the
+sampled jets and pulled back to the coefficients.
 """
 
 from __future__ import annotations
@@ -134,15 +139,15 @@ def length_bounds(
     """
     hp = sample_jet(c_hat, num_nodes, 1).deriv(1)
     cp = sample_jet(c_check, num_nodes, 1).deriv(1)
-    _check_speeds(hp, cp, epsilon)
+    _check_speeds(
+        np.linalg.norm(hp, axis=1), np.linalg.norm(cp, axis=1), epsilon
+    )
     return _length_bound_arrays(hp, cp, epsilon)
 
 
-def _check_speeds(hat_prime, check_prime, epsilon=None):
-    least = min(
-        float(np.min(np.linalg.norm(hat_prime, axis=1))),
-        float(np.min(np.linalg.norm(check_prime, axis=1))),
-    )
+def _check_speeds(r, p, epsilon=None):
+    """Raise DegenerateCurve when a speed array reaches the immersion floor."""
+    least = min(float(np.min(r)), float(np.min(p)))
     if least <= SPEED_FLOOR:
         raise DegenerateCurve(
             f"curve speed {least:.3e} at or below floor {SPEED_FLOOR:.1e}"
@@ -273,7 +278,9 @@ def _reg_core(c_hat, c_check, weights, epsilon, num_nodes, want_grad):
     a = weights.coefficients
     hat = sample_jet(c_hat, num_nodes, m).values
     chk = sample_jet(c_check, num_nodes, m).values
-    _check_speeds(hat[1], chk[1], epsilon)
+    _check_speeds(
+        np.linalg.norm(hat[1], axis=1), np.linalg.norm(chk[1], axis=1), epsilon
+    )
     lplus, lminus = _length_bound_arrays(hat[1], chk[1], epsilon)
     if np.min(lminus) <= 0.0:
         raise NonPositiveLowerBound(
@@ -426,54 +433,84 @@ _PHI2_SERIES = np.array(
         1551079 / 4849845, 7174285 / 22309287,
     ]
 )
+# Both tails and their xi-derivatives (term by term, zero-padded to the same
+# length) as columns, so one Horner pass evaluates all four.
+_PHI_SERIES = np.stack(
+    [
+        _PHI1_SERIES,
+        _PHI2_SERIES,
+        np.append(np.arange(1, _PHI1_SERIES.size) * _PHI1_SERIES[1:], 0.0),
+        np.append(np.arange(1, _PHI2_SERIES.size) * _PHI2_SERIES[1:], 0.0),
+    ],
+    axis=1,
+)[:, :, None]
 
 _SERIES_CUT = 0.05
 
 
 def _polyval(coeffs, x):
-    out = np.zeros_like(x)
-    for c in coeffs[::-1]:
+    """Horner evaluation, lowest order first; coefficient rows may be arrays
+    that broadcast against ``x`` (several polynomials at once)."""
+    out = coeffs[-1]
+    for c in coeffs[-2::-1]:
         out = out * x + c
     return out
 
 
-def _real(x):
-    return x.real if np.iscomplexobj(x) else x
-
-
 def _asinc(xi):
-    """arcsin(sqrt(xi))/sqrt(xi), stable through xi = 0; complex-step safe."""
-    small = _real(xi) < _SERIES_CUT
+    """arcsin(sqrt(xi))/sqrt(xi), stable through xi = 0."""
+    small = xi < _SERIES_CUT
     with np.errstate(invalid="ignore"):
         s = np.sqrt(np.where(small, 0.25, xi))
         direct = np.arcsin(s) / s
     return np.where(small, _polyval(_ASINC_SERIES, xi), direct)
 
 
-def _phi_tails(xi, v):
+def _phi_series(xi, v, want_grad):
+    if not want_grad:
+        t1, t2 = _polyval(_PHI_SERIES[:, :2], xi)
+        return t1, t2
+    t1, t2, dt1, dt2 = _polyval(_PHI_SERIES, xi)
+    # d xi / d v = -2 v
+    return t1, t2, -2.0 * v * dt1, -2.0 * v * dt2
+
+
+def _phi_direct(xi, v, want_grad):
+    s = np.sqrt(xi)
+    asinc = np.arcsin(s) / s
+    vm1 = v * asinc - 1.0
+    t1 = vm1 / xi
+    t2 = (vm1 + xi / (3.0 * v**2)) / xi**2
+    if not want_grad:
+        return t1, t2
+    # asinc'(xi) = (1/v - asinc) / (2 xi), so d(vm1)/dv = asinc + v t1
+    dvm1 = asinc + v * t1
+    return (
+        t1,
+        t2,
+        (dvm1 + 2.0 * v * t1) / xi,
+        (dvm1 - 2.0 / (3.0 * v**3)) / xi**2 + 4.0 * v * t2 / xi,
+    )
+
+
+def _phi_tails(xi, v, want_grad=False):
     """The cancellation-prone second entries (V-1)/xi and
     (V - 1 + xi/(3 v^2))/xi^2, with Taylor guards near the diagonal.
 
-    ``v`` is passed so 1 - xi = v^2 is formed without cancellation.
+    ``v`` is passed so 1 - xi = v^2 is formed without cancellation.  With
+    ``want_grad`` their total derivatives in v (along xi = 1 - v^2) follow.
+    Each branch runs only where some node needs it.
     """
-    small = _real(xi) < _SERIES_CUT
-    xi_safe = np.where(small, 0.25, xi)
-    v_safe = np.where(small, np.sqrt(0.75), v)
-    with np.errstate(invalid="ignore"):
-        vm1 = v_safe * _asinc(xi_safe) - 1.0
-        t1 = np.where(small, _polyval(_PHI1_SERIES, xi), vm1 / xi_safe)
-        t2 = np.where(
-            small,
-            _polyval(_PHI2_SERIES, xi),
-            (vm1 + xi_safe / (3.0 * v_safe**2)) / xi_safe**2,
-        )
-    return t1, t2
-
-
-def _log1p(x):
-    if np.iscomplexobj(x):
-        return np.log(1.0 + x)
-    return np.log1p(x)
+    small = xi < _SERIES_CUT
+    if small.all():
+        return _phi_series(xi, v, want_grad)
+    if not small.any():
+        return _phi_direct(xi, v, want_grad)
+    series = _phi_series(xi, v, want_grad)
+    direct = _phi_direct(
+        np.where(small, 0.25, xi), np.where(small, np.sqrt(0.75), v), want_grad
+    )
+    return tuple(np.where(small, s, d) for s, d in zip(series, direct))
 
 
 @dataclass(frozen=True)
@@ -508,36 +545,46 @@ def rational_coefficients(
     some node (pass require_positive_q=False to get the raw fields anyway,
     as the +inf sentinel path of w_rat does).
     """
+    _, _, (r, p, q, rho, sigma, tau) = _rat_jets(c_hat, c_check, num_nodes)
+    if require_positive_q:
+        _require_positive_q(q)
+    v = q / (r * p)
+    xi = (1.0 - v) * (1.0 + v)
+    return RationalCoefficients(r, p, q, rho, sigma, tau, v, v * _asinc(xi))
+
+
+def _rat_jets(c_hat, c_check, num_nodes):
+    """Sampled 2-jets of both curves and their six scalar pairings
+    (r, p, q, rho, sigma, tau); raises DegenerateCurve below the speed floor."""
     hat = sample_jet(c_hat, num_nodes, 2).values
     chk = sample_jet(c_check, num_nodes, 2).values
-    _check_speeds(hat[1], chk[1])
-    return _rational_coefficients_from_jets(hat, chk, require_positive_q)
-
-
-def _rational_coefficients_from_jets(hat, chk, require_positive_q):
-    r = np.linalg.norm(hat[1], axis=1)
-    p = np.linalg.norm(chk[1], axis=1)
+    r = np.sqrt(np.sum(hat[1] * hat[1], axis=1))
+    p = np.sqrt(np.sum(chk[1] * chk[1], axis=1))
+    _check_speeds(r, p)
     q = np.sum(hat[1] * chk[1], axis=1)
-    if require_positive_q and np.min(q) <= 0.0:
-        raise NonPositiveQ(
-            f"tangent correlation q = {np.min(q):.3e} <= 0 at some node"
-        )
     rho = np.sum(hat[1] * hat[2], axis=1)
     sigma = np.sum(chk[1] * chk[2], axis=1)
     tau = 0.5 * (
         np.sum(hat[1] * chk[2], axis=1) + np.sum(chk[1] * hat[2], axis=1)
     )
-    v = q / (r * p)
-    xi = (1.0 - v) * (1.0 + v)
-    V = v * _asinc(xi)
-    return RationalCoefficients(r, p, q, rho, sigma, tau, v, V)
+    return hat, chk, (r, p, q, rho, sigma, tau)
 
 
-def _raw_2bc_quadrature(r, p, q, rho, sigma, tau, num_t=96):
+def _require_positive_q(q):
+    if np.min(q) <= 0.0:
+        raise NonPositiveQ(
+            f"tangent correlation q = {np.min(q):.3e} <= 0 at some node"
+        )
+
+
+def _raw_2bc_quadrature(r, p, q, rho, sigma, tau, seeds=None, num_t=96):
     """Gauss-Legendre values of int L Q / D^3 and int L Q^2 / D^4 dt.
 
     Fallback for tiny v where the closed forms cancel; the integrands are
-    smooth there, so 96 nodes are exact to machine precision.
+    smooth there, so 96 nodes are exact to machine precision.  With
+    ``seeds = (bar_b, bar_c)`` the third result holds the partials of
+    bar_b * I2b + bar_c * I2c in (r, p, q, rho, sigma, tau), differentiated
+    under the sum; otherwise it is None.
     """
     t, w = _gauss01(num_t)
     shape = (1,) * np.ndim(r)
@@ -549,60 +596,204 @@ def _raw_2bc_quadrature(r, p, q, rho, sigma, tau, num_t=96):
     Q = s * s * rho + 2.0 * s * t * tau + t * t * sigma
     i2b = np.sum(w * L * Q / D**3, axis=0)
     i2c = np.sum(w * L * Q * Q / D**4, axis=0)
-    return i2b, i2c
+    if seeds is None:
+        return i2b, i2c, None
+    bar_b, bar_c = seeds
+    wd3 = w / D**3
+    qd = Q / D
+    bar_l = wd3 * Q * (bar_b + bar_c * qd)
+    bar_q = wd3 * L * (bar_b + 2.0 * bar_c * qd)
+    bar_d = -wd3 * L * qd * (3.0 * bar_b + 4.0 * bar_c * qd)
+    st2 = 2.0 * s * t
+    grad = (
+        np.sum(s * bar_l + 2.0 * s * s * r * bar_d, axis=0),
+        np.sum(t * bar_l + 2.0 * t * t * p * bar_d, axis=0),
+        np.sum(st2 * bar_d, axis=0),
+        np.sum(s * s * bar_q, axis=0),
+        np.sum(t * t * bar_q, axis=0),
+        np.sum(st2 * bar_q, axis=0),
+    )
+    return i2b, i2c, grad
 
 
-def _sandwich_2bc(r, p, q, rho, sigma, tau, v):
+def _sandwich_2bc(r, p, q, rho, sigma, tau, v, seeds=None):
     """Closed forms of the two curvature-weighted time integrals
-    (Phi' Xi Theta sandwiches), with quadrature fallback for tiny v."""
+    (Phi' Xi Theta sandwiches), with quadrature fallback for tiny v.
+
+    Returns (I2b, I2c, grad).  With ``seeds = (bar_b, bar_c)``, ``grad``
+    holds the partials of bar_b * I2b + bar_c * I2c in
+    (r, p, q, rho, sigma, tau), from one reverse sweep through the same
+    expressions; otherwise it is None.
+    """
+    want_grad = seeds is not None
+    grad = None
     xi = (1.0 - v) * (1.0 + v)
-    phi1_tail, phi2_tail = _phi_tails(xi, v)
     rp = r * p
+    v2 = v**2
+    v3 = v**3
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        th1_a = (sigma * r**3 + rho * p**3) / rp**4
-        th1_b = (rp * ((sigma + 2 * tau) * r + (rho + 2 * tau) * p)) / rp**4
+        tails = _phi_tails(xi, v, want_grad)
+        phi1_tail, phi2_tail = tails[:2]
+        rp4 = rp**4
+        th1_a = (sigma * r**3 + rho * p**3) / rp4
+        th1_b = (rp * ((sigma + 2 * tau) * r + (rho + 2 * tau) * p)) / rp4
         pref1 = 1.0 / (8.0 * v * (1.0 + v))
         x1_a = (3.0 + 2.0 * v) * th1_a + th1_b
         x1_b = 3.0 * th1_a + (1.0 - 2.0 * v) * th1_b
         i2b = pref1 * (x1_a + phi1_tail * x1_b)
 
-        th2_a = (sigma**2 * r**5 + rho**2 * p**5) / rp**6
-        th2_b = (rp * (sigma * (sigma + 4 * tau) * r**3 + rho * (rho + 4 * tau) * p**3)) / rp**6
+        rp6 = rp**6
+        th2_a = (sigma**2 * r**5 + rho**2 * p**5) / rp6
+        th2_b = (rp * (sigma * (sigma + 4 * tau) * r**3 + rho * (rho + 4 * tau) * p**3)) / rp6
         th2_c = (
             2.0
             * rp**2
             * ((rho * sigma + 2 * tau**2) * (r + p) + 2 * tau * (sigma * r + rho * p))
-        ) / rp**6
-        pref2 = 1.0 / (48.0 * v**3 * (1.0 + v))
-        x2_a = (
-            (8 * v**3 + 10 * v**2 - 5) * th2_a
-            + (2 * v**2 + 4 * v - 1) * th2_b
-            + (2 * v - 1) * th2_c
-        )
-        x2_b = (
-            15 * v**2 * th2_a
-            + (-12 * v**3 + 3 * v**2) * th2_b
-            + (6 * v**4 - 6 * v**3 + 3 * v**2) * th2_c
-        )
+        ) / rp6
+        pref2 = 1.0 / (48.0 * v3 * (1.0 + v))
+        # x2_a, x2_b are (k2a, k2b) . (th2_a, th2_b, th2_c)
+        k2a = (8 * v3 + 10 * v2 - 5, 2 * v2 + 4 * v - 1, 2 * v - 1)
+        k2b = (15 * v2, -12 * v3 + 3 * v2, 6 * v**4 - 6 * v3 + 3 * v2)
+        x2_a = k2a[0] * th2_a + k2a[1] * th2_b + k2a[2] * th2_c
+        x2_b = k2b[0] * th2_a + k2b[1] * th2_b + k2b[2] * th2_c
         i2c = pref2 * (x2_a + phi2_tail * x2_b)
 
-    need_b = _real(v) < 1e-5
-    need_c = _real(v) < 0.02
-    if np.any(need_c):
+        need_b = v < 1e-5
+        need_c = v < 0.02
+        any_c = np.any(need_c)
+        if want_grad:
+            bar_b, bar_c = seeds
+            if any_c:
+                bar_c = np.where(need_c, 0.0, bar_c)
+            grad = _sandwich_reverse(
+                r, p, rho, sigma, tau, v, bar_b, bar_c, tails,
+                (pref1, th1_a, th1_b, x1_b, i2b),
+                (pref2, th2_a, th2_b, th2_c, x2_b, i2c, k2a, k2b),
+            )
+
+    if any_c:
         idx = np.nonzero(need_c)
-        qb, qc = _raw_2bc_quadrature(
-            r[idx], p[idx], q[idx], rho[idx], sigma[idx], tau[idx]
+        sub_b = need_b[idx]
+        sub_seeds = None
+        if want_grad:
+            sub_seeds = (np.where(sub_b, seeds[0][idx], 0.0), seeds[1][idx])
+        qb, qc, qgrad = _raw_2bc_quadrature(
+            r[idx], p[idx], q[idx], rho[idx], sigma[idx], tau[idx], sub_seeds
         )
         i2c = np.array(i2c)
         i2c[idx] = qc
         if np.any(need_b):
-            idx_b = np.nonzero(need_b)
-            qb2, _ = _raw_2bc_quadrature(
-                r[idx_b], p[idx_b], q[idx_b], rho[idx_b], sigma[idx_b], tau[idx_b]
-            )
             i2b = np.array(i2b)
-            i2b[idx_b] = qb2
-    return i2b, i2c
+            i2b[need_b] = qb[sub_b]
+            if want_grad:
+                # closed-form contributions there may be inf or nan
+                grad = [np.where(need_b, 0.0, g) for g in grad]
+        if want_grad:
+            for g, qg in zip(grad, qgrad):
+                g[idx] += qg
+    return i2b, i2c, grad
+
+
+def _sandwich_reverse(r, p, rho, sigma, tau, v, bar_b, bar_c, tails, part_b, part_c):
+    """Reverse sweep of the closed-form sandwiches: partials of
+    bar_b * I2b + bar_c * I2c in (r, p, q, rho, sigma, tau), as a list."""
+    phi1_tail, phi2_tail, dphi1, dphi2 = tails
+    pref1, th1_a, th1_b, x1_b, i2b = part_b
+    pref2, th2_a, th2_b, th2_c, x2_b, i2c, k2a, k2b = part_c
+    gb = bar_b * pref1
+    gc = bar_c * pref2
+    # cotangents of the five Theta entries
+    a1a = gb * (3.0 + 2.0 * v + 3.0 * phi1_tail)
+    a1b = gb * (1.0 + (1.0 - 2.0 * v) * phi1_tail)
+    a2a = gc * (k2a[0] + k2b[0] * phi2_tail)
+    a2b = gc * (k2a[1] + k2b[1] * phi2_tail)
+    a2c = gc * (k2a[2] + k2b[2] * phi2_tail)
+    # cotangent of v through the prefactors, the Xi entries and the tails
+    v2 = v * v
+    bar_v = (
+        -(bar_b * i2b * (1.0 + 2.0 * v) + bar_c * i2c * (3.0 + 4.0 * v))
+        / (v * (1.0 + v))
+        + gb * (2.0 * th1_a - 2.0 * phi1_tail * th1_b + dphi1 * x1_b)
+        + gc
+        * (
+            (24.0 * v2 + 20.0 * v) * th2_a
+            + (4.0 * v + 4.0) * th2_b
+            + 2.0 * th2_c
+            + phi2_tail
+            * (
+                30.0 * v * th2_a
+                + (6.0 * v - 36.0 * v2) * th2_b
+                + (24.0 * v2 * v - 18.0 * v2 + 6.0 * v) * th2_c
+            )
+            + dphi2 * x2_b
+        )
+    )
+
+    # Each Theta entry is a sum of monomials in (sigma, rho, tau, 1/r, 1/p)
+    # symmetric under (r, sigma) <-> (p, rho).  Row 0 of each pair array
+    # below holds the sigma-side monomial, row 1 its mirror.
+    x = np.stack((sigma, rho))
+    inv = np.stack((1.0 / r, 1.0 / p))
+    mir = inv[::-1]
+    mir2 = mir * mir
+    m23 = inv * inv * mir2 * mir            # r^-2 p^-3 | r^-3 p^-2
+    m14 = inv * mir2 * mir2                 # r^-1 p^-4 | r^-4 p^-1
+    m16 = m14 * mir2                        # r^-1 p^-6 | r^-6 p^-1
+    m25 = m23 * mir2                        # r^-2 p^-5 | r^-5 p^-2
+    m33 = (inv[0] * inv[1]) ** 3
+    x4t = x + 4.0 * tau
+    # th1_a = sum(x m14), th1_b = sum((x + 2 tau) m23), th2_a = sum(x^2 m16),
+    # th2_b = sum(x (x + 4 tau) m25),
+    # th2_c = 2 m33 sum(mir (rho sigma + 2 tau^2 + 2 tau x))
+    t1a = x * m14
+    t1b = (x + 2.0 * tau) * m23
+    t2a = x * x * m16
+    t2b = x * x4t * m25
+    t2c = 2.0 * m33 * mir * (rho * sigma + 2.0 * tau * tau + 2.0 * tau * x)
+    # row 0: r d/dr, row 1: p d/dp (monomial exponents swap between rows)
+    scaled = -(
+        a1a * (t1a + 4.0 * t1a[::-1])
+        + a1b * (2.0 * t1b + 3.0 * t1b[::-1])
+        + a2a * (t2a + 6.0 * t2a[::-1])
+        + a2b * (2.0 * t2b + 5.0 * t2b[::-1])
+        + a2c * (3.0 * t2c + 4.0 * t2c[::-1])
+    )
+    # row 0: d/dsigma, row 1: d/drho
+    d_x = (
+        a1a * m14
+        + a1b * m23
+        + 2.0 * a2a * x * m16
+        + a2b * (x + x4t) * m25
+        + 2.0 * a2c * m33 * (x[::-1] * (inv[0] + inv[1]) + 2.0 * tau * mir)
+    )
+    d_tau = (
+        2.0 * a1b * (m23[0] + m23[1])
+        + 4.0 * a2b * (x[0] * m25[0] + x[1] * m25[1])
+        + 4.0 * a2c * m33 * (2.0 * tau * (inv[0] + inv[1]) + x[0] * mir[0] + x[1] * mir[1])
+    )
+    # v = q / (r p): r dv/dr = p dv/dp = -v
+    v_bar_v = v * bar_v
+    return [
+        (scaled[0] - v_bar_v) * inv[0],
+        (scaled[1] - v_bar_v) * inv[1],
+        bar_v * inv[0] * inv[1],
+        d_x[1],
+        d_x[0],
+        d_tau,
+    ]
+
+
+def _sharp_integrals(r, p, q, rho, sigma, tau):
+    """I1 |delta'|^2 = I1 (r^2 + p^2 - 2q), I2a, I2b, I2c with the exact
+    inverse-sinc factor (the sharp-bound flavor)."""
+    rp = r * p
+    v = q / rp
+    xi = (1.0 - v) * (1.0 + v)
+    asinc = _asinc(xi)
+    i1_s11 = (r + p) * (1.0 - v) * asinc + (r - p) * np.log1p((r - p) / p)
+    i2a = ((r + p) * asinc / rp + 1.0 / r + 1.0 / p) / (2.0 * (rp + q))
+    i2b, i2c, _ = _sandwich_2bc(r, p, q, rho, sigma, tau, v)
+    return i1_s11, i2a, i2b, i2c
 
 
 def rational_time_integrals(r, p, q, rho, sigma, tau):
@@ -614,29 +805,17 @@ def rational_time_integrals(r, p, q, rho, sigma, tau):
     """
     r, p, q = map(np.asarray, (r, p, q))
     rho, sigma, tau = map(np.asarray, (rho, sigma, tau))
-    rp = r * p
-    v = q / rp
-    xi = (1.0 - v) * (1.0 + v)
-    asinc = _asinc(xi)
-    i0 = 0.5 * (r + p)
-    i1 = ((r + p) * (1.0 - v) * asinc + (r - p) * _log1p((r - p) / p)) / (
-        r * r + p * p - 2.0 * q
-    )
-    i2a = ((r + p) * asinc / rp + 1.0 / r + 1.0 / p) / (2.0 * (rp + q))
-    i2b, i2c = _sandwich_2bc(r, p, q, rho, sigma, tau, v)
-    return i0, i1, i2a, i2b, i2c
+    i1_s11, i2a, i2b, i2c = _sharp_integrals(r, p, q, rho, sigma, tau)
+    i1 = i1_s11 / (r * r + p * p - 2.0 * q)
+    return 0.5 * (r + p), i1, i2a, i2b, i2c
 
 
-def _delta_squares(hat, chk):
+def _deltas(hat, chk):
+    """delta = c_check - c_hat and delta'' on the grid, with the squared
+    norms s0 = |delta|^2 and s22 = |delta''|^2."""
     d0 = chk[0] - hat[0]
-    d1 = chk[1] - hat[1]
     d2 = chk[2] - hat[2]
-    return (
-        np.sum(d0 * d0, axis=1),
-        np.sum(d1 * d1, axis=1),
-        np.sum(d1 * d2, axis=1),
-        np.sum(d2 * d2, axis=1),
-    )
+    return d0, d2, np.sum(d0 * d0, axis=1), np.sum(d2 * d2, axis=1)
 
 
 def w_bar_oracle(
@@ -653,51 +832,63 @@ def w_bar_oracle(
     """
     _require_m2(weights)
     a0, a1, a2 = weights.coefficients
-    hat = sample_jet(c_hat, num_nodes, 2).values
-    chk = sample_jet(c_check, num_nodes, 2).values
-    _check_speeds(hat[1], chk[1])
-    co = _rational_coefficients_from_jets(hat, chk, require_positive_q=True)
-    s0, _, _, s22 = _delta_squares(hat, chk)
-    r, p, v = co.r, co.p, co.v
-    xi = (1.0 - v) * (1.0 + v)
-    asinc = _asinc(xi)
-    # a1 coefficient against |delta'|^2 = r^2+p^2-2q cancels its denominator
-    b_exact = (r + p) * (1.0 - v) * asinc + (r - p) * _log1p((r - p) / p)
-    i2a = ((r + p) * asinc / (r * p) + 1.0 / r + 1.0 / p) / (2.0 * (r * p + co.q))
-    i2b, i2c = _sandwich_2bc(r, p, co.q, co.rho, co.sigma, co.tau, v)
-    s1 = co.rho + co.sigma - 2.0 * co.tau          # delta'.delta''
-    s11 = r * r + p * p - 2.0 * co.q               # |delta'|^2
+    hat, chk, (r, p, q, rho, sigma, tau) = _rat_jets(c_hat, c_check, num_nodes)
+    _require_positive_q(q)
+    _, _, s0, s22 = _deltas(hat, chk)
+    i1_s11, i2a, i2b, i2c = _sharp_integrals(r, p, q, rho, sigma, tau)
+    s1 = rho + sigma - 2.0 * tau          # delta'.delta''
+    s11 = r * r + p * p - 2.0 * q         # |delta'|^2
     integrand = (
         a0 * 0.5 * (r + p) * s0
-        + a1 * b_exact
+        + a1 * i1_s11
         + a2 * (i2a * s22 - 2.0 * i2b * s1 + i2c * s11)
     )
     return float(2.0 * np.pi / num_nodes * np.sum(integrand))
 
 
-def _rat_node_scalar(r, p, q, rho, sigma, tau, a, s0, s22):
+def _rat_node_scalar(r, p, q, rho, sigma, tau, a, s0, s22, want_grad=False):
     """Per-node w_rat integrand as a function of the six scalar pairings.
 
     s0 = |delta|^2 and s22 = |delta''|^2 enter as fixed parameters (their
-    own dependence on the samples is handled separately); everything else,
-    including |delta'|^2 = r^2+p^2-2q and delta'.delta'' = rho+sigma-2 tau,
-    flows through the scalars so gradients can use complex steps on them.
+    own dependence on the samples is handled by the caller); everything
+    else, including |delta'|^2 = r^2+p^2-2q and delta'.delta'' =
+    rho+sigma-2 tau, flows through the scalars.  Returns (integrand, grad):
+    with ``want_grad``, ``grad`` is the tuple of closed-form partials
+    (d_r, d_p, d_q, d_rho, d_sigma, d_tau), from one reverse sweep through
+    the same expressions; otherwise it is None.
     """
     a0, a1, a2 = a
     rp = r * p
     v = q / rp
-    b_repl = (r + p) * (1.0 - v) / v + (r - p) * _log1p((r - p) / p)
+    log_rp = np.log1p((r - p) / p)
+    b_repl = (r + p) * (1.0 - v) / v + (r - p) * log_rp
     c_repl = 0.5 * (1.0 / (r * q) + 1.0 / (p * q))
-    i2b, i2c = _sandwich_2bc(r, p, q, rho, sigma, tau, v)
-    return (
+    s1 = rho + sigma - 2.0 * tau
+    s11 = r * r + p * p - 2.0 * q
+    seeds = (-2.0 * a2 * s1, a2 * s11) if want_grad else None
+    i2b, i2c, grad = _sandwich_2bc(r, p, q, rho, sigma, tau, v, seeds)
+    integrand = (
         a0 * 0.5 * (r + p) * s0
         + a1 * b_repl
-        + a2
-        * (
-            c_repl * s22
-            - 2.0 * i2b * (rho + sigma - 2.0 * tau)
-            + i2c * (r * r + p * p - 2.0 * q)
-        )
+        + a2 * (c_repl * s22 - 2.0 * i2b * s1 + i2c * s11)
+    )
+    if not want_grad:
+        return integrand, None
+    g_r, g_p, g_q, g_rho, g_sigma, g_tau = grad
+    # b_repl = (r+p) (rp/q - 1) + (r-p) log(r/p); c_repl = (1/r + 1/p) / (2q)
+    w1 = (1.0 - v) / v
+    d_len = 0.5 * a0 * s0
+    c_s22 = a2 * s22
+    i2b_2 = 2.0 * a2 * i2b
+    return integrand, (
+        d_len + a1 * (w1 + (r + p) * p / q + log_rp + (r - p) / r)
+        - 0.5 * c_s22 / (r * r * q) + 2.0 * a2 * r * i2c + g_r,
+        d_len + a1 * (w1 + (r + p) * r / q - log_rp - (r - p) / p)
+        - 0.5 * c_s22 / (p * p * q) + 2.0 * a2 * p * i2c + g_p,
+        -a1 * (r + p) / (v * q) - c_s22 * c_repl / q - 2.0 * a2 * i2c + g_q,
+        g_rho - i2b_2,
+        g_sigma - i2b_2,
+        g_tau + 2.0 * i2b_2,
     )
 
 
@@ -713,78 +904,40 @@ def w_rat(
     correlation q is nonpositive at any node.
     """
     _require_m2(weights)
-    hat = sample_jet(c_hat, num_nodes, 2).values
-    chk = sample_jet(c_check, num_nodes, 2).values
-    _check_speeds(hat[1], chk[1])
-    co = _rational_coefficients_from_jets(hat, chk, require_positive_q=False)
-    if np.min(co.q) <= 0.0:
+    hat, chk, pairings = _rat_jets(c_hat, c_check, num_nodes)
+    if np.min(pairings[2]) <= 0.0:
         return float("inf")
-    s0, _, _, s22 = _delta_squares(hat, chk)
-    integrand = _rat_node_scalar(
-        co.r, co.p, co.q, co.rho, co.sigma, co.tau, weights.coefficients, s0, s22
-    )
+    _, _, s0, s22 = _deltas(hat, chk)
+    integrand, _ = _rat_node_scalar(*pairings, weights.coefficients, s0, s22)
     return float(2.0 * np.pi / num_nodes * np.sum(integrand))
-
-
-_CSTEP = 1e-200
 
 
 def _rat_value_and_grad(c_hat, c_check, weights, num_nodes):
     _require_m2(weights)
-    a = weights.coefficients
-    hat = sample_jet(c_hat, num_nodes, 2).values
-    chk = sample_jet(c_check, num_nodes, 2).values
-    _check_speeds(hat[1], chk[1])
-    co = _rational_coefficients_from_jets(hat, chk, require_positive_q=True)
-    s0, _, _, s22 = _delta_squares(hat, chk)
-    scalars = (co.r, co.p, co.q, co.rho, co.sigma, co.tau)
-    integrand = _rat_node_scalar(*scalars, a, s0, s22)
+    a0, a1, a2 = a = weights.coefficients
+    hat, chk, pairings = _rat_jets(c_hat, c_check, num_nodes)
+    r, p, q = pairings[:3]
+    _require_positive_q(q)
+    delta0, delta2, s0, s22 = _deltas(hat, chk)
+    integrand, partials = _rat_node_scalar(*pairings, a, s0, s22, want_grad=True)
     tw = 2.0 * np.pi / num_nodes
     value = float(tw * np.sum(integrand))
-
-    # complex-step partials with respect to the six scalar pairings
-    partials = []
-    for i in range(6):
-        bumped = [
-            s.astype(complex) + (1j * _CSTEP if k == i else 0.0)
-            for k, s in enumerate(scalars)
-        ]
-        partials.append(_rat_node_scalar(*bumped, a, s0, s22).imag / _CSTEP)
     d_r, d_p, d_q, d_rho, d_sigma, d_tau = partials
 
-    delta0 = chk[0] - hat[0]
-    delta2 = chk[2] - hat[2]
-    a0, a1, a2 = a
-    c_repl = 0.5 * (1.0 / (co.r * co.q) + 1.0 / (co.p * co.q))
-
-    bar_hat = np.zeros_like(hat)
-    bar_chk = np.zeros_like(chk)
-    coef = a0 * 0.5 * (co.r + co.p)
-    bar_hat[0] = -2.0 * coef[:, None] * delta0
-    bar_chk[0] = 2.0 * coef[:, None] * delta0
-    bar_hat[1] = (
-        (d_r / co.r)[:, None] * hat[1]
-        + d_q[:, None] * chk[1]
-        + d_rho[:, None] * hat[2]
-        + 0.5 * d_tau[:, None] * chk[2]
-    )
-    bar_chk[1] = (
-        (d_p / co.p)[:, None] * chk[1]
-        + d_q[:, None] * hat[1]
-        + d_sigma[:, None] * chk[2]
-        + 0.5 * d_tau[:, None] * hat[2]
-    )
-    s22_coef = a2 * c_repl
-    bar_hat[2] = (
-        d_rho[:, None] * hat[1]
-        + 0.5 * d_tau[:, None] * chk[1]
-        - 2.0 * s22_coef[:, None] * delta2
-    )
-    bar_chk[2] = (
-        d_sigma[:, None] * chk[1]
-        + 0.5 * d_tau[:, None] * hat[1]
-        + 2.0 * s22_coef[:, None] * delta2
-    )
+    # chain the six pairings and s0, s22 to the sampled jets
+    h_tau = 0.5 * d_tau[:, None]
+    d_q = d_q[:, None]
+    d_rho = d_rho[:, None]
+    d_sigma = d_sigma[:, None]
+    bar_hat = np.empty_like(hat)
+    bar_chk = np.empty_like(chk)
+    bar_chk[0] = (a0 * (r + p))[:, None] * delta0
+    bar_hat[0] = -bar_chk[0]
+    bar_hat[1] = (d_r / r)[:, None] * hat[1] + d_q * chk[1] + d_rho * hat[2] + h_tau * chk[2]
+    bar_chk[1] = (d_p / p)[:, None] * chk[1] + d_q * hat[1] + d_sigma * chk[2] + h_tau * hat[2]
+    s22_bar = (a2 * (1.0 / (r * q) + 1.0 / (p * q)))[:, None] * delta2
+    bar_hat[2] = d_rho * hat[1] + h_tau * chk[1] - s22_bar
+    bar_chk[2] = d_sigma * chk[1] + h_tau * hat[1] + s22_bar
     bar_hat *= tw
     bar_chk *= tw
     return value, _pull_back(c_hat, bar_hat, num_nodes), _pull_back(c_check, bar_chk, num_nodes)

@@ -216,6 +216,13 @@ class TestErrorExits:
                    "-N", "8", "-M", "16", "--out", str(tmp_path)])
         assert rc == 2
 
+    def test_quadrature_too_coarse_for_input_order(self, tmp_path, capsys):
+        # without -N the inputs' own order (star: 6) sets the M > 2N bound
+        rc = main(["exp", "--in-a", "star", "--in-v", "mixv", "-M", "10",
+                   "-K", "4", "--out", str(tmp_path)])
+        assert rc == 2
+        assert "need M > 2N" in capsys.readouterr().err
+
     def test_oracle_sweep_requires_unit_circle(self, tmp_path, capsys):
         rc = main(["sweep-covderiv", "--in-a", "circle:2", "--in-v", "mixv",
                    "--in-w", "mixw", "--K-list", "4,8", "--out", str(tmp_path)])

@@ -3,12 +3,15 @@ import warnings
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import circle, nearby_pair, perturbed_circle, rotate, tangent_field, translate
 from sobcurve.curve import FourierCurve, sample_jet
-from sobcurve.errors import NonPositiveLowerBound, NonPositiveQ
+from sobcurve.errors import InsufficientSamples, NonPositiveLowerBound, NonPositiveQ
 from sobcurve.energy import (
     EnergyKind,
+    _rat_node_scalar,
     hessian_at_diagonal,
     length_bounds,
     rational_coefficients,
@@ -432,3 +435,160 @@ def test_hessian_matches_finite_differences(kind):
         flat = u.coeffs.ravel()
         second = (w_eval(c, c + u * s, W2, kind, M) + w_eval(c, c + u * (-s), W2, kind, M)) / s**2
         assert second == pytest.approx(flat @ H @ flat, rel=1e-3)
+
+
+# ---------------------------------------------------------------------------
+# Closed-form partials of the rational integrand against an mpmath reference
+# ---------------------------------------------------------------------------
+
+
+def _mp_rational_partials(node, a, s0, s22):
+    """d/d(r, p, q, rho, sigma, tau) of the per-node w_rat integrand at 30
+    digits: b_repl and c_repl written out, the two curvature-weighted time
+    integrals by mpmath.quad of the raw integrands, derivatives by
+    mpmath.diff.  Shares no code with the closed forms."""
+    mp = pytest.importorskip("mpmath")
+
+    def integrand(r, p, q, rho, sigma, tau):
+        v = q / (r * p)
+        b_repl = (r + p) * (1 - v) / v + (r - p) * mp.log(r / p)
+        c_repl = (1 / (r * q) + 1 / (p * q)) / 2
+
+        def raw(t, power):
+            s = 1 - t
+            L = s * r + t * p
+            D = s * s * r * r + 2 * s * t * q + t * t * p * p
+            Q = s * s * rho + 2 * s * t * tau + t * t * sigma
+            return L * Q**power / D ** (2 + power)
+
+        def time_integral(power):
+            return mp.quad(lambda t: raw(t, power), [0, 0.5, 1], method="gauss-legendre")
+
+        i2b, i2c = time_integral(1), time_integral(2)
+        return (
+            a0 * (r + p) / 2 * s0
+            + a1 * b_repl
+            + a2 * (c_repl * s22 - 2 * i2b * (rho + sigma - 2 * tau)
+                    + i2c * (r * r + p * p - 2 * q))
+        )
+
+    with mp.workdps(30):
+        a0, a1, a2 = (mp.mpf(c) for c in a)
+        s0, s22 = mp.mpf(s0), mp.mpf(s22)
+        x = [mp.mpf(float(c)) for c in node]
+        return np.array([
+            float(mp.diff(integrand, x, tuple(int(i == k) for i in range(6))))
+            for k in range(6)
+        ])
+
+
+def _regime_nodes(regime, rng, n=8):
+    """(6, n) pairings (r, p, q, rho, sigma, tau) in one branch of the
+    closed forms."""
+    r = rng.uniform(0.3, 3.0, n)
+    p = rng.uniform(0.3, 3.0, n)
+    if regime == "v<1e-5":            # both curvature integrals by quadrature
+        q = r * p * 10.0 ** rng.uniform(-8, -5.1, n)
+    elif regime == "v<0.02":          # I2c by quadrature, I2b closed form
+        q = r * p * 10.0 ** rng.uniform(-4.9, -1.8, n)
+    elif regime == "xi<0.05":         # Taylor guards (test_closed_forms_near_diagonal)
+        r = rng.uniform(0.5, 2.0, n)
+        p = r * (1.0 + rng.uniform(-1e-6, 1e-6, n))
+        q = r * p * (1.0 - 10.0 ** rng.uniform(-6, -3, n))
+    else:
+        q = r * p * rng.uniform(0.05, 0.97, n)
+    rho, sigma, tau = (rng.normal(scale=1.5, size=n) for _ in range(3))
+    return np.array([r, p, q, rho, sigma, tau])
+
+
+@pytest.mark.parametrize("regime", ["v<1e-5", "v<0.02", "xi<0.05", "generic"])
+def test_rational_partials_match_mpmath(regime):
+    rng = np.random.default_rng(21)
+    nodes = _regime_nodes(regime, rng)
+    a = (0.7, 1.3, 0.9)
+    s0 = rng.uniform(0.0, 1.0, nodes.shape[1])
+    s22 = rng.uniform(0.0, 1.0, nodes.shape[1])
+    _, partials = _rat_node_scalar(*nodes, a, s0, s22, want_grad=True)
+    got = np.array(partials)
+    for i in range(nodes.shape[1]):
+        ref = _mp_rational_partials(nodes[:, i], a, s0[i], s22[i])
+        err = np.max(np.abs(got[:, i] - ref)) / np.max(np.abs(ref))
+        assert err <= 1e-10, (regime, i, err)
+
+
+# ---------------------------------------------------------------------------
+# Property tests of the rational energy on small random pairs
+# ---------------------------------------------------------------------------
+
+RAT = EnergyKind.rat()
+SMALL_PAIRS = dict(order=st.integers(1, 6), seed=st.integers(0, 2**31))
+
+
+def _small_pair(order, seed):
+    a, b = nearby_pair(np.random.default_rng(seed), order=order)
+    return a, b, 4 * order + 4
+
+
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(**SMALL_PAIRS)
+def test_rat_symmetry_property(order, seed):
+    a, b, m = _small_pair(order, seed)
+    assert w_rat(a, b, W2, m) == pytest.approx(w_rat(b, a, W2, m), rel=1e-12)
+
+
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(angle=st.floats(-np.pi, np.pi),
+       shift=st.tuples(st.floats(-5.0, 5.0), st.floats(-5.0, 5.0)),
+       **SMALL_PAIRS)
+def test_rat_rigid_motion_property(order, seed, angle, shift):
+    a, b, m = _small_pair(order, seed)
+    moved = [translate(rotate(c, angle), shift) for c in (a, b)]
+    assert w_rat(*moved, W2, m) == pytest.approx(w_rat(a, b, W2, m), rel=1e-11)
+
+
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(**SMALL_PAIRS)
+def test_rat_gradient_matches_central_differences_property(order, seed):
+    a, b, m = _small_pair(order, seed)
+    _, gh, gc = w_value_and_grad(a, b, W2, RAT, m)
+    d = tangent_field(np.random.default_rng(seed + 1), order, scale=0.3)
+    h = 1e-6
+    fd_hat = (w_rat(a + d * h, b, W2, m) - w_rat(a + d * (-h), b, W2, m)) / (2 * h)
+    fd_chk = (w_rat(a, b + d * h, W2, m) - w_rat(a, b + d * (-h), W2, m)) / (2 * h)
+    assert float(np.sum(gh.coeffs * d.coeffs)) == pytest.approx(fd_hat, rel=1e-5, abs=1e-10)
+    assert float(np.sum(gc.coeffs * d.coeffs)) == pytest.approx(fd_chk, rel=1e-5, abs=1e-10)
+
+
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(**SMALL_PAIRS)
+def test_rat_gradients_cancel_along_translations_property(order, seed):
+    # W[a + s e, b + s e] is constant in s, and translation is the constant
+    # mode: the two gradients' constant rows sum to zero
+    a, b, m = _small_pair(order, seed)
+    _, gh, gc = w_value_and_grad(a, b, W2, RAT, m)
+    scale = np.abs(gh.coeffs).max()
+    np.testing.assert_allclose(gh.cos_coeffs[0] + gc.cos_coeffs[0], 0.0, atol=1e-12 * scale)
+
+
+# ---------------------------------------------------------------------------
+# Aliasing grids are rejected at every entry point
+# ---------------------------------------------------------------------------
+
+GRID_ENTRY_POINTS = {
+    "w_rat": lambda a, b, m: w_rat(a, b, W2, m),
+    "w_reg": lambda a, b, m: w_reg(a, b, W2, 1e-3, m),
+    "w_value_and_grad": lambda a, b, m: w_value_and_grad(a, b, W2, RAT, m),
+    "hessian_at_diagonal": lambda a, b, m: hessian_at_diagonal(a, W2, RAT, m),
+    "metric_eval": lambda a, b, m: metric_eval(a, b - a, b - a, W2, m),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(GRID_ENTRY_POINTS))
+def test_aliasing_grid_rejected(entry):
+    # N = 30 needs M > 60: the boundary grid 60 and a coarse one raise, 61 works
+    a, b = nearby_pair(np.random.default_rng(22), order=30, scale=0.02)
+    call = GRID_ENTRY_POINTS[entry]
+    for m in (20, 60):
+        with pytest.raises(InsufficientSamples):
+            call(a, b, m)
+    call(a, b, 61)
