@@ -1,15 +1,19 @@
 """Command-line driver: curve I/O, single geodesic-calculus computations, and
 convergence sweeps emitting CSV.
 
+Each subcommand is one entry of the ``COMMANDS`` table, which names its
+arguments and handler; ``main`` builds the set-up every handler shares
+(inputs, weights, energy kind, node count, solver options) once.
+
 Curve inputs (``--in-a``/``--in-b``/``--in-v``/``--in-w``) are either paths to
 curve JSON files or builtin shape names (``circle[:r]``, ``ellipse[:a,b]``,
 ``star``, and the tangent fields ``cosx``, ``cosy``, ``mixv``, ``mixw``,
-``normal5``).  Sweeps write one CSV with a leading comment line that embeds
-the configuration, a header row, one row per K flushed as soon as it is
-computed, and a trailing comment with the fitted log-log slope over the final
-half of the K range.  Outputs carry no timestamps, so identical invocations
-produce byte-identical files.  The SOBCURVE_THREADS environment variable caps
-the worker pool used for independent sweep entries.
+``normal5``).  Sweeps evaluate the segment counts in order and write one CSV
+with a leading comment line that embeds the configuration, a header row, one
+row per K flushed as soon as it is computed, and a trailing comment with the
+fitted log-log slope of the last column over the final half of the K range.
+Outputs carry no timestamps, so identical invocations produce byte-identical
+files.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ import math
 import os
 import re
 import sys
-from concurrent.futures import ThreadPoolExecutor
+from typing import Callable
 
 import numpy as np
 
@@ -31,7 +35,6 @@ from .errors import SobcurveError
 from .geodesic import (
     SolverOptions,
     bvp_ladder,
-    discrete_path_energy,
     exp_k,
     log2,
     resample_path,
@@ -177,8 +180,17 @@ def parse_tau_rule(text: str):
     return lambda tau: value
 
 
-def _kind_rule(args):
-    """(description, K -> EnergyKind) from --kind / --epsilon."""
+def _kind_rule(args, scheduled):
+    """(description, K -> EnergyKind) from --kind / --epsilon.  Scheduled
+    (curvature) commands take their regularization from the schedule instead,
+    so their smoothed kind is a placeholder replaced per quotient."""
+    if scheduled:
+        if args.epsilon is not None:
+            raise ValueError(
+                "curvature commands take --eps-out/--eps-in schedule rules, not --epsilon"
+            )
+        kind = EnergyKind.rat() if args.kind == "rat" else EnergyKind.reg(1.0)
+        return args.kind, lambda k: kind
     if args.kind == "rat":
         if args.epsilon is not None:
             raise ValueError("--epsilon only applies to --kind reg")
@@ -187,18 +199,6 @@ def _kind_rule(args):
         raise ValueError("--kind reg requires --epsilon (a value or a rule)")
     rule = parse_eps_rule(args.epsilon)
     return f"reg(eps={args.epsilon})", lambda k: EnergyKind.reg(rule(k))
-
-
-def _kind_flavor(args) -> tuple[str, EnergyKind]:
-    """Energy family for schedule-driven commands, whose regularization
-    parameters come from the curvature schedule rather than --epsilon."""
-    if args.epsilon is not None:
-        raise ValueError(
-            "curvature commands take --eps-out/--eps-in schedule rules, not --epsilon"
-        )
-    if args.kind == "rat":
-        return "rat", EnergyKind.rat()
-    return "reg", EnergyKind.reg(1.0)  # placeholder, replaced per quotient
 
 
 def _schedule_for(args, tau: float) -> CurvatureSchedule:
@@ -215,17 +215,6 @@ def _schedule_for(args, tau: float) -> CurvatureSchedule:
     if args.eps_in is not None:
         updates["eps_in"] = parse_tau_rule(args.eps_in)(tau)
     return dataclasses.replace(base, **updates) if updates else base
-
-
-def _solver_options(args) -> SolverOptions:
-    return SolverOptions(grad_tol=args.tol, max_iters=args.max_iters)
-
-
-def _resolve_input(args, attr, discretize=True):
-    curve = resolve_curve(getattr(args, attr))
-    if discretize and args.N is not None:
-        curve = pad(truncate(curve, args.N), args.N)
-    return curve
 
 
 def _num_nodes(args, *curves) -> int:
@@ -256,10 +245,44 @@ def _parse_ref(text, default_k):
     return "file", text
 
 
-def _workers(num_entries: int) -> int:
-    env = os.environ.get("SOBCURVE_THREADS")
-    cap = int(env) if env else (os.cpu_count() or 1)
-    return max(1, min(cap, num_entries))
+def _require_unit_circle(curve, what):
+    probe = pad(_shape_circle(), curve.order)
+    if curve.order < 1 or not np.allclose(probe.coeffs, curve.coeffs, atol=1e-12):
+        raise ValueError(f"{what} compares against the analytic circle oracle; "
+                         "--in-a must be the unit circle")
+
+
+def _trig(curve) -> TrigPolynomial:
+    return TrigPolynomial(curve.cos_coeffs, curve.sin_coeffs)
+
+
+@dataclasses.dataclass(frozen=True)
+class _Setup:
+    """What every command builds from its arguments before computing."""
+
+    curves: tuple  # resolved --in-* curves, in the command's input order
+    weights: MetricWeights
+    desc: str  # energy description printed by the sweeps
+    kind_of: Callable[[int], EnergyKind]
+    nodes: int
+    opts: SolverOptions
+    ks: list | None  # the sweep's --K-list
+
+
+def _setup(args, command) -> _Setup:
+    if args.N is not None and args.N < 1:
+        raise ValueError("need at least one Fourier mode")
+    curves = tuple(resolve_curve(getattr(args, f"in_{x}")) for x in command.inputs)
+    if args.N is not None:
+        curves = tuple(pad(truncate(c, args.N), args.N) for c in curves)
+    if command.oracle:
+        _require_unit_circle(curves[0], command.name)
+    weights = parse_weights(args.weights)
+    desc, kind_of = _kind_rule(args, scheduled=command.schedule == "full")
+    nodes = _num_nodes(args, *curves)
+    ks = _parse_k_list(args.K_list) if command.sweep else None
+    return _Setup(curves, weights, desc, kind_of, nodes,
+                  SolverOptions(grad_tol=args.tol, max_iters=args.max_iters), ks)
 
 
 # ---------------------------------------------------------------------------
@@ -276,7 +299,7 @@ def _fmt(value) -> str:
 def _config_line(args) -> str:
     pairs = []
     for key in sorted(vars(args)):
-        if key in ("func", "out"):  # where output lands is not computation config
+        if key == "out":  # where output lands is not computation config
             continue
         value = getattr(args, key)
         if value is None:
@@ -302,7 +325,10 @@ class _CsvWriter:
         self._fh.write(f"# {text}\n")
         self._fh.flush()
 
-    def close(self):
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
         self._fh.close()
 
 
@@ -316,9 +342,9 @@ def fitted_slope(ks, errors) -> float:
     return float(-coeffs[0])
 
 
-def _out_dir(args) -> str:
+def _out_path(args, name) -> str:
     os.makedirs(args.out, exist_ok=True)
-    return args.out
+    return os.path.join(args.out, name)
 
 
 def _save_json(path, payload):
@@ -327,17 +353,23 @@ def _save_json(path, payload):
         fh.write("\n")
 
 
-def _run_sweep(writer, ks, worker):
-    """Evaluate worker(K) for each K on a thread pool, writing rows in K
-    order as soon as each row's predecessors are done."""
-    with ThreadPoolExecutor(max_workers=_workers(len(ks))) as pool:
-        futures = {k: pool.submit(worker, k) for k in ks}
-        rows = []
-        for k in ks:
-            row = futures[k].result()
-            writer.row(row)
-            rows.append(row)
-    return rows
+def _sweep(args, s, columns, row, notes=()) -> int:
+    """One CSV row ``row(K)`` per K in order, then the fitted slope of the
+    last (error) column.  ``notes`` are extra ``key=value`` results, written
+    as trailing comments and printed before the slope."""
+    path = _out_path(args, args.command.replace("-", "_") + ".csv")
+    with _CsvWriter(path, columns, _config_line(args)) as writer:
+        errors = []
+        for k in s.ks:
+            values = row(k)
+            writer.row(values)
+            errors.append(values[-1])
+        slope = fitted_slope(s.ks, errors)
+        for note in notes:
+            writer.comment(note)
+        writer.comment(f"fitted_slope_final_half={_fmt(slope)}")
+    print(" ".join([f"kind={s.desc}", *notes, f"fitted_slope={_fmt(slope)}"]))
+    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -345,24 +377,19 @@ def _run_sweep(writer, ks, worker):
 # ---------------------------------------------------------------------------
 
 
-def cmd_geodesic(args) -> int:
-    c_a = _resolve_input(args, "in_a")
-    c_b = _resolve_input(args, "in_b")
-    weights = parse_weights(args.weights)
-    _, kind_of = _kind_rule(args)
-    nodes = _num_nodes(args, c_a, c_b)
+def cmd_geodesic(args, s) -> int:
+    c_a, c_b = s.curves
     path, info = solve_bvp(
-        c_a, c_b, args.K, weights, kind_of(args.K), nodes,
-        opts=_solver_options(args), return_info=True,
+        c_a, c_b, args.K, s.weights, s.kind_of(args.K), s.nodes,
+        opts=s.opts, return_info=True,
     )
-    out = _out_dir(args)
     node_files = []
     for j, curve in enumerate(path):
         name = f"node_{j:04d}.json"
-        _save_json(os.path.join(out, name), curve_to_dict(curve))
+        _save_json(_out_path(args, name), curve_to_dict(curve))
         node_files.append(name)
     _save_json(
-        os.path.join(out, "manifest.json"),
+        _out_path(args, "manifest.json"),
         {
             "config": _config_line(args),
             "nodes": node_files,
@@ -378,97 +405,62 @@ def cmd_geodesic(args) -> int:
     return 0
 
 
-def cmd_exp(args) -> int:
-    c0 = _resolve_input(args, "in_a")
-    v = _resolve_input(args, "in_v")
-    weights = parse_weights(args.weights)
-    _, kind_of = _kind_rule(args)
-    nodes = _num_nodes(args, c0, v)
-    path = exp_k(c0, v, args.K, weights, kind_of(args.K), nodes, _solver_options(args))
-    endpoint = path[-1]
-    out = _out_dir(args)
-    _save_json(os.path.join(out, "exp_result.json"), curve_to_dict(endpoint))
-    print(f"segments={args.K} endpoint_min_speed={_fmt(min_speed(endpoint, nodes))}")
+def cmd_exp(args, s) -> int:
+    c0, v = s.curves
+    endpoint = exp_k(c0, v, args.K, s.weights, s.kind_of(args.K), s.nodes, s.opts)[-1]
+    _save_json(_out_path(args, "exp_result.json"), curve_to_dict(endpoint))
+    print(f"segments={args.K} endpoint_min_speed={_fmt(min_speed(endpoint, s.nodes))}")
     return 0
 
 
-def cmd_log(args) -> int:
-    c0 = _resolve_input(args, "in_a")
-    c2 = _resolve_input(args, "in_b")
-    weights = parse_weights(args.weights)
-    _, kind_of = _kind_rule(args)
-    nodes = _num_nodes(args, c0, c2)
-    v = log2(c0, c2, weights, kind_of(2), nodes, _solver_options(args))
-    out = _out_dir(args)
-    _save_json(os.path.join(out, "log_result.json"), curve_to_dict(v))
-    gnorm = math.sqrt(max(metric_eval(c0, v, v, weights, nodes), 0.0))
+def cmd_log(args, s) -> int:
+    c0, c2 = s.curves
+    v = log2(c0, c2, s.weights, s.kind_of(2), s.nodes, s.opts)
+    _save_json(_out_path(args, "log_result.json"), curve_to_dict(v))
+    gnorm = math.sqrt(max(metric_eval(c0, v, v, s.weights, s.nodes), 0.0))
     print(f"gnorm={_fmt(gnorm)}")
     return 0
 
 
-def cmd_transport(args) -> int:
-    c_a = _resolve_input(args, "in_a")
-    c_b = _resolve_input(args, "in_b")
-    w0 = _resolve_input(args, "in_v")
-    weights = parse_weights(args.weights)
-    _, kind_of = _kind_rule(args)
-    kind = kind_of(args.K)
-    nodes = _num_nodes(args, c_a, c_b, w0)
-    opts = _solver_options(args)
-    path = solve_bvp(c_a, c_b, args.K, weights, kind, nodes, opts=opts)
-    moved = transport_path(path, w0, weights, kind, nodes, opts)
-    alphas = transport_inner_products(path, w0, weights, kind, nodes, opts)
-    out = _out_dir(args)
-    _save_json(os.path.join(out, "transport_result.json"), curve_to_dict(moved))
-    writer = _CsvWriter(
-        os.path.join(out, "transport_alphas.csv"), ["k", "alpha"], _config_line(args)
+def cmd_transport(args, s) -> int:
+    c_a, c_b, w0 = s.curves
+    kind = s.kind_of(args.K)
+    path = solve_bvp(c_a, c_b, args.K, s.weights, kind, s.nodes, opts=s.opts)
+    moved = transport_path(path, w0, s.weights, kind, s.nodes, s.opts)
+    alphas = transport_inner_products(path, w0, s.weights, kind, s.nodes, s.opts)
+    _save_json(_out_path(args, "transport_result.json"), curve_to_dict(moved))
+    path = _out_path(args, "transport_alphas.csv")
+    with _CsvWriter(path, ["k", "alpha"], _config_line(args)) as writer:
+        for k, alpha in enumerate(alphas):
+            writer.row([k, alpha])
+    drift = np.abs(np.diff(alphas)) * args.K if len(alphas) > 1 else np.zeros(1)
+    print(
+        f"alpha_drift_max={_fmt(drift.max())} "
+        f"alpha_drift_median={_fmt(np.median(drift))}"
     )
-    for k, alpha in enumerate(alphas):
-        writer.row([k, alpha])
-    writer.close()
-    drift = np.abs(np.diff(alphas)) * args.K
-    if drift.size:
-        print(
-            f"alpha_drift_max={_fmt(drift.max())} "
-            f"alpha_drift_median={_fmt(np.median(drift))}"
-        )
-    else:
-        print("alpha_drift_max=0.0 alpha_drift_median=0.0")
     return 0
 
 
-def cmd_covderiv(args) -> int:
-    c = _resolve_input(args, "in_a")
-    v = _resolve_input(args, "in_v")
-    w = _resolve_input(args, "in_w")
-    weights = parse_weights(args.weights)
-    _, kind_of = _kind_rule(args)
-    nodes = _num_nodes(args, c, v, w)
+def cmd_covderiv(args, s) -> int:
+    c, v, w = s.curves
     tau = 1.0 / args.K
     result = cov_deriv(
-        c, v, w, tau, weights, kind_of(args.K), nodes,
-        _solver_options(args), centered=args.centered,
+        c, v, w, tau, s.weights, s.kind_of(args.K), s.nodes, s.opts,
+        centered=args.centered,
     )
-    out = _out_dir(args)
-    _save_json(os.path.join(out, "covderiv_result.json"), curve_to_dict(result))
+    _save_json(_out_path(args, "covderiv_result.json"), curve_to_dict(result))
     print(f"tau={_fmt(tau)} norm_w2={_fmt(sobolev_norm(result, 2))}")
     return 0
 
 
-def cmd_curvature(args) -> int:
-    c = _resolve_input(args, "in_a")
-    v = _resolve_input(args, "in_v")
-    w = _resolve_input(args, "in_w")
-    weights = parse_weights(args.weights)
-    _, kind = _kind_flavor(args)
-    nodes = _num_nodes(args, c, v, w)
+def cmd_curvature(args, s) -> int:
+    c, v, w = s.curves
     tau = 1.0 / args.K
     kappa = sectional_curvature(
-        c, v, w, tau, _schedule_for(args, tau), weights, kind, nodes,
-        _solver_options(args),
+        c, v, w, tau, _schedule_for(args, tau), s.weights, s.kind_of(args.K),
+        s.nodes, s.opts,
     )
-    out = _out_dir(args)
-    _save_json(os.path.join(out, "curvature_result.json"), {"tau": tau, "kappa": kappa})
+    _save_json(_out_path(args, "curvature_result.json"), {"tau": tau, "kappa": kappa})
     print(f"tau={_fmt(tau)} kappa={_fmt(kappa)}")
     return 0
 
@@ -488,211 +480,159 @@ def _path_error(path, reference, order):
     return math.sqrt(total / (k + 1))
 
 
-def cmd_sweep_geodesic(args) -> int:
-    c_a = _resolve_input(args, "in_a")
-    c_b = _resolve_input(args, "in_b")
-    weights = parse_weights(args.weights)
-    desc, kind_of = _kind_rule(args)
-    nodes = _num_nodes(args, c_a, c_b)
-    ks = _parse_k_list(args.K_list)
-    mode, ref_spec = _parse_ref(args.ref, default_k=2048)
+def cmd_sweep_geodesic(args, s) -> int:
+    c_a, c_b = s.curves
+    mode, k_ref = _parse_ref(args.ref, default_k=2048)
     if mode != "self":
         raise ValueError("sweep-geodesic supports only self:K references")
-    k_ref = int(ref_spec)
-    if k_ref <= ks[-1]:
+    if k_ref <= s.ks[-1]:
         raise ValueError("reference segment count must exceed the sweep range")
-    opts = _solver_options(args)
 
     # Warm-started ladders: one for the swept kind, one rational ladder
     # continued to the reference resolution.
-    paths = bvp_ladder(c_a, c_b, ks, weights, kind_of, nodes, opts)
+    paths = bvp_ladder(c_a, c_b, s.ks, s.weights, s.kind_of, s.nodes, s.opts)
     ref_path = bvp_ladder(
-        c_a, c_b, sorted(set(ks + [k_ref])), weights, EnergyKind.rat(), nodes, opts
+        c_a, c_b, sorted(set(s.ks + [k_ref])), s.weights, EnergyKind.rat(),
+        s.nodes, s.opts,
     )[k_ref]
 
-    out = _out_dir(args)
-    writer = _CsvWriter(
-        os.path.join(out, "sweep_geodesic.csv"),
-        ["K", "err_L2", "err_W1", "err_W2"],
-        _config_line(args),
-    )
-    rows = []
-    for k in ks:
+    def row(k):
         ref_k = resample_path(ref_path, k)
-        row = [k] + [_path_error(paths[k], ref_k, r) for r in (0, 1, 2)]
-        writer.row(row)
-        rows.append(row)
-    slope = fitted_slope([r[0] for r in rows], [r[3] for r in rows])
-    writer.comment(f"fitted_slope_final_half={_fmt(slope)}")
-    writer.close()
-    print(f"kind={desc} fitted_slope={_fmt(slope)}")
-    return 0
+        return [k] + [_path_error(paths[k], ref_k, r) for r in (0, 1, 2)]
+
+    return _sweep(args, s, ["K", "err_L2", "err_W1", "err_W2"], row)
 
 
-def cmd_sweep_exp(args) -> int:
-    c0 = _resolve_input(args, "in_a")
-    v = _resolve_input(args, "in_v")
-    weights = parse_weights(args.weights)
-    desc, kind_of = _kind_rule(args)
-    nodes = _num_nodes(args, c0, v)
-    ks = _parse_k_list(args.K_list)
-    opts = _solver_options(args)
+def cmd_sweep_exp(args, s) -> int:
+    c0, v = s.curves
     mode, ref_spec = _parse_ref(args.ref, default_k=8192)
     if mode == "file":
         reference = resolve_curve(ref_spec)
     else:
-        k_ref = int(ref_spec)
-        reference = exp_k(c0, v, k_ref, weights, EnergyKind.rat(), nodes, opts)[-1]
+        reference = exp_k(
+            c0, v, ref_spec, s.weights, EnergyKind.rat(), s.nodes, s.opts
+        )[-1]
 
-    out = _out_dir(args)
-    writer = _CsvWriter(
-        os.path.join(out, "sweep_exp.csv"), ["K", "err_W2"], _config_line(args)
-    )
-
-    def worker(k):
-        endpoint = exp_k(c0, v, k, weights, kind_of(k), nodes, opts)[-1]
+    def row(k):
+        endpoint = exp_k(c0, v, k, s.weights, s.kind_of(k), s.nodes, s.opts)[-1]
         return [k, sobolev_norm(endpoint - reference, 2)]
 
-    rows = _run_sweep(writer, ks, worker)
-    slope = fitted_slope([r[0] for r in rows], [r[1] for r in rows])
-    writer.comment(f"fitted_slope_final_half={_fmt(slope)}")
-    writer.close()
-    print(f"kind={desc} fitted_slope={_fmt(slope)}")
-    return 0
+    return _sweep(args, s, ["K", "err_W2"], row)
 
 
-def cmd_sweep_transport(args) -> int:
-    c_a = _resolve_input(args, "in_a")
-    c_b = _resolve_input(args, "in_b")
-    w0 = _resolve_input(args, "in_v")
-    weights = parse_weights(args.weights)
-    desc, kind_of = _kind_rule(args)
-    nodes = _num_nodes(args, c_a, c_b, w0)
-    ks = _parse_k_list(args.K_list)
-    opts = _solver_options(args)
+def cmd_sweep_transport(args, s) -> int:
+    c_a, c_b, w0 = s.curves
     mode, ref_spec = _parse_ref(args.ref, default_k=8192)
 
     # One fixed rational geodesic supplies the transport path at every K;
     # rung counts are varied by resampling it in time.
-    k_path = max(ks[-1], min(int(ref_spec) if mode == "self" else 1024, 1024))
+    k_path = max(s.ks[-1], min(ref_spec if mode == "self" else 1024, 1024))
     base_path = bvp_ladder(
         c_a, c_b,
         [k for k in (4, 16, 64, 256, 1024) if k < k_path] + [k_path],
-        weights, EnergyKind.rat(), nodes, opts,
+        s.weights, EnergyKind.rat(), s.nodes, s.opts,
     )[k_path]
 
     if mode == "file":
         reference = resolve_curve(ref_spec)
     else:
-        k_ref = int(ref_spec)
-        ref_path = resample_path(base_path, k_ref)
-        reference = transport_path(ref_path, w0, weights, EnergyKind.rat(), nodes, opts)
+        reference = transport_path(
+            resample_path(base_path, ref_spec), w0, s.weights, EnergyKind.rat(),
+            s.nodes, s.opts,
+        )
 
-    out = _out_dir(args)
-    writer = _CsvWriter(
-        os.path.join(out, "sweep_transport.csv"), ["K", "err_W2"], _config_line(args)
-    )
-
-    def worker(k):
+    def row(k):
         moved = transport_path(
-            resample_path(base_path, k), w0, weights, kind_of(k), nodes, opts
+            resample_path(base_path, k), w0, s.weights, s.kind_of(k), s.nodes, s.opts
         )
         return [k, sobolev_norm(moved - reference, 2)]
 
-    rows = _run_sweep(writer, ks, worker)
-    slope = fitted_slope([r[0] for r in rows], [r[1] for r in rows])
-    writer.comment(f"fitted_slope_final_half={_fmt(slope)}")
-    writer.close()
-    print(f"kind={desc} fitted_slope={_fmt(slope)}")
-    return 0
+    return _sweep(args, s, ["K", "err_W2"], row)
 
 
-def _require_unit_circle(curve, what):
-    probe = pad(_shape_circle(), curve.order)
-    if curve.order < 1 or not np.allclose(probe.coeffs, curve.coeffs, atol=1e-12):
-        raise ValueError(f"{what} compares against the analytic circle oracle; "
-                         "--in-a must be the unit circle")
-
-
-def cmd_sweep_covderiv(args) -> int:
-    c = _resolve_input(args, "in_a")
-    v = _resolve_input(args, "in_v")
-    w = _resolve_input(args, "in_w")
-    _require_unit_circle(c, "sweep-covderiv")
-    weights = parse_weights(args.weights)
-    desc, kind_of = _kind_rule(args)
-    nodes = _num_nodes(args, c, v, w)
-    ks = _parse_k_list(args.K_list)
-    opts = _solver_options(args)
-    gamma = christoffel_circle(
-        TrigPolynomial(v.cos_coeffs, v.sin_coeffs),
-        TrigPolynomial(w.cos_coeffs, w.sin_coeffs),
-        weights,
-    )
+def cmd_sweep_covderiv(args, s) -> int:
+    c, v, w = s.curves
+    gamma = christoffel_circle(_trig(v), _trig(w), s.weights)
     oracle = FourierCurve(gamma.cos_coeffs, gamma.sin_coeffs)
 
-    out = _out_dir(args)
-    writer = _CsvWriter(
-        os.path.join(out, "sweep_covderiv.csv"), ["K", "err_W2"], _config_line(args)
-    )
-
-    def worker(k):
-        tau = 1.0 / k
+    def row(k):
         quotient = cov_deriv(
-            c, v, w, tau, weights, kind_of(k), nodes, opts, centered=args.centered
+            c, v, w, 1.0 / k, s.weights, s.kind_of(k), s.nodes, s.opts,
+            centered=args.centered,
         )
         return [k, sobolev_norm(quotient - oracle, 2)]
 
-    rows = _run_sweep(writer, ks, worker)
-    slope = fitted_slope([r[0] for r in rows], [r[1] for r in rows])
-    writer.comment(f"fitted_slope_final_half={_fmt(slope)}")
-    writer.close()
-    print(f"kind={desc} fitted_slope={_fmt(slope)}")
-    return 0
+    return _sweep(args, s, ["K", "err_W2"], row)
 
 
-def cmd_sweep_curvature(args) -> int:
-    c = _resolve_input(args, "in_a")
-    v = _resolve_input(args, "in_v")
-    w = _resolve_input(args, "in_w")
-    _require_unit_circle(c, "sweep-curvature")
-    weights = parse_weights(args.weights)
-    desc, kind = _kind_flavor(args)
-    nodes = _num_nodes(args, c, v, w)
-    ks = _parse_k_list(args.K_list)
-    opts = _solver_options(args)
-    exact = sectional_curvature_circle(
-        TrigPolynomial(v.cos_coeffs, v.sin_coeffs),
-        TrigPolynomial(w.cos_coeffs, w.sin_coeffs),
-        weights,
-    )
+def cmd_sweep_curvature(args, s) -> int:
+    c, v, w = s.curves
+    exact = sectional_curvature_circle(_trig(v), _trig(w), s.weights)
 
-    out = _out_dir(args)
-    writer = _CsvWriter(
-        os.path.join(out, "sweep_curvature.csv"),
-        ["K", "kappa", "err"],
-        _config_line(args),
-    )
-
-    def worker(k):
+    def row(k):
         tau = 1.0 / k
         kappa = sectional_curvature(
-            c, v, w, tau, _schedule_for(args, tau), weights, kind, nodes, opts
+            c, v, w, tau, _schedule_for(args, tau), s.weights, s.kind_of(k),
+            s.nodes, s.opts,
         )
         return [k, kappa, abs(kappa - exact)]
 
-    rows = _run_sweep(writer, ks, worker)
-    slope = fitted_slope([r[0] for r in rows], [r[2] for r in rows])
-    writer.comment(f"kappa_exact={_fmt(exact)}")
-    writer.comment(f"fitted_slope_final_half={_fmt(slope)}")
-    writer.close()
-    print(f"kind={desc} kappa_exact={_fmt(exact)} fitted_slope={_fmt(slope)}")
-    return 0
+    return _sweep(args, s, ["K", "kappa", "err"], row,
+                  notes=[f"kappa_exact={_fmt(exact)}"])
 
 
 # ---------------------------------------------------------------------------
-# Argument parsing
+# Command table and argument parsing
 # ---------------------------------------------------------------------------
+
+
+@dataclasses.dataclass(frozen=True)
+class Command:
+    """One subcommand: its arguments and the handler that runs it."""
+
+    name: str
+    help: str
+    handler: Callable[[argparse.Namespace, _Setup], int]
+    inputs: str  # letters of the --in-* curves, in handler order
+    k: dict | None = None  # argparse keywords for -K
+    sweep: bool = False  # takes --K-list
+    ref: str | None = None  # help for --ref, when the sweep takes one
+    schedule: str = ""  # "centered": --centered only; "full": all schedule flags
+    oracle: bool = False  # --in-a defaults to, and must be, the unit circle
+
+
+COMMANDS = (
+    Command("geodesic", "solve the boundary value problem", cmd_geodesic, "ab",
+            k={"required": True, "help": "segment count"}),
+    Command("exp", "shoot the discrete exponential", cmd_exp, "av",
+            k={"default": 2, "help": "segment count (default 2)"}),
+    Command("log", "discrete logarithm between two curves", cmd_log, "ab"),
+    Command("transport", "parallel transport along a geodesic", cmd_transport, "abv",
+            k={"required": True, "help": "rung count"}),
+    Command("covderiv", "covariant difference quotient", cmd_covderiv, "avw",
+            k={"default": 64, "help": "tau = 1/K (default 64)"}, schedule="centered"),
+    Command("curvature", "discrete sectional curvature", cmd_curvature, "avw",
+            k={"default": 64, "help": "tau = 1/K (default 64)"}, schedule="full"),
+    Command("sweep-geodesic", "BVP self-convergence sweep", cmd_sweep_geodesic,
+            "ab", sweep=True, ref="self:K (default self:2048)"),
+    Command("sweep-exp", "exponential-map convergence sweep", cmd_sweep_exp,
+            "av", sweep=True, ref="curve file or self:K (default self:8192)"),
+    Command("sweep-transport", "parallel-transport convergence sweep",
+            cmd_sweep_transport, "abv", sweep=True,
+            ref="tangent file or self:K (default self:8192)"),
+    Command("sweep-covderiv", "covariant-derivative convergence sweep (circle oracle)",
+            cmd_sweep_covderiv, "avw", sweep=True, schedule="centered", oracle=True),
+    Command("sweep-curvature", "sectional-curvature convergence sweep (circle oracle)",
+            cmd_sweep_curvature, "avw", sweep=True, schedule="full", oracle=True),
+)
+_BY_NAME = {command.name: command for command in COMMANDS}
+
+_INPUT_HELP = {
+    "a": "base curve (the oracle sweeps take the unit circle, their default)",
+    "b": "end curve",
+    "v": "tangent field: initial velocity, transported vector or direction",
+    "w": "second tangent field (held constant by the quotients)",
+}
 
 
 def _add_common(parser):
@@ -703,8 +643,6 @@ def _add_common(parser):
                              "1/sqrt(K), or c*K^-3/2")
     parser.add_argument("--weights", default="1e-4,1,1e-2",
                         help="metric weights a0,a1,...,am")
-    parser.add_argument("--m", type=int, default=None,
-                        help="metric order (validated against --weights)")
     parser.add_argument("-N", type=int, default=None,
                         help="Fourier modes; inputs are truncated/padded to N")
     parser.add_argument("-M", type=int, default=None,
@@ -715,9 +653,11 @@ def _add_common(parser):
     parser.add_argument("--out", default=".", help="output directory")
 
 
-def _add_schedule(parser):
+def _add_schedule(parser, schedule):
     parser.add_argument("--centered", action="store_true",
                         help="central difference quotients")
+    if schedule != "full":
+        return
     parser.add_argument("--beta", type=float, default=None,
                         help="inner-step exponent (default 2 one-sided, 1.5 central)")
     parser.add_argument("--eps-out", default=None,
@@ -734,122 +674,31 @@ def build_parser() -> argparse.ArgumentParser:
         description="Discrete Riemannian calculus on Sobolev immersed curves.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("geodesic", help="solve the boundary value problem")
-    p.add_argument("--in-a", required=True, dest="in_a")
-    p.add_argument("--in-b", required=True, dest="in_b")
-    p.add_argument("-K", type=int, required=True, help="segment count")
-    _add_common(p)
-    p.set_defaults(func=cmd_geodesic)
-
-    p = sub.add_parser("exp", help="shoot the discrete exponential")
-    p.add_argument("--in-a", required=True, dest="in_a")
-    p.add_argument("--in-v", required=True, dest="in_v")
-    p.add_argument("-K", type=int, default=2, help="segment count (default 2)")
-    _add_common(p)
-    p.set_defaults(func=cmd_exp)
-
-    p = sub.add_parser("log", help="discrete logarithm between two curves")
-    p.add_argument("--in-a", required=True, dest="in_a")
-    p.add_argument("--in-b", required=True, dest="in_b")
-    _add_common(p)
-    p.set_defaults(func=cmd_log)
-
-    p = sub.add_parser("transport", help="parallel transport along a geodesic")
-    p.add_argument("--in-a", required=True, dest="in_a")
-    p.add_argument("--in-b", required=True, dest="in_b")
-    p.add_argument("--in-v", required=True, dest="in_v",
-                   help="vector to transport")
-    p.add_argument("-K", type=int, required=True, help="rung count")
-    _add_common(p)
-    p.set_defaults(func=cmd_transport)
-
-    p = sub.add_parser("covderiv", help="covariant difference quotient")
-    p.add_argument("--in-a", required=True, dest="in_a")
-    p.add_argument("--in-v", required=True, dest="in_v", help="direction")
-    p.add_argument("--in-w", required=True, dest="in_w", help="constant field")
-    p.add_argument("-K", type=int, default=64, help="tau = 1/K (default 64)")
-    _add_common(p)
-    _add_schedule(p)
-    p.set_defaults(func=cmd_covderiv)
-
-    p = sub.add_parser("curvature", help="discrete sectional curvature")
-    p.add_argument("--in-a", required=True, dest="in_a")
-    p.add_argument("--in-v", required=True, dest="in_v")
-    p.add_argument("--in-w", required=True, dest="in_w")
-    p.add_argument("-K", type=int, default=64, help="tau = 1/K (default 64)")
-    _add_common(p)
-    _add_schedule(p)
-    p.set_defaults(func=cmd_curvature)
-
-    p = sub.add_parser("sweep-geodesic", help="BVP self-convergence sweep")
-    p.add_argument("--in-a", required=True, dest="in_a")
-    p.add_argument("--in-b", required=True, dest="in_b")
-    p.add_argument("--K-list", required=True, dest="K_list")
-    p.add_argument("--ref", default=None, help="self:K (default self:2048)")
-    _add_common(p)
-    p.set_defaults(func=cmd_sweep_geodesic)
-
-    p = sub.add_parser("sweep-exp", help="exponential-map convergence sweep")
-    p.add_argument("--in-a", required=True, dest="in_a")
-    p.add_argument("--in-v", required=True, dest="in_v")
-    p.add_argument("--K-list", required=True, dest="K_list")
-    p.add_argument("--ref", default=None,
-                   help="curve file or self:K (default self:8192)")
-    _add_common(p)
-    p.set_defaults(func=cmd_sweep_exp)
-
-    p = sub.add_parser("sweep-transport", help="parallel-transport convergence sweep")
-    p.add_argument("--in-a", required=True, dest="in_a")
-    p.add_argument("--in-b", required=True, dest="in_b")
-    p.add_argument("--in-v", required=True, dest="in_v")
-    p.add_argument("--K-list", required=True, dest="K_list")
-    p.add_argument("--ref", default=None,
-                   help="tangent file or self:K (default self:8192)")
-    _add_common(p)
-    p.set_defaults(func=cmd_sweep_transport)
-
-    p = sub.add_parser("sweep-covderiv",
-                       help="covariant-derivative convergence sweep (circle oracle)")
-    p.add_argument("--in-a", default="circle", dest="in_a")
-    p.add_argument("--in-v", required=True, dest="in_v")
-    p.add_argument("--in-w", required=True, dest="in_w")
-    p.add_argument("--K-list", required=True, dest="K_list")
-    _add_common(p)
-    _add_schedule(p)
-    p.set_defaults(func=cmd_sweep_covderiv)
-
-    p = sub.add_parser("sweep-curvature",
-                       help="sectional-curvature convergence sweep (circle oracle)")
-    p.add_argument("--in-a", default="circle", dest="in_a")
-    p.add_argument("--in-v", required=True, dest="in_v")
-    p.add_argument("--in-w", required=True, dest="in_w")
-    p.add_argument("--K-list", required=True, dest="K_list")
-    _add_common(p)
-    _add_schedule(p)
-    p.set_defaults(func=cmd_sweep_curvature)
-
+    for command in COMMANDS:
+        # no prefix matching, so a removed flag (--m) cannot read as --max-iters
+        p = sub.add_parser(command.name, help=command.help, allow_abbrev=False)
+        for x in command.inputs:
+            circle = x == "a" and command.oracle
+            p.add_argument(f"--in-{x}", dest=f"in_{x}", required=not circle,
+                           default="circle" if circle else None, help=_INPUT_HELP[x])
+        if command.k is not None:
+            p.add_argument("-K", type=int, **command.k)
+        if command.sweep:
+            p.add_argument("--K-list", required=True, dest="K_list",
+                           help="strictly increasing segment counts, e.g. 4,8,16")
+        if command.ref is not None:
+            p.add_argument("--ref", default=None, help=command.ref)
+        _add_common(p)
+        if command.schedule:
+            _add_schedule(p, command.schedule)
     return parser
 
 
-def _validate(args):
-    if args.m is not None:
-        weights = parse_weights(args.weights)
-        if weights.order != args.m:
-            raise ValueError(
-                f"--m {args.m} does not match the {len(weights.coefficients)} "
-                "weights given"
-            )
-    if args.N is not None and args.N < 1:
-        raise ValueError("need at least one Fourier mode")
-
-
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    command = _BY_NAME[args.command]
     try:
-        _validate(args)
-        return args.func(args)
+        return command.handler(args, _setup(args, command))
     except SobcurveError as err:
         print(f"sobcurve: error[{err.code}]: {err}", file=sys.stderr)
         return 1

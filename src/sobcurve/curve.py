@@ -46,10 +46,22 @@ def grid(num_nodes: int) -> np.ndarray:
     return 2.0 * np.pi * np.arange(num_nodes) / num_nodes
 
 
+def _basis(theta: np.ndarray, order: int, deriv: int) -> np.ndarray:
+    """Matrix taking stacked coefficients [a_0..a_N, b_1..b_N] to samples of
+    the ``deriv``-th theta-derivative at angles ``theta``.  Shape (len, 2N+1)."""
+    k = np.arange(order + 1, dtype=float)
+    # d^j/dtheta^j cos(k t) = k^j cos(k t + j pi/2), same phase shift for sin
+    phase = deriv * np.pi / 2.0
+    arg = np.outer(theta, k) + phase
+    factor = k**deriv
+    cos_block = factor * np.cos(arg)
+    sin_block = (factor * np.sin(arg))[:, 1:]
+    return np.hstack([cos_block, sin_block])
+
+
 @lru_cache(maxsize=None)
 def _eval_matrix(order: int, num_nodes: int, deriv: int) -> np.ndarray:
-    """Matrix taking stacked coefficients [a_0..a_N, b_1..b_N] to grid samples
-    of the ``deriv``-th theta-derivative.  Shape (M, 2N+1), cached read-only.
+    """:func:`_basis` on the uniform M-point grid, cached read-only.
 
     Raises InsufficientSamples unless M > 2N: coarser grids alias the top
     modes, and every sampled quantity built on them would be quietly wrong.
@@ -58,15 +70,7 @@ def _eval_matrix(order: int, num_nodes: int, deriv: int) -> np.ndarray:
         raise InsufficientSamples(
             f"{num_nodes} grid nodes cannot resolve {order} modes (need M > 2N)"
         )
-    theta = grid(num_nodes)
-    k = np.arange(order + 1, dtype=float)
-    # d^j/dtheta^j cos(k t) = k^j cos(k t + j pi/2), same phase shift for sin
-    phase = deriv * np.pi / 2.0
-    arg = np.outer(theta, k) + phase
-    factor = k**deriv
-    cos_block = factor * np.cos(arg)
-    sin_block = (factor * np.sin(arg))[:, 1:]
-    mat = np.hstack([cos_block, sin_block])
+    mat = _basis(grid(num_nodes), order, deriv)
     mat.setflags(write=False)
     return mat
 
@@ -145,14 +149,7 @@ class FourierCurve:
     def eval(self, theta: np.ndarray, deriv: int = 0) -> np.ndarray:
         """Evaluate the ``deriv``-th theta-derivative at angles ``theta``."""
         theta = np.atleast_1d(np.asarray(theta, dtype=float))
-        k = np.arange(self.order + 1, dtype=float)
-        phase = deriv * np.pi / 2.0
-        arg = np.outer(theta, k) + phase
-        factor = k**deriv
-        out = (factor * np.cos(arg)) @ self.cos_coeffs
-        if self.order > 0:
-            out += (factor * np.sin(arg))[:, 1:] @ self.sin_coeffs
-        return out
+        return _basis(theta, self.order, deriv) @ self.coeffs
 
     # -- arithmetic (pads to the larger order) -----------------------------
 

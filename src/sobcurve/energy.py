@@ -17,9 +17,9 @@ the diagonal:
 inverse-sinc factor V; it sits between the blended-metric value and ``w_rat``
 and serves as a cross-check oracle.
 
-All energies are discretized by the trapezium rule on the uniform theta grid
+All energies are evaluated by the trapezium rule on the uniform theta grid
 and are exact functions of the sampled jets; ``w_grad`` returns the exact
-gradient of the *discretized* value with respect to both curves' Fourier
+gradient of the *discrete* value with respect to both curves' Fourier
 coefficients.  Both gradients are closed-form reverse sweeps in real
 arithmetic.  For ``w_rat`` one pass through the per-node integrand also
 yields its six partials in the scalar pairings (r, p, q, rho, sigma, tau),
@@ -109,15 +109,14 @@ def smooth_max_min(alpha, beta, epsilon):
     return alpha + 0.5 * (diff + hyp), alpha + 0.5 * (diff - hyp)
 
 
-def _length_bound_arrays(hat_prime, check_prime, epsilon):
-    """L^{+,eps} and L^{-,eps} from tangent samples, shape (M,).
+def _length_bound_arrays(hat_prime, check_prime, r, p, epsilon):
+    """L^{+,eps} and L^{-,eps} from tangent samples and their speeds r, p,
+    shape (M,).
 
     L^+ is the smoothed maximum of the two speeds.  L^- multiplies the
     clipped smoothed minimum by the mean-direction factor |u/|u| + v/|v||/2,
     which vanishes on tangent reversal.
     """
-    r = np.linalg.norm(hat_prime, axis=1)
-    p = np.linalg.norm(check_prime, axis=1)
     lplus, smin = smooth_max_min(r, p, epsilon)
     clipped = np.maximum(smin, 0.0)
     mean_dir = 0.5 * np.linalg.norm(
@@ -139,10 +138,9 @@ def length_bounds(
     """
     hp = sample_jet(c_hat, num_nodes, 1).deriv(1)
     cp = sample_jet(c_check, num_nodes, 1).deriv(1)
-    _check_speeds(
-        np.linalg.norm(hp, axis=1), np.linalg.norm(cp, axis=1), epsilon
-    )
-    return _length_bound_arrays(hp, cp, epsilon)
+    r, p = np.linalg.norm(hp, axis=1), np.linalg.norm(cp, axis=1)
+    _check_speeds(r, p, epsilon)
+    return _length_bound_arrays(hp, cp, r, p, epsilon)
 
 
 def _check_speeds(r, p, epsilon=None):
@@ -278,10 +276,9 @@ def _reg_core(c_hat, c_check, weights, epsilon, num_nodes, want_grad):
     a = weights.coefficients
     hat = sample_jet(c_hat, num_nodes, m).values
     chk = sample_jet(c_check, num_nodes, m).values
-    _check_speeds(
-        np.linalg.norm(hat[1], axis=1), np.linalg.norm(chk[1], axis=1), epsilon
-    )
-    lplus, lminus = _length_bound_arrays(hat[1], chk[1], epsilon)
+    r, p = np.linalg.norm(hat[1], axis=1), np.linalg.norm(chk[1], axis=1)
+    _check_speeds(r, p, epsilon)
+    lplus, lminus = _length_bound_arrays(hat[1], chk[1], r, p, epsilon)
     if np.min(lminus) <= 0.0:
         raise NonPositiveLowerBound(
             "lower length bound hit zero (epsilon too large or tangents reversed)"
@@ -319,7 +316,7 @@ def _reg_core(c_hat, c_check, weights, epsilon, num_nodes, want_grad):
     bar_lminus = np.zeros(num_nodes)
     for j in range(1, m + 1):
         bar_lminus += a[j] * tw * (5 - 6 * j) * lminus ** (4 - 6 * j) * qsum[j]
-    bh1, bc1 = _length_bound_grads(hat[1], chk[1], epsilon, bar_lplus, bar_lminus)
+    bh1, bc1 = _length_bound_grads(hat[1], chk[1], r, p, epsilon, bar_lplus, bar_lminus)
     bar_hat[1] += bh1
     bar_chk[1] += bc1
 
@@ -335,10 +332,9 @@ def _reg_core(c_hat, c_check, weights, epsilon, num_nodes, want_grad):
     return value, _pull_back(c_hat, bar_hat, num_nodes), _pull_back(c_check, bar_chk, num_nodes)
 
 
-def _length_bound_grads(hat_prime, check_prime, epsilon, bar_lplus, bar_lminus):
-    """Propagate cotangents of (L^+, L^-) back to the two tangent samples."""
-    r = np.linalg.norm(hat_prime, axis=1)
-    p = np.linalg.norm(check_prime, axis=1)
+def _length_bound_grads(hat_prime, check_prime, r, p, epsilon, bar_lplus, bar_lminus):
+    """Propagate cotangents of (L^+, L^-) back to the two tangent samples,
+    whose speeds are r and p."""
     uhat = hat_prime / r[:, None]
     vhat = check_prime / p[:, None]
     diff = p - r
@@ -975,7 +971,7 @@ def w_value_and_grad(
 ):
     """Energy value and its exact coefficient gradients (grad_hat, grad_check).
 
-    The gradient is the exact derivative of the trapezium-discretized energy:
+    The gradient is the exact derivative of the trapezium-rule energy:
     per-node integrand partials with respect to the sampled jet values,
     pulled back by the transposed spectral evaluation operators.
     """

@@ -214,16 +214,21 @@ def discrete_path_energy(
 # Jacobian.
 
 
+def _hessian_block(anchor, weights, kind, num_nodes):
+    """Scalar block of the diagonal energy Hessian at ``anchor``."""
+    try:
+        return hessian_scalar_at_diagonal(anchor, weights, kind, num_nodes)
+    except SobcurveError:
+        # epsilon too large for the kind-specific form; the metric Gram
+        # block is an equivalent preconditioner
+        return 2.0 * gram_scalar(anchor, weights, anchor.order, num_nodes)
+
+
 class _Preconditioner:
     """Cholesky solve with the scalar block of the diagonal energy Hessian."""
 
     def __init__(self, anchor, weights, kind, num_nodes, scale=1.0):
-        try:
-            block = hessian_scalar_at_diagonal(anchor, weights, kind, num_nodes)
-        except SobcurveError:
-            # epsilon too large for the kind-specific form; the metric Gram
-            # block is an equivalent preconditioner
-            block = 2.0 * gram_scalar(anchor, weights, anchor.order, num_nodes)
+        block = _hessian_block(anchor, weights, kind, num_nodes)
         self._factor = scipy.linalg.cho_factor(scale * block)
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
@@ -482,11 +487,9 @@ class _PathPreconditioner:
 
     def __init__(self, anchor, weights, kind, num_nodes, num_segments):
         k = num_segments
-        try:
-            block = hessian_scalar_at_diagonal(anchor, weights, kind, num_nodes)
-        except SobcurveError:
-            block = 2.0 * gram_scalar(anchor, weights, anchor.order, num_nodes)
-        self._factor = scipy.linalg.cho_factor(block)
+        self._factor = scipy.linalg.cho_factor(
+            _hessian_block(anchor, weights, kind, num_nodes)
+        )
         if k - 1 == 1:
             bands = np.array([[2.0]])
         else:

@@ -6,13 +6,13 @@ into pytest tmp_path directories.
 
 import json
 import math
-import os
 
 import numpy as np
 import pytest
 
 from conftest import circle
 from sobcurve.cli import (
+    build_parser,
     fitted_slope,
     main,
     parse_eps_rule,
@@ -206,11 +206,6 @@ class TestErrorExits:
         assert rc == 2
         assert "strictly increasing" in capsys.readouterr().err
 
-    def test_weights_order_mismatch(self, tmp_path):
-        rc = main(["log", "--in-a", "circle", "--in-b", "circle:1.1",
-                   "--m", "3", "--out", str(tmp_path)])
-        assert rc == 2
-
     def test_quadrature_too_coarse(self, tmp_path):
         rc = main(["log", "--in-a", "circle", "--in-b", "circle:1.1",
                    "-N", "8", "-M", "16", "--out", str(tmp_path)])
@@ -230,20 +225,81 @@ class TestErrorExits:
         assert "unit circle" in capsys.readouterr().err
 
 
+def _subcommands():
+    parser = build_parser()
+    (action,) = [a for a in parser._actions if a.dest == "command"]
+    return sorted(action.choices)
+
+
+COVDERIV_INPUTS = ["--in-a", "circle", "--in-v", "mixv", "--in-w", "mixw"]
+
+
+class TestParser:
+    @pytest.mark.parametrize("command", _subcommands())
+    def test_help_exits_cleanly(self, command, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, "--help"])
+        assert exit_info.value.code == 0
+        assert f"usage: sobcurve {command}" in capsys.readouterr().out
+
+    # the covderiv commands take no schedule flag but --centered, and flags
+    # are never prefix-matched (--m, no longer an option, is not --max-iters)
+    @pytest.mark.parametrize("argv", [
+        ["covderiv", *COVDERIV_INPUTS, "--beta", "2"],
+        ["covderiv", *COVDERIV_INPUTS, "--eps-out", "tau"],
+        ["covderiv", *COVDERIV_INPUTS, "--eps-in", "tau^2"],
+        ["covderiv", *COVDERIV_INPUTS, "--curv-scale", "2"],
+        ["sweep-covderiv", *COVDERIV_INPUTS, "--K-list", "4,8", "--beta", "2"],
+        ["log", "--in-a", "circle", "--in-b", "circle:1.1", "--m", "2"],
+    ], ids=lambda argv: f"{argv[0]} {argv[-2]}")
+    def test_unaccepted_flag_is_usage_error(self, argv, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv + ["--out", str(tmp_path)])
+        assert exit_info.value.code == 2
+        assert f"unrecognized arguments: {argv[-2]}" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
+
+# (argv, CSV header, K-list) for every sweep, at small sizes
+SWEEPS = [
+    (["sweep-geodesic", "--in-a", "circle", "--in-b", "circle:1.2",
+      "--ref", "self:8"], "K,err_L2,err_W1,err_W2", [2, 4]),
+    (["sweep-exp", "--in-a", "circle", "--in-v", "mixv", "--ref", "self:8"],
+     "K,err_W2", [2, 4]),
+    (["sweep-transport", "--in-a", "circle", "--in-b", "circle:1.2",
+      "--in-v", "mixv", "--ref", "self:8"], "K,err_W2", [2, 4]),
+    (["sweep-covderiv", "--in-v", "mixv", "--in-w", "mixw"], "K,err_W2", [4, 8]),
+    (["sweep-curvature", "--in-v", "cosx", "--in-w", "cosy", "--weights", "1,1,1",
+      "--centered"], "K,kappa,err", [4, 8]),
+]
+
+
 class TestSweeps:
+    @pytest.mark.parametrize("argv, header, ks", SWEEPS, ids=[s[0][0] for s in SWEEPS])
+    def test_sweep_csv_header_rows_and_slope(self, argv, header, ks, tmp_path, capsys):
+        k_list = ",".join(map(str, ks))
+        assert main(argv + ["-N", "4", "--K-list", k_list, "--out", str(tmp_path)]) == 0
+        name = argv[0].replace("-", "_") + ".csv"
+        lines = (tmp_path / name).read_text().splitlines()
+        assert lines[0].startswith("# ") and f"K_list={k_list}" in lines[0]
+        assert lines[1] == header
+        assert [int(line.split(",")[0]) for line in lines[2:2 + len(ks)]] == ks
+        assert all(line.startswith("# ") for line in lines[2 + len(ks):])
+        slope = lines[-1].removeprefix("# fitted_slope_final_half=")
+        assert slope != lines[-1]
+        assert capsys.readouterr().out.rstrip().endswith(f"fitted_slope={slope}")
+        errors = [float(line.split(",")[-1]) for line in lines[2:2 + len(ks)]]
+        assert float(slope) == fitted_slope(ks, errors)  # fitted on the last column
+
     def test_curvature_sweep_csv_shape_and_determinism(self, tmp_path, capsys):
         argv = ["sweep-curvature", "--in-v", "cosx", "--in-w", "cosy",
                 "--weights", "1,1,1", "-N", "10", "--K-list", "4,8,16",
                 "--centered"]
         assert main(argv + ["--out", str(tmp_path / "a")]) == 0
-        os.environ["SOBCURVE_THREADS"] = "1"
-        try:
-            assert main(argv + ["--out", str(tmp_path / "b")]) == 0
-        finally:
-            del os.environ["SOBCURVE_THREADS"]
+        assert main(argv + ["--out", str(tmp_path / "b")]) == 0
         text_a = (tmp_path / "a" / "sweep_curvature.csv").read_bytes()
         text_b = (tmp_path / "b" / "sweep_curvature.csv").read_bytes()
-        assert text_a == text_b  # worker count must not leak into the output
+        assert text_a == text_b  # identical invocations, identical bytes
 
         lines = text_a.decode().splitlines()
         assert lines[0].startswith("# ")
