@@ -41,7 +41,7 @@ from .geodesic import (
     solve_bvp,
 )
 from .metric import MetricWeights, metric_eval, sobolev_norm
-from .oracle import TrigPolynomial, christoffel_circle, sectional_curvature_circle
+from .oracle import christoffel_circle, sectional_curvature_circle
 from .transport import (
     CurvatureSchedule,
     cov_deriv,
@@ -250,10 +250,6 @@ def _require_unit_circle(curve, what):
     if curve.order < 1 or not np.allclose(probe.coeffs, curve.coeffs, atol=1e-12):
         raise ValueError(f"{what} compares against the analytic circle oracle; "
                          "--in-a must be the unit circle")
-
-
-def _trig(curve) -> TrigPolynomial:
-    return TrigPolynomial(curve.cos_coeffs, curve.sin_coeffs)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -552,8 +548,7 @@ def cmd_sweep_transport(args, s) -> int:
 
 def cmd_sweep_covderiv(args, s) -> int:
     c, v, w = s.curves
-    gamma = christoffel_circle(_trig(v), _trig(w), s.weights)
-    oracle = FourierCurve(gamma.cos_coeffs, gamma.sin_coeffs)
+    oracle = christoffel_circle(v, w, s.weights)
 
     def row(k):
         quotient = cov_deriv(
@@ -567,7 +562,7 @@ def cmd_sweep_covderiv(args, s) -> int:
 
 def cmd_sweep_curvature(args, s) -> int:
     c, v, w = s.curves
-    exact = sectional_curvature_circle(_trig(v), _trig(w), s.weights)
+    exact = sectional_curvature_circle(v, w, s.weights)
 
     def row(k):
         tau = 1.0 / k

@@ -11,8 +11,10 @@ sampled jets carry no differentiation error beyond round-off.  Grids are
 always the uniform nodes ``theta_i = 2 pi i / M``.
 
 Curves are immutable value objects; the arithmetic operators return new
-curves and are used pervasively by the solvers (tangent vectors share the
-same type).
+curves and are used pervasively by the solvers.  Tangent vectors share the
+type, and so does :class:`sobcurve.oracle.TrigPolynomial`, the subclass that
+adds exact products and allows scalar (d = 1) polynomials; arithmetic keeps
+the type of its left operand.
 """
 
 from __future__ import annotations
@@ -95,6 +97,7 @@ class FourierCurve:
 
     cos_coeffs: np.ndarray
     sin_coeffs: np.ndarray
+    min_dim = 2  # curves live in R^d with d >= 2
 
     def __post_init__(self):
         cos = _as_readonly(np.atleast_2d(self.cos_coeffs))
@@ -111,8 +114,8 @@ class FourierCurve:
             )
         if sin.shape[0] > 0 and sin.shape[1] != cos.shape[1]:
             raise ValueError("cos/sin coefficient dimensions disagree")
-        if cos.shape[1] < 2:
-            raise ValueError("curves live in R^d with d >= 2")
+        if cos.shape[1] < self.min_dim:
+            raise ValueError(f"expected dimension d >= {self.min_dim}, got {cos.shape[1]}")
         object.__setattr__(self, "cos_coeffs", cos)
         object.__setattr__(self, "sin_coeffs", sin)
 
@@ -151,28 +154,19 @@ class FourierCurve:
         theta = np.atleast_1d(np.asarray(theta, dtype=float))
         return _basis(theta, self.order, deriv) @ self.coeffs
 
-    # -- arithmetic (pads to the larger order) -----------------------------
-
-    def _padded(self, order: int) -> np.ndarray:
-        extra = order - self.order
-        if extra == 0:
-            return self.coeffs
-        n = self.order
-        cos = np.vstack([self.cos_coeffs, np.zeros((extra, self.dim))])
-        sin = np.vstack([self.sin_coeffs, np.zeros((extra, self.dim))])
-        return np.vstack([cos, sin])
+    # -- arithmetic (pads to the larger order, keeps the left operand's type)
 
     def __add__(self, other: "FourierCurve") -> "FourierCurve":
         if self.dim != other.dim:
             raise ValueError("dimension mismatch")
         n = max(self.order, other.order)
-        return FourierCurve.from_coeffs(self._padded(n) + other._padded(n))
+        return type(self).from_coeffs(pad(self, n).coeffs + pad(other, n).coeffs)
 
     def __sub__(self, other: "FourierCurve") -> "FourierCurve":
         return self + (-1.0) * other
 
     def __mul__(self, scalar: float) -> "FourierCurve":
-        return FourierCurve(self.cos_coeffs * scalar, self.sin_coeffs * scalar)
+        return type(self)(self.cos_coeffs * scalar, self.sin_coeffs * scalar)
 
     __rmul__ = __mul__
 
@@ -259,9 +253,7 @@ def truncate(curve: FourierCurve, order: int) -> FourierCurve:
     """Drop modes above ``order``; idempotent, no-op when already short enough."""
     if order >= curve.order:
         return curve
-    return FourierCurve(
-        curve.cos_coeffs[: order + 1], curve.sin_coeffs[:order]
-    )
+    return type(curve)(curve.cos_coeffs[: order + 1], curve.sin_coeffs[:order])
 
 
 def pad(curve: FourierCurve, order: int) -> FourierCurve:
@@ -272,7 +264,7 @@ def pad(curve: FourierCurve, order: int) -> FourierCurve:
     sin = np.zeros((order, curve.dim))
     cos[: curve.order + 1] = curve.cos_coeffs
     sin[: curve.order] = curve.sin_coeffs
-    return FourierCurve(cos, sin)
+    return type(curve)(cos, sin)
 
 
 def min_speed(curve: FourierCurve, num_nodes: int) -> float:
@@ -314,7 +306,10 @@ def curve_from_dict(data: dict) -> FourierCurve:
     for row in list(cos) + list(sin):
         if len(row) != dim:
             raise ValueError(f"coefficient row of length {len(row)} != dim {dim}")
-    return FourierCurve(np.asarray(cos, float), np.asarray(sin, float).reshape(order, dim))
+    cos, sin = np.asarray(cos, float), np.asarray(sin, float).reshape(order, dim)
+    if not (np.all(np.isfinite(cos)) and np.all(np.isfinite(sin))):
+        raise ValueError("curve coefficients must be finite (got NaN or infinity)")
+    return FourierCurve(cos, sin)
 
 
 def save_curve(curve: FourierCurve, path: str) -> None:

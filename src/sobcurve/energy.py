@@ -39,7 +39,7 @@ import numpy as np
 
 from .curve import FourierCurve, _eval_matrix, sample_jet
 from .errors import DegenerateCurve, NonPositiveLowerBound, NonPositiveQ
-from .metric import SPEED_FLOOR, MetricWeights, _scalar_arclength_ops, gram_scalar
+from .metric import SPEED_FLOOR, MetricWeights, _require_m2, _scalar_arclength_ops, gram_scalar
 
 __all__ = [
     "EnergyKind",
@@ -533,17 +533,14 @@ def rational_coefficients(
     c_hat: FourierCurve,
     c_check: FourierCurve,
     num_nodes: int,
-    require_positive_q: bool = True,
 ) -> RationalCoefficients:
     """Sample the scalar abbreviations of the closed forms on the grid.
 
     Raises NonPositiveQ when the tangent correlation fails to be positive at
-    some node (pass require_positive_q=False to get the raw fields anyway,
-    as the +inf sentinel path of w_rat does).
+    some node.
     """
     _, _, (r, p, q, rho, sigma, tau) = _rat_jets(c_hat, c_check, num_nodes)
-    if require_positive_q:
-        _require_positive_q(q)
+    _require_positive_q(q)
     v = q / (r * p)
     xi = (1.0 - v) * (1.0 + v)
     return RationalCoefficients(r, p, q, rho, sigma, tau, v, v * _asinc(xi))
@@ -937,11 +934,6 @@ def _rat_value_and_grad(c_hat, c_check, weights, num_nodes):
     bar_hat *= tw
     bar_chk *= tw
     return value, _pull_back(c_hat, bar_hat, num_nodes), _pull_back(c_check, bar_chk, num_nodes)
-
-
-def _require_m2(weights):
-    if weights.order != 2:
-        raise ValueError("rational closed forms require metric order m = 2")
 
 
 # ---------------------------------------------------------------------------

@@ -62,6 +62,14 @@ class MetricWeights:
         return cls(tuple(coefficients))
 
 
+def _require_m2(weights: MetricWeights) -> MetricWeights:
+    """The weights, checked to be of order m = 2, the order every closed form
+    (rational energy, circle oracle) is derived for."""
+    if weights.order != 2:
+        raise ValueError(f"closed forms require metric order m = 2, got m = {weights.order}")
+    return weights
+
+
 def spectral_theta_deriv(values: np.ndarray) -> np.ndarray:
     """Theta-derivative of grid samples through their trigonometric interpolant.
 

@@ -15,16 +15,21 @@ Fourier modes: mode k of ``2 g_c(Gamma(xi, zeta), .)`` is divided by the
 metric symbol ``a0 + a1 k^2 + a2 k^4``.  The only closed unit-speed curves
 with finite Fourier order are circles, so the public entry points fix the
 base curve to the unit circle ``c(theta) = (cos theta, sin theta)``.
+
+The entry points take tangent fields as ordinary
+:class:`~sobcurve.curve.FourierCurve` objects and convert them once to
+:class:`TrigPolynomial`, the subclass that adds the exact products.  Field
+results are :class:`TrigPolynomial` and combine with curves directly:
+``quotient - christoffel_circle(v, w, weights)`` is a curve.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
+from .curve import FourierCurve
 from .errors import DegeneratePlane
-from .metric import MetricWeights
+from .metric import MetricWeights, _require_m2
 
 __all__ = [
     "TrigPolynomial",
@@ -42,58 +47,16 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 
-def _as_2d(arr, dim_hint=None):
-    out = np.array(arr, dtype=float)
-    if out.ndim == 1:
-        out = out[:, None] if dim_hint is None else out.reshape(-1, dim_hint)
-    return out
+class TrigPolynomial(FourierCurve):
+    """Vector-valued trigonometric polynomial with exact pointwise products.
 
-
-@dataclass(frozen=True)
-class TrigPolynomial:
-    """Vector-valued trigonometric polynomial in cos/sin coefficients.
-
-    Same coefficient layout as :class:`~sobcurve.curve.FourierCurve`
-    (``cos_coeffs`` of shape ``(N+1, d)``, ``sin_coeffs`` of shape
-    ``(N, d)``), but allows d = 1 for scalar intermediates and supports
-    pointwise products with automatic order growth.
+    A :class:`~sobcurve.curve.FourierCurve` (same coefficient layout,
+    arithmetic, padding and evaluation) that also allows d = 1 for scalar
+    intermediates and multiplies by coefficient convolution, so products
+    grow the order instead of aliasing.
     """
 
-    cos_coeffs: np.ndarray
-    sin_coeffs: np.ndarray
-
-    def __post_init__(self):
-        cos = _as_2d(self.cos_coeffs)
-        sin = np.asarray(self.sin_coeffs, dtype=float)
-        if sin.size == 0:
-            sin = np.zeros((0, cos.shape[1]))
-        sin = _as_2d(sin, cos.shape[1])
-        if sin.shape != (cos.shape[0] - 1, cos.shape[1]):
-            raise ValueError(
-                f"expected sine block of shape {(cos.shape[0] - 1, cos.shape[1])}, "
-                f"got {sin.shape}"
-            )
-        cos.flags.writeable = False
-        sin.flags.writeable = False
-        object.__setattr__(self, "cos_coeffs", cos)
-        object.__setattr__(self, "sin_coeffs", sin)
-
-    @property
-    def order(self) -> int:
-        return self.cos_coeffs.shape[0] - 1
-
-    @property
-    def dim(self) -> int:
-        return self.cos_coeffs.shape[1]
-
-    @classmethod
-    def from_curve(cls, curve) -> "TrigPolynomial":
-        """Reinterpret a FourierCurve (or tangent field) coefficient-wise."""
-        return cls(curve.cos_coeffs, curve.sin_coeffs)
-
-    @classmethod
-    def zeros(cls, order: int, dim: int) -> "TrigPolynomial":
-        return cls(np.zeros((order + 1, dim)), np.zeros((order, dim)))
+    min_dim = 1
 
     # -- complex exponential representation --------------------------------
     #
@@ -123,38 +86,6 @@ class TrigPolynomial:
         else:
             sin = np.zeros((0, spec.shape[1]))
         return cls(cos, sin)
-
-    # -- linear structure ---------------------------------------------------
-
-    def _padded(self, order: int):
-        pad = order - self.order
-        return (
-            np.pad(self.cos_coeffs, [(0, pad), (0, 0)]),
-            np.pad(self.sin_coeffs, [(0, pad), (0, 0)]),
-        )
-
-    def pad(self, order: int) -> "TrigPolynomial":
-        """Zero-extend to a given order (for coefficient comparisons)."""
-        if order < self.order:
-            raise ValueError("pad target below current order")
-        return TrigPolynomial(*self._padded(order))
-
-    def __add__(self, other: "TrigPolynomial") -> "TrigPolynomial":
-        n = max(self.order, other.order)
-        ac, as_ = self._padded(n)
-        bc, bs = other._padded(n)
-        return TrigPolynomial(ac + bc, as_ + bs)
-
-    def __sub__(self, other: "TrigPolynomial") -> "TrigPolynomial":
-        return self + (-1.0) * other
-
-    def __neg__(self) -> "TrigPolynomial":
-        return (-1.0) * self
-
-    def __mul__(self, scalar: float) -> "TrigPolynomial":
-        return TrigPolynomial(self.cos_coeffs * scalar, self.sin_coeffs * scalar)
-
-    __rmul__ = __mul__
 
     # -- calculus -----------------------------------------------------------
 
@@ -191,12 +122,13 @@ class TrigPolynomial:
             out[:, i] = np.convolve(a[:, i], s)
         return TrigPolynomial._from_spectrum(out)
 
-    def eval(self, theta) -> np.ndarray:
-        theta = np.atleast_1d(np.asarray(theta, dtype=float))
-        k = np.arange(self.order + 1)
-        cos_b = np.cos(np.outer(theta, k))
-        sin_b = np.sin(np.outer(theta, k[1:]))
-        return cos_b @ self.cos_coeffs + sin_b @ self.sin_coeffs
+
+def _trig(*fields: FourierCurve):
+    """The fields as :class:`TrigPolynomial` (same coefficients)."""
+    return tuple(
+        f if isinstance(f, TrigPolynomial) else TrigPolynomial(f.cos_coeffs, f.sin_coeffs)
+        for f in fields
+    )
 
 
 def circle_tangent() -> TrigPolynomial:
@@ -204,14 +136,6 @@ def circle_tangent() -> TrigPolynomial:
     return TrigPolynomial(
         np.array([[0.0, 0.0], [0.0, 1.0]]), np.array([[-1.0, 0.0]])
     )
-
-
-def _require_m2(weights: MetricWeights) -> MetricWeights:
-    if not isinstance(weights, MetricWeights):
-        weights = MetricWeights.of(*weights)
-    if weights.order != 2:
-        raise ValueError("analytic circle formulas are for order m = 2 only")
-    return weights
 
 
 # ---------------------------------------------------------------------------
@@ -265,9 +189,11 @@ def metric_derivatives_unit_speed(nu, eta, xi, zeta, weights):
 
     Returns the triple ``(g(xi, zeta), Dg(nu)(xi, zeta),
     D2g(nu, eta)(xi, zeta))`` for the order-two metric at the unit-speed
-    unit circle.  All four fields are :class:`TrigPolynomial` of dimension 2.
+    unit circle.  The four fields are tangent fields of dimension 2, any
+    :class:`~sobcurve.curve.FourierCurve` (a :class:`TrigPolynomial` included).
     """
     w = _require_m2(weights)
+    nu, eta, xi, zeta = _trig(nu, eta, xi, zeta)
     return _g(xi, zeta, w), _dg(nu, xi, zeta, w), _d2g(nu, eta, xi, zeta, w)
 
 
@@ -283,6 +209,7 @@ def christoffel_rhs(xi, zeta, weights) -> TrigPolynomial:
     Christoffel operator is F/2 divided mode-wise by the metric symbol.
     """
     a0, a1, a2 = _require_m2(weights).coefficients
+    xi, zeta = _trig(xi, zeta)
     cp = circle_tangent()
 
     def one_sided(u, vfield):
@@ -335,6 +262,7 @@ def _dgamma_inner(z, v, w, nu, weights) -> float:
 def curvature_numerator_circle(v, w, z, weights) -> float:
     """g_c(v, R_c(v, w) z) at the unit circle, from Christoffel data alone."""
     wt = _require_m2(weights)
+    v, w, z = _trig(v, w, z)
     g_zw = christoffel_circle(z, w, wt)
     g_zv = christoffel_circle(z, v, wt)
     out = _dgamma_inner(v, z, w, v, wt) - _dgamma_inner(v, z, v, w, wt)
@@ -354,6 +282,7 @@ def sectional_curvature_circle(v, w, weights) -> float:
         If v and w are linearly dependent (Gram determinant ~ 0).
     """
     wt = _require_m2(weights)
+    v, w = _trig(v, w)
     gvv = _g(v, v, wt)
     gww = _g(w, w, wt)
     gvw = _g(v, w, wt)

@@ -16,7 +16,7 @@ import numpy as np
 
 from conftest import circle, nearby_pair, perturbed_circle, rotate, tangent_field, translate
 from sobcurve.cli import resolve_curve
-from sobcurve.curve import FourierCurve, pad
+from sobcurve.curve import pad
 from sobcurve.energy import (
     EnergyKind,
     rational_time_integrals,
@@ -29,7 +29,6 @@ from sobcurve.energy import (
 from sobcurve.geodesic import SolverOptions, bvp_ladder, exp2, exp_k, log2, resample_path
 from sobcurve.metric import MetricWeights, sobolev_norm, w_lin_oracle
 from sobcurve.oracle import (
-    TrigPolynomial,
     christoffel_circle,
     curvature_numerator_circle,
     metric_derivatives_unit_speed,
@@ -108,8 +107,7 @@ def test_01_time_integral_closed_forms_match_quadrature(capsys):
 
 def test_02_circle_curvature_reference_values(capsys):
     t0 = time.perf_counter()
-    v = TrigPolynomial.from_curve(COS_X)
-    w = TrigPolynomial.from_curve(COS_Y)
+    v, w = COS_X, COS_Y
     g_vv = metric_derivatives_unit_speed(v, v, v, v, UNIT)[0]
     g_ww = metric_derivatives_unit_speed(w, w, w, w, UNIT)[0]
     numerator = curvature_numerator_circle(v, w, w, UNIT)
@@ -137,13 +135,9 @@ def test_03_circle_christoffel_coefficients(capsys):
     # the symbolic and finite-difference routes in the oracle agree on
     # them to machine precision.
     t0 = time.perf_counter()
-    vu = TrigPolynomial.from_curve(COS_X)
-    wu = TrigPolynomial.from_curve(COS_Y)
-    g_vw = christoffel_circle(vu, wu, UNIT).pad(4)
-    g_ww = christoffel_circle(wu, wu, UNIT).pad(4)
-    vw = TrigPolynomial.from_curve(MIX_V)
-    ww = TrigPolynomial.from_curve(MIX_W)
-    g_wtd = christoffel_circle(vw, ww, WEIGHTED).pad(4)
+    g_vw = pad(christoffel_circle(COS_X, COS_Y, UNIT), 4)
+    g_ww = pad(christoffel_circle(COS_Y, COS_Y, UNIT), 4)
+    g_wtd = pad(christoffel_circle(MIX_V, MIX_W, WEIGHTED), 4)
 
     checks = [
         (g_vw.sin_coeffs[:, 0], [-1 / 8, 0.0, 41 / 728, 0.0]),
@@ -171,9 +165,7 @@ def test_03_circle_christoffel_coefficients(capsys):
 
 def test_04_sectional_curvature_estimator_second_order(capsys):
     t0 = time.perf_counter()
-    exact = sectional_curvature_circle(
-        TrigPolynomial.from_curve(COS_X), TrigPolynomial.from_curve(COS_Y), UNIT
-    )
+    exact = sectional_curvature_circle(COS_X, COS_Y, UNIT)
     c = pad(circle(), 20)
     ks = [4, 8, 16, 32, 64, 128, 256, 512]
     errs = []
@@ -197,10 +189,7 @@ def test_04_sectional_curvature_estimator_second_order(capsys):
 
 def test_05_covariant_derivative_rate_tracks_smoothing(capsys):
     t0 = time.perf_counter()
-    gam = christoffel_circle(
-        TrigPolynomial.from_curve(MIX_V), TrigPolynomial.from_curve(MIX_W), WEIGHTED
-    )
-    target = FourierCurve(gam.cos_coeffs, gam.sin_coeffs)
+    target = christoffel_circle(MIX_V, MIX_W, WEIGHTED)
     c = pad(circle(), 20)
     ks = [8, 16, 32, 64, 128, 256, 512]
     slopes = {}

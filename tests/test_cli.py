@@ -19,7 +19,7 @@ from sobcurve.cli import (
     parse_tau_rule,
     resolve_curve,
 )
-from sobcurve.curve import load_curve, pad, save_curve
+from sobcurve.curve import curve_to_dict, load_curve, pad, save_curve
 from sobcurve.metric import sobolev_norm
 
 
@@ -217,6 +217,23 @@ class TestErrorExits:
                    "-K", "4", "--out", str(tmp_path)])
         assert rc == 2
         assert "need M > 2N" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, bad", [
+        (["log", "--in-a", "circle", "--in-b"], math.nan),
+        (["geodesic", "-K", "4", "--in-a", "circle", "--in-b"], math.inf),
+        (["transport", "-K", "4", "--in-a", "circle", "--in-b", "circle:1.2", "--in-v"],
+         -math.inf),
+    ], ids=["log-nan", "geodesic-inf", "transport-neg-inf"])
+    def test_non_finite_coefficients_are_config_errors(self, argv, bad, tmp_path, capsys):
+        # json reads NaN and Infinity; such a file must stop at load time
+        record = curve_to_dict(circle(radius=1.2))
+        record["cos"][1][0] = bad
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(record))
+        rc = main(argv + [str(path), "--out", str(tmp_path / "out")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "error[config]" in err and "finite" in err
 
     def test_oracle_sweep_requires_unit_circle(self, tmp_path, capsys):
         rc = main(["sweep-covderiv", "--in-a", "circle:2", "--in-v", "mixv",

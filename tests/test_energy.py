@@ -517,10 +517,11 @@ def test_rational_partials_match_mpmath(regime):
 
 
 # ---------------------------------------------------------------------------
-# Property tests of the rational energy on small random pairs
+# Property tests of both energies on small random pairs
 # ---------------------------------------------------------------------------
 
 RAT = EnergyKind.rat()
+PROPERTY_KINDS = pytest.mark.parametrize("kind", [RAT, EnergyKind.reg(1 / 64)], ids=kind_id)
 SMALL_PAIRS = dict(order=st.integers(1, 6), seed=st.integers(0, 2**31))
 
 
@@ -529,43 +530,48 @@ def _small_pair(order, seed):
     return a, b, 4 * order + 4
 
 
+@PROPERTY_KINDS
 @settings(max_examples=30, derandomize=True, deadline=None)
 @given(**SMALL_PAIRS)
-def test_rat_symmetry_property(order, seed):
+def test_symmetry_property(kind, order, seed):
     a, b, m = _small_pair(order, seed)
-    assert w_rat(a, b, W2, m) == pytest.approx(w_rat(b, a, W2, m), rel=1e-12)
+    assert w_eval(a, b, W2, kind, m) == pytest.approx(w_eval(b, a, W2, kind, m), rel=1e-12)
 
 
+@PROPERTY_KINDS
 @settings(max_examples=30, derandomize=True, deadline=None)
 @given(angle=st.floats(-np.pi, np.pi),
        shift=st.tuples(st.floats(-5.0, 5.0), st.floats(-5.0, 5.0)),
        **SMALL_PAIRS)
-def test_rat_rigid_motion_property(order, seed, angle, shift):
+def test_rigid_motion_property(kind, order, seed, angle, shift):
     a, b, m = _small_pair(order, seed)
     moved = [translate(rotate(c, angle), shift) for c in (a, b)]
-    assert w_rat(*moved, W2, m) == pytest.approx(w_rat(a, b, W2, m), rel=1e-11)
+    assert w_eval(*moved, W2, kind, m) == pytest.approx(w_eval(a, b, W2, kind, m), rel=1e-11)
 
 
+@PROPERTY_KINDS
 @settings(max_examples=30, derandomize=True, deadline=None)
 @given(**SMALL_PAIRS)
-def test_rat_gradient_matches_central_differences_property(order, seed):
+def test_gradient_matches_central_differences_property(kind, order, seed):
     a, b, m = _small_pair(order, seed)
-    _, gh, gc = w_value_and_grad(a, b, W2, RAT, m)
+    _, gh, gc = w_value_and_grad(a, b, W2, kind, m)
     d = tangent_field(np.random.default_rng(seed + 1), order, scale=0.3)
     h = 1e-6
-    fd_hat = (w_rat(a + d * h, b, W2, m) - w_rat(a + d * (-h), b, W2, m)) / (2 * h)
-    fd_chk = (w_rat(a, b + d * h, W2, m) - w_rat(a, b + d * (-h), W2, m)) / (2 * h)
+    w = lambda x, y: w_eval(x, y, W2, kind, m)
+    fd_hat = (w(a + d * h, b) - w(a + d * (-h), b)) / (2 * h)
+    fd_chk = (w(a, b + d * h) - w(a, b + d * (-h))) / (2 * h)
     assert float(np.sum(gh.coeffs * d.coeffs)) == pytest.approx(fd_hat, rel=1e-5, abs=1e-10)
     assert float(np.sum(gc.coeffs * d.coeffs)) == pytest.approx(fd_chk, rel=1e-5, abs=1e-10)
 
 
+@PROPERTY_KINDS
 @settings(max_examples=30, derandomize=True, deadline=None)
 @given(**SMALL_PAIRS)
-def test_rat_gradients_cancel_along_translations_property(order, seed):
+def test_gradients_cancel_along_translations_property(kind, order, seed):
     # W[a + s e, b + s e] is constant in s, and translation is the constant
     # mode: the two gradients' constant rows sum to zero
     a, b, m = _small_pair(order, seed)
-    _, gh, gc = w_value_and_grad(a, b, W2, RAT, m)
+    _, gh, gc = w_value_and_grad(a, b, W2, kind, m)
     scale = np.abs(gh.coeffs).max()
     np.testing.assert_allclose(gh.cos_coeffs[0] + gc.cos_coeffs[0], 0.0, atol=1e-12 * scale)
 

@@ -9,7 +9,7 @@ a fully symbolic computation from the metric definition (exact rationals).
 import numpy as np
 import pytest
 
-from sobcurve.curve import FourierCurve
+from sobcurve.curve import FourierCurve, pad
 from sobcurve.errors import DegeneratePlane
 from sobcurve.metric import MetricWeights, metric_eval
 from sobcurve.oracle import (
@@ -80,10 +80,10 @@ def test_linear_ops_and_pad():
     s = a + 2.0 * b - b
     theta = np.linspace(0.0, 2.0 * np.pi, 11)
     np.testing.assert_allclose(s.eval(theta), a.eval(theta) + b.eval(theta), atol=1e-14)
-    assert a.pad(6).order == 6
-    np.testing.assert_allclose(a.pad(6).eval(theta), a.eval(theta), atol=1e-15)
-    with pytest.raises(ValueError):
-        a.pad(1)
+    assert isinstance(s, TrigPolynomial)
+    assert isinstance(pad(a, 6), TrigPolynomial) and pad(a, 6).order == 6
+    np.testing.assert_allclose(pad(a, 6).eval(theta), a.eval(theta), atol=1e-15)
+    assert pad(a, 1) is a
 
 
 def test_circle_tangent_values():
@@ -112,7 +112,7 @@ def test_christoffel_rhs_matches_polynomial_form():
 
 
 def test_christoffel_golden_unit_weights():
-    g = christoffel_circle(V_UNIT, W_UNIT, UNIT).pad(4)
+    g = pad(christoffel_circle(V_UNIT, W_UNIT, UNIT), 4)
     np.testing.assert_allclose(g.sin_coeffs[:, 0], [-1 / 8, 0, 41 / 728, 0], atol=1e-12)
     np.testing.assert_allclose(
         g.cos_coeffs[:, 1], [0, -3 / 8, 0, 41 / 728, 0], atol=1e-12
@@ -120,7 +120,7 @@ def test_christoffel_golden_unit_weights():
     np.testing.assert_allclose(g.cos_coeffs[:, 0], 0.0, atol=1e-12)
     np.testing.assert_allclose(g.sin_coeffs[:, 1], 0.0, atol=1e-12)
 
-    gww = christoffel_circle(W_UNIT, W_UNIT, UNIT).pad(4)
+    gww = pad(christoffel_circle(W_UNIT, W_UNIT, UNIT), 4)
     np.testing.assert_allclose(
         gww.cos_coeffs[:, 0], [0, 3 / 8, 0, -9 / 728, 0], atol=1e-12
     )
@@ -128,7 +128,7 @@ def test_christoffel_golden_unit_weights():
 
 
 def test_christoffel_golden_weighted():
-    g = christoffel_circle(V_WTD, W_WTD, WEIGHTED).pad(4)
+    g = pad(christoffel_circle(V_WTD, W_WTD, WEIGHTED), 4)
     np.testing.assert_allclose(
         g.cos_coeffs[:, 0], [0, -4027 / 107744, 0, -305091 / 3139232, 0], atol=1e-12
     )
@@ -193,11 +193,6 @@ def _circle_curve():
     return FourierCurve(np.array([[0.0, 0.0], [1.0, 0.0]]), np.array([[0.0, 1.0]]))
 
 
-def _to_curve(poly, order=6):
-    padded = poly.pad(order)
-    return FourierCurve(padded.cos_coeffs, padded.sin_coeffs)
-
-
 @pytest.mark.parametrize("weights", [UNIT, WEIGHTED])
 def test_metric_derivatives_match_finite_differences(weights):
     rng = np.random.default_rng(29)
@@ -206,7 +201,7 @@ def test_metric_derivatives_match_finite_differences(weights):
     for _ in range(3):
         nu, eta, xi, zeta = (rand_field(rng) for _ in range(4))
         g, dg, d2g = metric_derivatives_unit_speed(nu, eta, xi, zeta, weights)
-        cn, ce, cx, cz = (_to_curve(f) for f in (nu, eta, xi, zeta))
+        cn, ce, cx, cz = (pad(f, 6) for f in (nu, eta, xi, zeta))
         assert g == pytest.approx(metric_eval(circle, cx, cz, weights, nodes), rel=1e-10)
         fd1 = (
             metric_eval(circle + cn * h, cx, cz, weights, nodes)
@@ -257,6 +252,36 @@ def test_degenerate_plane_raises():
         sectional_curvature_circle(V_UNIT, V_UNIT, UNIT)
     with pytest.raises(DegeneratePlane):
         sectional_curvature_circle(V_UNIT, -2.0 * V_UNIT, UNIT)
+
+
+def test_plain_curves_match_trig_polynomials_exactly():
+    # the entry points take any FourierCurve; converting first changes no bit
+    rng = np.random.default_rng(37)
+    polys = [rand_field(rng, order=k % 3 + 1) for k in range(4)]
+    curves = [FourierCurve(p.cos_coeffs, p.sin_coeffs) for p in polys]
+    v, w, z, u = curves
+    for weights in (UNIT, WEIGHTED):
+        gam = christoffel_circle(v, w, weights)
+        assert isinstance(gam, TrigPolynomial)
+        for got, want in (
+            (christoffel_rhs(v, w, weights), christoffel_rhs(*polys[:2], weights)),
+            (gam, christoffel_circle(*polys[:2], weights)),
+        ):
+            assert np.array_equal(got.coeffs, want.coeffs)
+        assert metric_derivatives_unit_speed(*curves, weights) == (
+            metric_derivatives_unit_speed(*polys, weights)
+        )
+        assert curvature_numerator_circle(v, w, z, weights) == (
+            curvature_numerator_circle(*polys[:3], weights)
+        )
+        assert sectional_curvature_circle(v, w, weights) == (
+            sectional_curvature_circle(*polys[:2], weights)
+        )
+        # a curve minus an oracle field is a curve of the larger order
+        diff = u - gam
+        n = max(u.order, gam.order)
+        assert type(diff) is FourierCurve and diff.order == n
+        assert np.array_equal(diff.coeffs, pad(u, n).coeffs - pad(gam, n).coeffs)
 
 
 def test_order_restriction():

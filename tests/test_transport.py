@@ -7,7 +7,7 @@ from sobcurve.energy import EnergyKind
 from sobcurve.errors import DegeneratePlane, NoConvergence
 from sobcurve.geodesic import DiscretePath, SolverOptions, solve_bvp
 from sobcurve.metric import MetricWeights, metric_eval
-from sobcurve.oracle import TrigPolynomial, christoffel_circle, sectional_curvature_circle
+from sobcurve.oracle import christoffel_circle, sectional_curvature_circle
 from sobcurve.transport import (
     CurvatureSchedule,
     cov_deriv,
@@ -36,15 +36,6 @@ def field_xy(cx, sy):
 
 V_UNIT = FourierCurve(np.array([[0.0, 0.0], [1.0, 0.0]]), np.array([[0.0, 0.0]]))
 W_UNIT = FourierCurve(np.array([[0.0, 0.0], [0.0, 1.0]]), np.array([[0.0, 0.0]]))
-
-
-def oracle_gamma(v, w, weights):
-    out = christoffel_circle(
-        TrigPolynomial(v.cos_coeffs, v.sin_coeffs),
-        TrigPolynomial(w.cos_coeffs, w.sin_coeffs),
-        weights,
-    )
-    return FourierCurve(out.cos_coeffs, out.sin_coeffs)
 
 
 def max_coeff_diff(a, b):
@@ -185,13 +176,13 @@ class TestCovDeriv:
 
     def test_one_sided_approximates_christoffel(self):
         c = pad(circle(), 6)
-        gamma = oracle_gamma(V_UNIT, W_UNIT, UNIT)
+        gamma = christoffel_circle(V_UNIT, W_UNIT, UNIT)
         out = cov_deriv(c, V_UNIT, W_UNIT, 1e-2, UNIT, RAT, M)
         assert max_coeff_diff(out, gamma) <= 1e-2
 
     def test_central_approximates_christoffel(self):
         c = pad(circle(), 6)
-        gamma = oracle_gamma(V_UNIT, W_UNIT, UNIT)
+        gamma = christoffel_circle(V_UNIT, W_UNIT, UNIT)
         out = cov_deriv(c, V_UNIT, W_UNIT, 1e-2, UNIT, RAT, M, centered=True)
         assert max_coeff_diff(out, gamma) <= 5e-4
 
@@ -201,7 +192,7 @@ class TestCovDeriv:
         c = pad(circle(), 6)
         v = field_xy(-0.5, 1.0)
         w = field_xy(1.0, -0.5)
-        gamma = oracle_gamma(v, w, W)
+        gamma = christoffel_circle(v, w, W)
         out = cov_deriv(c, v, w, 1e-2, W, RAT, M, centered=True)
         assert max_coeff_diff(out, gamma) <= 1e-5
 
@@ -209,7 +200,7 @@ class TestCovDeriv:
         # error is O(tau + eps); with eps = tau it halves per octave, with
         # eps = sqrt(tau) it only drops by sqrt(2)
         c = pad(circle(), 6)
-        gamma = oracle_gamma(V_UNIT, W_UNIT, UNIT)
+        gamma = christoffel_circle(V_UNIT, W_UNIT, UNIT)
 
         def err(tau, eps):
             out = cov_deriv(c, V_UNIT, W_UNIT, tau, UNIT, EnergyKind.reg(eps), M)
@@ -250,11 +241,7 @@ class TestCurvature:
         kappa = sectional_curvature(
             c, V_UNIT, W_UNIT, tau, CurvatureSchedule.central(tau), UNIT, RAT, M
         )
-        exact = sectional_curvature_circle(
-            TrigPolynomial(V_UNIT.cos_coeffs, V_UNIT.sin_coeffs),
-            TrigPolynomial(W_UNIT.cos_coeffs, W_UNIT.sin_coeffs),
-            UNIT,
-        )
+        exact = sectional_curvature_circle(V_UNIT, W_UNIT, UNIT)
         assert exact == pytest.approx(-31.0 / (117.0 * np.pi), abs=1e-15)
         assert abs(kappa - exact) <= 3e-3
 
