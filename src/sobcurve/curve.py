@@ -77,6 +77,16 @@ def _eval_matrix(order: int, num_nodes: int, deriv: int) -> np.ndarray:
     return mat
 
 
+@lru_cache(maxsize=None)
+def _jet_matrix(order: int, num_nodes: int, max_order: int) -> np.ndarray:
+    """The :func:`_eval_matrix` blocks of derivative orders 0..max_order
+    stacked row-wise, shape ((max_order+1) M, 2N+1), cached read-only: one
+    matmul samples a whole jet, and its transpose pulls jet cotangents back."""
+    mat = np.vstack([_eval_matrix(order, num_nodes, j) for j in range(max_order + 1)])
+    mat.setflags(write=False)
+    return mat
+
+
 def _as_readonly(arr: np.ndarray) -> np.ndarray:
     out = np.array(arr, dtype=float)
     out.setflags(write=False)
@@ -213,11 +223,8 @@ def sample_jet(curve: FourierCurve, num_nodes: int, max_order: int) -> SampledJe
     Differentiation happens on the coefficients (mode k picks up the exact
     factor k^j and phase shift), so every entry is exact to round-off.
     """
-    vals = np.empty((max_order + 1, num_nodes, curve.dim))
-    coeffs = curve.coeffs
-    for j in range(max_order + 1):
-        vals[j] = _eval_matrix(curve.order, num_nodes, j) @ coeffs
-    return SampledJet(vals)
+    vals = _jet_matrix(curve.order, num_nodes, max_order) @ curve.coeffs
+    return SampledJet(vals.reshape(max_order + 1, num_nodes, curve.dim))
 
 
 def project_samples(samples: np.ndarray, order: int) -> FourierCurve:
@@ -269,8 +276,16 @@ def pad(curve: FourierCurve, order: int) -> FourierCurve:
 
 def min_speed(curve: FourierCurve, num_nodes: int) -> float:
     """Minimum of |c'(theta_i)| over the uniform grid."""
-    cp = sample_jet(curve, num_nodes, 1).deriv(1)
-    return float(np.min(np.linalg.norm(cp, axis=1)))
+    return float(_min_speeds(curve.coeffs[None], num_nodes)[0])
+
+
+def _min_speeds(stack: np.ndarray, num_nodes: int) -> np.ndarray:
+    """Per-curve minimum of |c'(theta_i)| over the uniform grid for a stack
+    of coefficient arrays, shape (S, 2N+1, d); one matmul samples them all."""
+    count, rows, dim = stack.shape
+    flat = stack.transpose(1, 0, 2).reshape(rows, count * dim)
+    tangents = (_eval_matrix(rows // 2, num_nodes, 1) @ flat).reshape(num_nodes, count, dim)
+    return np.sqrt(np.sum(tangents * tangents, axis=-1)).min(axis=0)
 
 
 # ---------------------------------------------------------------------------

@@ -26,6 +26,19 @@ yields its six partials in the scalar pairings (r, p, q, rho, sigma, tau),
 through every branch: the Taylor guards, the direct inverse-sinc forms and
 the tiny-v quadrature fallback.  Those partials are then chained to the
 sampled jets and pulled back to the coefficients.
+
+``w_eval``, ``w_grad`` and ``w_value_and_grad`` take two curves or two
+coefficient stacks of one shape (S, 2N+1, d), the S segments
+(c_hat[s], c_check[s]) of a discrete path, and then return S values and
+(S, 2N+1, d) gradients from one call.  The kernels work on stacks
+throughout: one matmul against the cached jet matrix samples every
+derivative order of a stack, the per-node formulas are elementwise with the
+segment as a trailing axis, and one matmul with its transpose pulls the
+cotangents back.  A pair of curves is the S = 1 call.  Long stacks are
+walked in blocks of at most 2048 grid nodes (2048 // M segments, at least
+one), which bounds the temporaries.  Each segment's value, +inf and error
+are those its own per-pair call would give, and a stack raises the error of
+its first failing segment.
 """
 
 from __future__ import annotations
@@ -37,7 +50,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .curve import FourierCurve, _eval_matrix, sample_jet
+from .curve import FourierCurve, _jet_matrix, pad, sample_jet, truncate
 from .errors import DegenerateCurve, NonPositiveLowerBound, NonPositiveQ
 from .metric import SPEED_FLOOR, MetricWeights, _require_m2, _scalar_arclength_ops, gram_scalar
 
@@ -96,6 +109,17 @@ class EnergyKind:
 # ---------------------------------------------------------------------------
 
 
+def _inner(a, b):
+    """Inner products over the last (ambient) axis; faster than np.sum of
+    the product on these short axes."""
+    return np.einsum("...i,...i->...", a, b)
+
+
+def _norm(a):
+    """Euclidean norms over the last (ambient) axis."""
+    return np.sqrt(_inner(a, a))
+
+
 def smooth_max_min(alpha, beta, epsilon):
     """Smooth approximations of max/min:
 
@@ -110,8 +134,8 @@ def smooth_max_min(alpha, beta, epsilon):
 
 
 def _length_bound_arrays(hat_prime, check_prime, r, p, epsilon):
-    """L^{+,eps} and L^{-,eps} from tangent samples and their speeds r, p,
-    shape (M,).
+    """L^{+,eps} and L^{-,eps} from tangent samples (..., d) and their speeds
+    r, p (...), for one segment (M,) or a stack (M, S).
 
     L^+ is the smoothed maximum of the two speeds.  L^- multiplies the
     clipped smoothed minimum by the mean-direction factor |u/|u| + v/|v||/2,
@@ -119,9 +143,7 @@ def _length_bound_arrays(hat_prime, check_prime, r, p, epsilon):
     """
     lplus, smin = smooth_max_min(r, p, epsilon)
     clipped = np.maximum(smin, 0.0)
-    mean_dir = 0.5 * np.linalg.norm(
-        hat_prime / r[:, None] + check_prime / p[:, None], axis=1
-    )
+    mean_dir = 0.5 * _norm(hat_prime / r[..., None] + check_prime / p[..., None])
     return lplus, mean_dir * clipped
 
 
@@ -138,26 +160,53 @@ def length_bounds(
     """
     hp = sample_jet(c_hat, num_nodes, 1).deriv(1)
     cp = sample_jet(c_check, num_nodes, 1).deriv(1)
-    r, p = np.linalg.norm(hp, axis=1), np.linalg.norm(cp, axis=1)
-    _check_speeds(r, p, epsilon)
+    r, p = _norm(hp), _norm(cp)
+    _check_epsilon(epsilon, _require_immersed(r, p))
     return _length_bound_arrays(hp, cp, r, p, epsilon)
 
 
-def _check_speeds(r, p, epsilon=None):
-    """Raise DegenerateCurve when a speed array reaches the immersion floor."""
-    least = min(float(np.min(r)), float(np.min(p)))
-    if least <= SPEED_FLOOR:
+# ---------------------------------------------------------------------------
+# Segment checks
+# ---------------------------------------------------------------------------
+#
+# A stack is checked segment by segment in the order one per-pair call tests
+# its pair (speed floor, epsilon warning, then the kind's own condition), so
+# the first failing segment raises what its own call would have raised.
+
+
+def _require_immersed(r, p, earlier=None):
+    """Per-segment least speed of the speed samples r, p ((M,) or (M, S)).
+
+    Raises DegenerateCurve for the first segment i whose least speed reaches
+    the immersion floor; ``earlier(i)`` first evaluates the segments before
+    it, so that an error of theirs comes first.
+    """
+    least = np.atleast_1d(np.minimum(r.min(axis=0), p.min(axis=0)))
+    first = _first_failure(least <= SPEED_FLOOR)
+    if first is not None:
+        if first:
+            earlier(first)
         raise DegenerateCurve(
-            f"curve speed {least:.3e} at or below floor {SPEED_FLOOR:.1e}"
-        )
-    if epsilon is not None and epsilon >= 2.0 * least:
-        warnings.warn(
-            f"epsilon {epsilon:.3e} >= twice the minimal speed {least:.3e}; "
-            "the clipped lower bound may be active",
-            RuntimeWarning,
-            stacklevel=3,
+            f"curve speed {least[first]:.3e} at or below floor {SPEED_FLOOR:.1e}"
         )
     return least
+
+
+def _check_epsilon(epsilon, least):
+    """Warn when epsilon is so large that the clipped minimum can kink
+    (epsilon >= 2 min speed on some segment)."""
+    if epsilon >= 2.0 * least.min():
+        warnings.warn(
+            f"epsilon {epsilon:.3e} >= twice the minimal speed {least.min():.3e}; "
+            "the clipped lower bound may be active",
+            RuntimeWarning,
+            stacklevel=4,
+        )
+
+
+def _first_failure(bad):
+    """Index of the first True entry of a per-segment mask, or None."""
+    return int(np.argmax(bad)) if bad.any() else None
 
 
 # ---------------------------------------------------------------------------
@@ -172,9 +221,9 @@ def _check_speeds(r, p, epsilon=None):
 #
 # with all primes in theta, so P_j is polynomial in the jets of both curves.
 # A "jet" below is the array of theta-derivative orders 0..R of a quantity on
-# the grid: scalar jets have shape (R+1, M), vector jets (R+1, M, d).  The
-# recursion consumes one derivative order per level, which is why leaves are
-# carried to order m-1.
+# the grid: scalar jets have shape (R+1, M, S), vector jets (R+1, M, S, d)
+# for a stack of S segments.  The recursion consumes one derivative order per
+# level, which is why leaves are carried to order m-1.
 
 
 def _dot_jet(a, b):
@@ -184,7 +233,7 @@ def _dot_jet(a, b):
     for r in range(r_out + 1):
         acc = 0.0
         for l in range(r + 1):
-            acc = acc + math.comb(r, l) * np.sum(a[l] * b[r - l], axis=-1)
+            acc = acc + math.comb(r, l) * _inner(a[l], b[r - l])
         out[r] = acc
     return out
 
@@ -223,7 +272,7 @@ def _pjet_forward(cp, up, m):
 def _pjet_reverse(cp, up, m, pjets, s2, g2, seeds):
     """Adjoint of :func:`_pjet_forward`.
 
-    seeds[j] is the cotangent of the order-0 entry of P_j (shape (M, d));
+    seeds[j] is the cotangent of the order-0 entry of P_j (shape (M, S, d));
     returns cotangents (bar_cp, bar_up) of the two leaf jets.
     """
     bar_p = {j: np.zeros_like(pjets[j]) for j in pjets}
@@ -241,10 +290,10 @@ def _pjet_reverse(cp, up, m, pjets, s2, g2, seeds):
             for l in range(r + 1):
                 cb = math.comb(r, l)
                 # term s2 * shift(prev)
-                bar_s2[l] += cb * np.sum(bp[r] * shifted[r - l], axis=-1)
+                bar_s2[l] += cb * _inner(bp[r], shifted[r - l])
                 bar_p[j - 1][1 + (r - l)] += cb * s2[l][..., None] * bp[r]
                 # term -(3j-5) g2 * prev
-                bar_g2[l] -= coef * cb * np.sum(bp[r] * prev[r - l], axis=-1)
+                bar_g2[l] -= coef * cb * _inner(bp[r], prev[r - l])
                 bar_p[j - 1][r - l] -= coef * cb * g2[l][..., None] * bp[r]
     bar_up = bar_p[1]
     bar_s2[1:] += 0.5 * bar_g2
@@ -271,15 +320,22 @@ def _gauss01(n: int):
 # ---------------------------------------------------------------------------
 
 
-def _reg_core(c_hat, c_check, weights, epsilon, num_nodes, want_grad):
+def _reg_core(hat_c, chk_c, weights, epsilon, num_nodes, want_grad):
+    """Smoothed-bound energies of a block of segments, stacks (S, 2N+1, d):
+    (values (S,), grad_hat, grad_check), the gradients None unless
+    ``want_grad``."""
     m = weights.order
     a = weights.coefficients
-    hat = sample_jet(c_hat, num_nodes, m).values
-    chk = sample_jet(c_check, num_nodes, m).values
-    r, p = np.linalg.norm(hat[1], axis=1), np.linalg.norm(chk[1], axis=1)
-    _check_speeds(r, p, epsilon)
+    hat, chk = _sample(hat_c, num_nodes, m), _sample(chk_c, num_nodes, m)
+    r, p = _norm(hat[1]), _norm(chk[1])
+    least = _require_immersed(
+        r, p, lambda i: _reg_core(hat_c[:i], chk_c[:i], weights, epsilon, num_nodes, want_grad)
+    )
     lplus, lminus = _length_bound_arrays(hat[1], chk[1], r, p, epsilon)
-    if np.min(lminus) <= 0.0:
+    first = _first_failure(lminus.min(axis=0) <= 0.0)
+    # the per-pair calls up to the failing one would each have warned
+    _check_epsilon(epsilon, least if first is None else least[: first + 1])
+    if first is not None:
         raise NonPositiveLowerBound(
             "lower length bound hit zero (epsilon too large or tangents reversed)"
         )
@@ -287,33 +343,32 @@ def _reg_core(c_hat, c_check, weights, epsilon, num_nodes, want_grad):
     tnodes, tweights = _gauss01(2 * m - 1)
 
     delta0 = chk[0] - hat[0]
-    value = a[0] * tw * float(np.sum(lplus * np.sum(delta0 * delta0, axis=1)))
+    value = a[0] * tw * np.sum(lplus * _inner(delta0, delta0), axis=0)
 
     lm_pow = {j: lminus ** (5 - 6 * j) for j in range(1, m + 1)}
-    qsum = {j: np.zeros(num_nodes) for j in range(1, m + 1)}
+    qsum = {j: np.zeros(lminus.shape) for j in range(1, m + 1)}
     tapes = []
     up = chk[1:] - hat[1:]
     for ti, wi in zip(tnodes, tweights):
         cp = (1.0 - ti) * hat[1:] + ti * chk[1:]
         pjets, s2, g2 = _pjet_forward(cp, up, m)
         for j in range(1, m + 1):
-            qsum[j] += wi * np.sum(pjets[j][0] ** 2, axis=-1)
+            qsum[j] += wi * _inner(pjets[j][0], pjets[j][0])
         if want_grad:
             tapes.append((ti, wi, cp, pjets, s2, g2))
     for j in range(1, m + 1):
-        value += a[j] * tw * float(np.sum(lm_pow[j] * qsum[j]))
+        value += a[j] * tw * np.sum(lm_pow[j] * qsum[j], axis=0)
 
     if not want_grad:
         return value, None, None
 
     # cotangents of the sampled jets, orders 0..m
-    bar_hat = np.zeros_like(hat)
-    bar_chk = np.zeros_like(chk)
-    bar_hat[0] = -2.0 * a[0] * tw * lplus[:, None] * delta0
-    bar_chk[0] = 2.0 * a[0] * tw * lplus[:, None] * delta0
+    bar_hat, bar_chk = np.zeros_like(hat), np.zeros_like(chk)
+    bar_hat[0] = -2.0 * a[0] * tw * lplus[..., None] * delta0
+    bar_chk[0] = 2.0 * a[0] * tw * lplus[..., None] * delta0
 
-    bar_lplus = a[0] * tw * np.sum(delta0 * delta0, axis=1)
-    bar_lminus = np.zeros(num_nodes)
+    bar_lplus = a[0] * tw * _inner(delta0, delta0)
+    bar_lminus = np.zeros(lminus.shape)
     for j in range(1, m + 1):
         bar_lminus += a[j] * tw * (5 - 6 * j) * lminus ** (4 - 6 * j) * qsum[j]
     bh1, bc1 = _length_bound_grads(hat[1], chk[1], r, p, epsilon, bar_lplus, bar_lminus)
@@ -322,21 +377,22 @@ def _reg_core(c_hat, c_check, weights, epsilon, num_nodes, want_grad):
 
     for ti, wi, cp, pjets, s2, g2 in tapes:
         seeds = {
-            j: (2.0 * a[j] * tw * wi) * lm_pow[j][:, None] * pjets[j][0]
+            j: (2.0 * a[j] * tw * wi) * lm_pow[j][..., None] * pjets[j][0]
             for j in range(1, m + 1)
         }
         bar_cp, bar_up = _pjet_reverse(cp, up, m, pjets, s2, g2, seeds)
         bar_hat[1:] += (1.0 - ti) * bar_cp - bar_up
         bar_chk[1:] += ti * bar_cp + bar_up
 
-    return value, _pull_back(c_hat, bar_hat, num_nodes), _pull_back(c_check, bar_chk, num_nodes)
+    order = hat_c.shape[1] // 2
+    return value, _pull_back(bar_hat, order, num_nodes), _pull_back(bar_chk, order, num_nodes)
 
 
 def _length_bound_grads(hat_prime, check_prime, r, p, epsilon, bar_lplus, bar_lminus):
     """Propagate cotangents of (L^+, L^-) back to the two tangent samples,
-    whose speeds are r and p."""
-    uhat = hat_prime / r[:, None]
-    vhat = check_prime / p[:, None]
+    whose speeds are r and p (shapes as in :func:`_length_bound_arrays`)."""
+    uhat = hat_prime / r[..., None]
+    vhat = check_prime / p[..., None]
     diff = p - r
     hyp = np.sqrt(diff * diff + epsilon * epsilon)
     ratio = diff / hyp
@@ -349,33 +405,54 @@ def _length_bound_grads(hat_prime, check_prime, r, p, epsilon, bar_lplus, bar_lm
     dsm_dr = 0.5 * (1.0 + ratio)
     dsm_dp = 0.5 * (1.0 - ratio)
     w = uhat + vhat
-    wnorm = np.linalg.norm(w, axis=1)
+    wnorm = _norm(w)
     mean_dir = 0.5 * wnorm
     clipped = np.maximum(smin, 0.0)
     # d mean_dir / d hat' = (I - uhat uhat^T) w / (2 |w| r); zero where |w| = 0
     safe = np.where(wnorm > 0.0, wnorm, 1.0)
-    proj_hat = (w - uhat * np.sum(uhat * w, axis=1)[:, None]) / (2.0 * safe * r)[:, None]
-    proj_chk = (w - vhat * np.sum(vhat * w, axis=1)[:, None]) / (2.0 * safe * p)[:, None]
-    proj_hat = np.where(wnorm[:, None] > 0.0, proj_hat, 0.0)
-    proj_chk = np.where(wnorm[:, None] > 0.0, proj_chk, 0.0)
+    proj_hat = (w - uhat * _inner(uhat, w)[..., None]) / (2.0 * safe * r)[..., None]
+    proj_chk = (w - vhat * _inner(vhat, w)[..., None]) / (2.0 * safe * p)[..., None]
+    proj_hat = np.where(wnorm[..., None] > 0.0, proj_hat, 0.0)
+    proj_chk = np.where(wnorm[..., None] > 0.0, proj_chk, 0.0)
 
-    bh = (bar_lplus * dlp_dr)[:, None] * uhat
-    bc = (bar_lplus * dlp_dp)[:, None] * vhat
-    bh += bar_lminus[:, None] * (
-        clipped[:, None] * proj_hat + (mean_dir * gate * dsm_dr)[:, None] * uhat
+    bh = (bar_lplus * dlp_dr)[..., None] * uhat
+    bc = (bar_lplus * dlp_dp)[..., None] * vhat
+    bh += bar_lminus[..., None] * (
+        clipped[..., None] * proj_hat + (mean_dir * gate * dsm_dr)[..., None] * uhat
     )
-    bc += bar_lminus[:, None] * (
-        clipped[:, None] * proj_chk + (mean_dir * gate * dsm_dp)[:, None] * vhat
+    bc += bar_lminus[..., None] * (
+        clipped[..., None] * proj_chk + (mean_dir * gate * dsm_dp)[..., None] * vhat
     )
     return bh, bc
 
 
-def _pull_back(curve, bar_jet, num_nodes):
-    """Pull jet cotangents (orders 0..m on the grid) back to coefficients."""
-    out = np.zeros((2 * curve.order + 1, curve.dim))
-    for j in range(bar_jet.shape[0]):
-        out += _eval_matrix(curve.order, num_nodes, j).T @ bar_jet[j]
-    return FourierCurve.from_coeffs(out)
+# ---------------------------------------------------------------------------
+# Stacked sampling
+# ---------------------------------------------------------------------------
+#
+# A block of S segments is the pair of coefficient stacks (hat, check), each
+# of shape (S, 2N+1, d).  One matmul against the cached jet matrix samples
+# all jet orders of a stack, and per-node quantities carry the segment as
+# their last scalar axis: jets (m+1, M, S, d), vectors (M, S, d), scalars
+# (M, S).  Segment values sum over the node axis 0.
+
+
+def _sample(stack, num_nodes, max_order):
+    """Jets of orders 0..max_order of a coefficient stack (S, 2N+1, d),
+    shape (max_order+1, M, S, d)."""
+    count, rows, dim = stack.shape
+    flat = stack.transpose(1, 0, 2).reshape(rows, count * dim)
+    jets = _jet_matrix(rows // 2, num_nodes, max_order) @ flat
+    return jets.reshape(max_order + 1, num_nodes, count, dim)
+
+
+def _pull_back(bar, order, num_nodes):
+    """Pull jet cotangents (m+1, M, S, d) back to coefficient gradients
+    (S, 2N+1, d) with the transposed jet matrix."""
+    orders, _, count, dim = bar.shape
+    mat = _jet_matrix(order, num_nodes, orders - 1)
+    out = mat.T @ bar.reshape(orders * num_nodes, count * dim)
+    return out.reshape(-1, count, dim).transpose(1, 0, 2)
 
 
 def w_reg(
@@ -390,8 +467,7 @@ def w_reg(
     Raises DegenerateCurve below the immersion floor and
     NonPositiveLowerBound when the clipped lower bound vanishes.
     """
-    value, _, _ = _reg_core(c_hat, c_check, weights, epsilon, num_nodes, False)
-    return value
+    return _evaluate(c_hat, c_check, weights, epsilon, num_nodes, False)
 
 
 # ---------------------------------------------------------------------------
@@ -439,7 +515,7 @@ _PHI_SERIES = np.stack(
         np.append(np.arange(1, _PHI2_SERIES.size) * _PHI2_SERIES[1:], 0.0),
     ],
     axis=1,
-)[:, :, None]
+)
 
 _SERIES_CUT = 0.05
 
@@ -463,10 +539,11 @@ def _asinc(xi):
 
 
 def _phi_series(xi, v, want_grad):
+    series = _PHI_SERIES[(...,) + (None,) * np.ndim(xi)]  # broadcast over xi
     if not want_grad:
-        t1, t2 = _polyval(_PHI_SERIES[:, :2], xi)
+        t1, t2 = _polyval(series[:, :2], xi)
         return t1, t2
-    t1, t2, dt1, dt2 = _polyval(_PHI_SERIES, xi)
+    t1, t2, dt1, dt2 = _polyval(series, xi)
     # d xi / d v = -2 v
     return t1, t2, -2.0 * v * dt1, -2.0 * v * dt2
 
@@ -539,35 +616,44 @@ def rational_coefficients(
     Raises NonPositiveQ when the tangent correlation fails to be positive at
     some node.
     """
-    _, _, (r, p, q, rho, sigma, tau) = _rat_jets(c_hat, c_check, num_nodes)
-    _require_positive_q(q)
+    _, _, (r, p, q, rho, sigma, tau) = _oracle_jets(c_hat, c_check, num_nodes)
     v = q / (r * p)
     xi = (1.0 - v) * (1.0 + v)
     return RationalCoefficients(r, p, q, rho, sigma, tau, v, v * _asinc(xi))
 
 
-def _rat_jets(c_hat, c_check, num_nodes):
-    """Sampled 2-jets of both curves and their six scalar pairings
-    (r, p, q, rho, sigma, tau); raises DegenerateCurve below the speed floor."""
-    hat = sample_jet(c_hat, num_nodes, 2).values
-    chk = sample_jet(c_check, num_nodes, 2).values
-    r = np.sqrt(np.sum(hat[1] * hat[1], axis=1))
-    p = np.sqrt(np.sum(chk[1] * chk[1], axis=1))
-    _check_speeds(r, p)
-    q = np.sum(hat[1] * chk[1], axis=1)
-    rho = np.sum(hat[1] * hat[2], axis=1)
-    sigma = np.sum(chk[1] * chk[2], axis=1)
-    tau = 0.5 * (
-        np.sum(hat[1] * chk[2], axis=1) + np.sum(chk[1] * hat[2], axis=1)
-    )
+def _rat_jets(hat_c, chk_c, num_nodes):
+    """Sampled 2-jets of two coefficient stacks and their six scalar
+    pairings (r, p, q, rho, sigma, tau), each of shape (M, S)."""
+    hat, chk = _sample(hat_c, num_nodes, 2), _sample(chk_c, num_nodes, 2)
+    r = _norm(hat[1])
+    p = _norm(chk[1])
+    q = _inner(hat[1], chk[1])
+    rho = _inner(hat[1], hat[2])
+    sigma = _inner(chk[1], chk[2])
+    tau = 0.5 * (_inner(hat[1], chk[2]) + _inner(chk[1], hat[2]))
     return hat, chk, (r, p, q, rho, sigma, tau)
 
 
 def _require_positive_q(q):
-    if np.min(q) <= 0.0:
+    """Raise NonPositiveQ for the first segment whose tangent correlation
+    (M, S) is nonpositive at some node."""
+    least = q.min(axis=0)
+    first = _first_failure(least <= 0.0)
+    if first is not None:
         raise NonPositiveQ(
-            f"tangent correlation q = {np.min(q):.3e} <= 0 at some node"
+            f"tangent correlation q = {least[first]:.3e} <= 0 at some node"
         )
+
+
+def _oracle_jets(c_hat, c_check, num_nodes):
+    """:func:`_rat_jets` of one curve pair, squeezed to (M,) samples, for the
+    closed-form oracles; raises DegenerateCurve and NonPositiveQ."""
+    hat, chk, pairings = _rat_jets(*_stacks(c_hat, c_check)[:2], num_nodes)
+    r, p, q = pairings[:3]
+    _require_immersed(r, p)
+    _require_positive_q(q)
+    return hat[:, :, 0], chk[:, :, 0], tuple(x[:, 0] for x in pairings)
 
 
 def _raw_2bc_quadrature(r, p, q, rho, sigma, tau, seeds=None, num_t=96):
@@ -808,7 +894,7 @@ def _deltas(hat, chk):
     norms s0 = |delta|^2 and s22 = |delta''|^2."""
     d0 = chk[0] - hat[0]
     d2 = chk[2] - hat[2]
-    return d0, d2, np.sum(d0 * d0, axis=1), np.sum(d2 * d2, axis=1)
+    return d0, d2, _inner(d0, d0), _inner(d2, d2)
 
 
 def w_bar_oracle(
@@ -825,8 +911,7 @@ def w_bar_oracle(
     """
     _require_m2(weights)
     a0, a1, a2 = weights.coefficients
-    hat, chk, (r, p, q, rho, sigma, tau) = _rat_jets(c_hat, c_check, num_nodes)
-    _require_positive_q(q)
+    hat, chk, (r, p, q, rho, sigma, tau) = _oracle_jets(c_hat, c_check, num_nodes)
     _, _, s0, s22 = _deltas(hat, chk)
     i1_s11, i2a, i2b, i2c = _sharp_integrals(r, p, q, rho, sigma, tau)
     s1 = rho + sigma - 2.0 * tau          # delta'.delta''
@@ -896,90 +981,139 @@ def w_rat(
     Returns +inf (an explicit float, never an overflow) when the tangent
     correlation q is nonpositive at any node.
     """
-    _require_m2(weights)
-    hat, chk, pairings = _rat_jets(c_hat, c_check, num_nodes)
-    if np.min(pairings[2]) <= 0.0:
-        return float("inf")
-    _, _, s0, s22 = _deltas(hat, chk)
-    integrand, _ = _rat_node_scalar(*pairings, weights.coefficients, s0, s22)
-    return float(2.0 * np.pi / num_nodes * np.sum(integrand))
+    return _evaluate(c_hat, c_check, weights, None, num_nodes, False)
 
 
-def _rat_value_and_grad(c_hat, c_check, weights, num_nodes):
-    _require_m2(weights)
+def _rat_core(hat_c, chk_c, weights, num_nodes, want_grad):
+    """Rational energies of a block of segments, stacks (S, 2N+1, d):
+    (values (S,), grad_hat, grad_check), the gradients None unless
+    ``want_grad``.  The values are +inf on segments with a nonpositive
+    tangent correlation; the gradient raises NonPositiveQ there."""
     a0, a1, a2 = a = weights.coefficients
-    hat, chk, pairings = _rat_jets(c_hat, c_check, num_nodes)
+    hat, chk, pairings = _rat_jets(hat_c, chk_c, num_nodes)
     r, p, q = pairings[:3]
+    _require_immersed(
+        r, p, lambda i: _rat_core(hat_c[:i], chk_c[:i], weights, num_nodes, want_grad)
+    )
+    tw = 2.0 * np.pi / num_nodes
+    if not want_grad:
+        ok = q.min(axis=0) > 0.0
+        if not ok.all():
+            values = np.full(ok.shape, np.inf)
+            if ok.any():
+                values[ok] = _rat_core(hat_c[ok], chk_c[ok], weights, num_nodes, False)[0]
+            return values, None, None
+        _, _, s0, s22 = _deltas(hat, chk)
+        integrand, _ = _rat_node_scalar(*pairings, a, s0, s22)
+        return tw * np.sum(integrand, axis=0), None, None
+
     _require_positive_q(q)
     delta0, delta2, s0, s22 = _deltas(hat, chk)
     integrand, partials = _rat_node_scalar(*pairings, a, s0, s22, want_grad=True)
-    tw = 2.0 * np.pi / num_nodes
-    value = float(tw * np.sum(integrand))
+    value = tw * np.sum(integrand, axis=0)
     d_r, d_p, d_q, d_rho, d_sigma, d_tau = partials
 
     # chain the six pairings and s0, s22 to the sampled jets
-    h_tau = 0.5 * d_tau[:, None]
-    d_q = d_q[:, None]
-    d_rho = d_rho[:, None]
-    d_sigma = d_sigma[:, None]
+    h_tau = 0.5 * d_tau[..., None]
+    d_q = d_q[..., None]
+    d_rho = d_rho[..., None]
+    d_sigma = d_sigma[..., None]
     bar_hat = np.empty_like(hat)
     bar_chk = np.empty_like(chk)
-    bar_chk[0] = (a0 * (r + p))[:, None] * delta0
+    bar_chk[0] = (a0 * (r + p))[..., None] * delta0
     bar_hat[0] = -bar_chk[0]
-    bar_hat[1] = (d_r / r)[:, None] * hat[1] + d_q * chk[1] + d_rho * hat[2] + h_tau * chk[2]
-    bar_chk[1] = (d_p / p)[:, None] * chk[1] + d_q * hat[1] + d_sigma * chk[2] + h_tau * hat[2]
-    s22_bar = (a2 * (1.0 / (r * q) + 1.0 / (p * q)))[:, None] * delta2
+    bar_hat[1] = (d_r / r)[..., None] * hat[1] + d_q * chk[1] + d_rho * hat[2] + h_tau * chk[2]
+    bar_chk[1] = (d_p / p)[..., None] * chk[1] + d_q * hat[1] + d_sigma * chk[2] + h_tau * hat[2]
+    s22_bar = (a2 * (1.0 / (r * q) + 1.0 / (p * q)))[..., None] * delta2
     bar_hat[2] = d_rho * hat[1] + h_tau * chk[1] - s22_bar
     bar_chk[2] = d_sigma * chk[1] + h_tau * hat[1] + s22_bar
     bar_hat *= tw
     bar_chk *= tw
-    return value, _pull_back(c_hat, bar_hat, num_nodes), _pull_back(c_check, bar_chk, num_nodes)
+    order = hat_c.shape[1] // 2
+    return value, _pull_back(bar_hat, order, num_nodes), _pull_back(bar_chk, order, num_nodes)
 
 
 # ---------------------------------------------------------------------------
 # Common entry points
 # ---------------------------------------------------------------------------
 
-
-def w_eval(
-    c_hat: FourierCurve,
-    c_check: FourierCurve,
-    weights: MetricWeights,
-    kind: EnergyKind,
-    num_nodes: int,
-) -> float:
-    """Energy value for the selected kind."""
-    if kind.is_rat:
-        return w_rat(c_hat, c_check, weights, num_nodes)
-    return w_reg(c_hat, c_check, weights, kind.epsilon, num_nodes)
+# Largest number of grid nodes (segments x M) one kernel call works on: a
+# longer stack is walked in blocks, which bounds the numpy temporaries.
+_BLOCK_NODES = 2048
 
 
-def w_value_and_grad(
-    c_hat: FourierCurve,
-    c_check: FourierCurve,
-    weights: MetricWeights,
-    kind: EnergyKind,
-    num_nodes: int,
-):
+def _stacks(c_hat, c_check):
+    """The two energy arguments as coefficient stacks (S, 2N+1, d), and
+    whether they came as curves (then S = 1, padded to a common order)."""
+    if isinstance(c_hat, FourierCurve) and isinstance(c_check, FourierCurve):
+        n = max(c_hat.order, c_check.order)
+        return pad(c_hat, n).coeffs[None], pad(c_check, n).coeffs[None], True
+    hat = np.asarray(c_hat, dtype=float)
+    chk = np.asarray(c_check, dtype=float)
+    if hat.ndim != 3 or hat.shape != chk.shape or len(hat) == 0 or hat.shape[1] % 2 == 0:
+        raise ValueError(
+            "energy arguments must be two curves or two coefficient stacks "
+            "of one shape (S, 2N+1, d) with S >= 1"
+        )
+    return hat, chk, False
+
+
+def _evaluate(c_hat, c_check, weights, epsilon, num_nodes, want_grad):
+    """Rational (``epsilon`` None) or smoothed energies of two curves or two
+    stacks, walked in blocks of at most ``_BLOCK_NODES`` grid nodes.
+
+    Curves give the value (float), or (value, grad_hat, grad_check) as
+    curves of their own orders; stacks give arrays (S,) and (S, 2N+1, d).
+    """
+    hat, chk, curves = _stacks(c_hat, c_check)
+    if epsilon is None:
+        _require_m2(weights)
+        core, args = _rat_core, (weights, num_nodes, want_grad)
+    else:
+        core, args = _reg_core, (weights, epsilon, num_nodes, want_grad)
+    step = max(1, _BLOCK_NODES // num_nodes)
+    if len(hat) <= step:
+        values, gh, gc = core(hat, chk, *args)
+    else:
+        parts = [core(hat[i : i + step], chk[i : i + step], *args) for i in range(0, len(hat), step)]
+        values, gh, gc = (None if p[0] is None else np.concatenate(p) for p in zip(*parts))
+    if not curves:
+        return (values, gh, gc) if want_grad else values
+    if not want_grad:
+        return float(values[0])
+    return (
+        float(values[0]),
+        truncate(FourierCurve.from_coeffs(gh[0]), c_hat.order),
+        truncate(FourierCurve.from_coeffs(gc[0]), c_check.order),
+    )
+
+
+def w_eval(c_hat, c_check, weights: MetricWeights, kind: EnergyKind, num_nodes: int):
+    """Energy value for the selected kind.
+
+    ``c_hat, c_check`` are two curves (returns a float) or two coefficient
+    stacks of one shape (S, 2N+1, d), the segments (c_hat[s], c_check[s]) of
+    a path (returns the S values).  Each segment's value, +inf and errors
+    are those of its own per-pair call.
+    """
+    return _evaluate(c_hat, c_check, weights, kind.epsilon, num_nodes, False)
+
+
+def w_value_and_grad(c_hat, c_check, weights: MetricWeights, kind: EnergyKind, num_nodes: int):
     """Energy value and its exact coefficient gradients (grad_hat, grad_check).
 
     The gradient is the exact derivative of the trapezium-rule energy:
     per-node integrand partials with respect to the sampled jet values,
-    pulled back by the transposed spectral evaluation operators.
+    pulled back by the transposed spectral evaluation operators.  Curves
+    give (float, curve, curve); stacks (S, 2N+1, d) give arrays of shapes
+    (S,), (S, 2N+1, d) and (S, 2N+1, d).
     """
-    if kind.is_rat:
-        return _rat_value_and_grad(c_hat, c_check, weights, num_nodes)
-    return _reg_core(c_hat, c_check, weights, kind.epsilon, num_nodes, True)
+    return _evaluate(c_hat, c_check, weights, kind.epsilon, num_nodes, True)
 
 
-def w_grad(
-    c_hat: FourierCurve,
-    c_check: FourierCurve,
-    weights: MetricWeights,
-    kind: EnergyKind,
-    num_nodes: int,
-):
-    """Gradients of the discrete energy with respect to both curves."""
+def w_grad(c_hat, c_check, weights: MetricWeights, kind: EnergyKind, num_nodes: int):
+    """Gradients of the discrete energy with respect to both arguments
+    (curves or stacks, as in :func:`w_value_and_grad`)."""
     _, gh, gc = w_value_and_grad(c_hat, c_check, weights, kind, num_nodes)
     return gh, gc
 

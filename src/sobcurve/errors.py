@@ -56,9 +56,15 @@ class InfiniteEnergy(SobcurveError):
 
 
 class NoConvergence(SobcurveError):
-    """A fixed-point or Newton solve stalled above its tolerance."""
+    """A fixed-point or Newton solve stalled above its tolerance.
+
+    ``partial`` holds the work finished before the stall when the raising
+    solver keeps any (the path of ``exp_k``, the vectors of
+    ``transport_path``), else None.
+    """
 
     code = "no-convergence"
+    partial = None
 
 
 class DegeneratePlane(SobcurveError):

@@ -25,7 +25,7 @@ import dataclasses
 import numpy as np
 import scipy.linalg
 
-from .curve import FourierCurve, min_speed, pad
+from .curve import FourierCurve, _min_speeds, min_speed, pad
 from .energy import (
     EnergyKind,
     hessian_scalar_at_diagonal,
@@ -64,6 +64,13 @@ def _check_nodes(order: int) -> int:
     return max(16, 4 * order)
 
 
+def _first_degenerate(stack, num_nodes):
+    """Index of the first curve of a coefficient stack (S, 2N+1, d) whose
+    speed reaches the immersion floor on the grid, or None."""
+    bad = _min_speeds(stack, num_nodes) <= SPEED_FLOOR
+    return int(np.argmax(bad)) if bad.any() else None
+
+
 # ---------------------------------------------------------------------------
 # Domain types
 # ---------------------------------------------------------------------------
@@ -80,13 +87,15 @@ class DiscretePath:
         if len(curves) < 2:
             raise ValueError("a discrete path needs at least two curves (K >= 1)")
         first = curves[0]
-        for k, c in enumerate(curves):
+        for c in curves:
             if not isinstance(c, FourierCurve):
                 raise ValueError("path members must be FourierCurve instances")
             if c.dim != first.dim or c.order != first.order:
                 raise ValueError("path curves must share dim and order")
-            if min_speed(c, _check_nodes(c.order)) <= SPEED_FLOOR:
-                raise DegenerateCurve(f"path curve {k} is not immersed")
+        stack = np.stack([c.coeffs for c in curves])
+        k = _first_degenerate(stack, _check_nodes(first.order))
+        if k is not None:
+            raise DegenerateCurve(f"path curve {k} is not immersed")
         object.__setattr__(self, "curves", curves)
 
     @property
@@ -185,10 +194,8 @@ def segment_energies(
 ) -> np.ndarray:
     """Per-segment contributions K*W[c_{k-1}, c_k] (a diagnostic: they are
     equal along a converged discrete geodesic)."""
-    k = path.num_segments
-    return np.array(
-        [k * w_eval(a, b, weights, kind, num_nodes) for a, b in zip(path.curves[:-1], path.curves[1:])]
-    )
+    stack = np.stack([c.coeffs for c in path.curves])
+    return path.num_segments * w_eval(stack[:-1], stack[1:], weights, kind, num_nodes)
 
 
 def discrete_path_energy(
@@ -374,11 +381,11 @@ def el_step(
     opts = opts or _DEFAULT_OPTIONS
     n = max(prev.order, cur.order, init.order if init is not None else 0)
     prev, cur = pad(prev, n), pad(cur, n)
-    fixed = w_grad(prev, cur, weights, kind, num_nodes)[1].coeffs
     base = cur.coeffs
+    fixed = w_grad(prev.coeffs[None], base[None], weights, kind, num_nodes)[1][0]
 
     def residual(y):
-        return fixed + w_grad(cur, FourierCurve.from_coeffs(y), weights, kind, num_nodes)[0].coeffs
+        return fixed + w_grad(base[None], y[None], weights, kind, num_nodes)[0][0]
 
     precond = _Preconditioner(prev, weights, kind, num_nodes)
     y0 = (pad(init, n).coeffs if init is not None else 2.0 * base - prev.coeffs).copy()
@@ -400,13 +407,14 @@ def el_midpoint(
     opts = opts or _DEFAULT_OPTIONS
     n = max(c_a.order, c_b.order, init.order if init is not None else 0)
     c_a, c_b = pad(c_a, n), pad(c_b, n)
+    a_arr, b_arr = c_a.coeffs, c_b.coeffs
 
     def residual(x_arr):
-        x = FourierCurve.from_coeffs(x_arr)
-        return (
-            w_grad(c_a, x, weights, kind, num_nodes)[1].coeffs
-            + w_grad(x, c_b, weights, kind, num_nodes)[0].coeffs
+        # both segments a -> x -> b in one stacked call
+        gh, gc = w_grad(
+            np.stack((a_arr, x_arr)), np.stack((x_arr, b_arr)), weights, kind, num_nodes
         )
+        return gc[0] + gh[1]
 
     precond = _Preconditioner(c_a, weights, kind, num_nodes, scale=2.0)
     y0 = (pad(init, n).coeffs if init is not None else 0.5 * (c_a.coeffs + c_b.coeffs)).copy()
@@ -454,7 +462,8 @@ def exp_k(
     """K-step discrete exponential: c1 = c0 + v/K, then forward EL steps.
 
     Returns the whole path; its final curve approximates the time-1 geodesic
-    endpoint with initial velocity v.
+    endpoint with initial velocity v.  A stalled step raises NoConvergence
+    whose ``partial`` is the path c_0..c_k finished before it.
     """
     if num_segments < 1:
         raise ValueError("need at least one segment")
@@ -466,7 +475,9 @@ def exp_k(
                 el_step(curves[-2], curves[-1], weights, kind, num_nodes, opts)
             )
         except NoConvergence as err:
-            raise NoConvergence(f"exp_k stalled at step {k + 1}/{num_segments}: {err}") from err
+            stalled = NoConvergence(f"exp_k stalled at step {k + 1}/{num_segments}: {err}")
+            stalled.partial = DiscretePath(tuple(curves))
+            raise stalled from err
     return DiscretePath(tuple(curves))
 
 
@@ -559,15 +570,17 @@ def solve_bvp(
     if k < 1:
         raise ValueError("need at least one segment")
 
+    a_arr, b_arr = c_a.coeffs, c_b.coeffs
     if init_path is not None:
         if init_path.num_segments != k:
             raise ValueError("init_path has the wrong number of segments")
-        interior = [pad(init_path[j], n) for j in range(1, k)]
+        interior = np.array([pad(init_path[j], n).coeffs for j in range(1, k)])
     else:
         ts = np.linspace(0.0, 1.0, k + 1)[1:-1]
-        interior = [c_a + (c_b - c_a) * float(t) for t in ts]
-    for j, c in enumerate(interior):
-        if min_speed(c, check_m) <= SPEED_FLOOR:
+        interior = np.array([a_arr + (b_arr - a_arr) * t for t in ts])
+    if k > 1:
+        j = _first_degenerate(interior, check_m)
+        if j is not None:
             raise DegenerateInit(f"initial interior curve {j + 1} is not immersed")
 
     if k == 1:
@@ -577,31 +590,22 @@ def solve_bvp(
             return path, {"iterations": 0, "energy": energy, "grad_norm": 0.0}
         return path
 
-    rows, dim = c_a.coeffs.shape
-    shape = (k - 1, rows, dim)
+    shape = interior.shape
 
-    def curves_of(flat):
-        arr = flat.reshape(shape)
-        return [c_a] + [FourierCurve.from_coeffs(arr[j]) for j in range(k - 1)] + [c_b]
+    def stack_of(flat):
+        return np.concatenate((a_arr[None], flat.reshape(shape), b_arr[None]))
 
     def energy_of(flat):
-        cs = curves_of(flat)
-        return k * sum(w_eval(a, b, weights, kind, num_nodes) for a, b in zip(cs[:-1], cs[1:]))
+        stack = stack_of(flat)
+        return k * float(np.sum(w_eval(stack[:-1], stack[1:], weights, kind, num_nodes)))
 
     def energy_and_grad(flat):
-        cs = curves_of(flat)
-        total = 0.0
-        grad = np.zeros(shape)
-        for seg in range(k):
-            val, gh, gc = w_value_and_grad(cs[seg], cs[seg + 1], weights, kind, num_nodes)
-            total += k * val
-            if seg >= 1:
-                grad[seg - 1] += k * gh.coeffs
-            if seg < k - 1:
-                grad[seg] += k * gc.coeffs
-        return total, grad.ravel()
+        stack = stack_of(flat)
+        val, gh, gc = w_value_and_grad(stack[:-1], stack[1:], weights, kind, num_nodes)
+        # interior curve j ends segment j-1 and starts segment j
+        return k * float(np.sum(val)), (k * (gh[1:] + gc[:-1])).ravel()
 
-    x = np.array([c.coeffs for c in interior]).ravel()
+    x = interior.ravel()
     f0 = energy_of(x)  # package errors (degenerate init data) propagate
     if not np.isfinite(f0):
         raise InfiniteEnergy(
@@ -610,7 +614,7 @@ def solve_bvp(
     f, g = energy_and_grad(x)
     gnorm = float(np.linalg.norm(g))
     tol = opts.grad_tol * (1.0 + gnorm)
-    anchor = interior[len(interior) // 2]
+    anchor = FourierCurve.from_coeffs(interior[len(interior) // 2])
     h0 = _PathPreconditioner(anchor, weights, kind, num_nodes, k)
     memory = []
     iters = 0
@@ -680,7 +684,8 @@ def solve_bvp(
         gnorm = float(np.linalg.norm(g))
         iters += 1
 
-    path = DiscretePath(tuple(curves_of(x)))
+    inner = x.reshape(shape)
+    path = DiscretePath((c_a, *(FourierCurve.from_coeffs(c) for c in inner), c_b))
     if return_info:
         return path, {"iterations": iters, "energy": f if iters else f0, "grad_norm": gnorm}
     return path

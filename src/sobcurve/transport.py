@@ -123,7 +123,9 @@ def transport_path(
 
     Each rung transports with direction v_k = (c_{k+1} - c_k)/tau, so the
     displaced curve of rung k is exactly c_{k+1}.  Returns the vector at the
-    final curve, or the whole list w_0..w_K with ``return_all``.
+    final curve, or the whole list w_0..w_K with ``return_all``.  A stalled
+    rung raises NoConvergence whose ``partial`` is the list w_0..w_k
+    finished before it.
     """
     tau = path.step
     vectors = [w0]
@@ -134,9 +136,11 @@ def transport_path(
                 schild_step(path[k], v_k, vectors[-1], tau, weights, kind, num_nodes, opts)
             )
         except NoConvergence as err:
-            raise NoConvergence(
+            stalled = NoConvergence(
                 f"transport stalled at rung {k + 1}/{path.num_segments}: {err}"
-            ) from err
+            )
+            stalled.partial = vectors
+            raise stalled from err
     return vectors if return_all else vectors[-1]
 
 

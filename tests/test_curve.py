@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from conftest import circle, perturbed_circle
 from sobcurve.curve import (
     FourierCurve,
+    _min_speeds,
     grid,
     load_curve,
     min_speed,
@@ -122,6 +123,14 @@ def test_min_speed():
     c = perturbed_circle(rng)
     speeds = np.linalg.norm(sample_jet(c, 256, 1).deriv(1), axis=1)
     assert min_speed(c, 256) == pytest.approx(np.min(speeds))
+
+
+def test_min_speeds_of_a_stack_match_each_curve():
+    rng = np.random.default_rng(6)
+    curves = [perturbed_circle(rng) for _ in range(5)] + [FourierCurve.zeros(4, 2)]
+    speeds = _min_speeds(np.stack([c.coeffs for c in curves]), 32)
+    np.testing.assert_allclose(speeds, [min_speed(c, 32) for c in curves], rtol=1e-15, atol=0.0)
+    assert speeds[-1] == 0.0
 
 
 class TestSerialization:

@@ -8,7 +8,12 @@ from hypothesis import strategies as st
 
 from conftest import circle, nearby_pair, perturbed_circle, rotate, tangent_field, translate
 from sobcurve.curve import FourierCurve, sample_jet
-from sobcurve.errors import InsufficientSamples, NonPositiveLowerBound, NonPositiveQ
+from sobcurve.errors import (
+    DegenerateCurve,
+    InsufficientSamples,
+    NonPositiveLowerBound,
+    NonPositiveQ,
+)
 from sobcurve.energy import (
     EnergyKind,
     _rat_node_scalar,
@@ -598,3 +603,109 @@ def test_aliasing_grid_rejected(entry):
         with pytest.raises(InsufficientSamples):
             call(a, b, m)
     call(a, b, 61)
+
+
+# ---------------------------------------------------------------------------
+# Stacked evaluation: many segments per call
+# ---------------------------------------------------------------------------
+
+STACK_M = 160  # 2048 // 160 = 12 segments per block, so 20 segments use two
+STACK_KINDS = [RAT, EnergyKind.reg(1.0 / 64.0)]
+STACK_ORDER = 8
+
+
+def curve_stack(rng, count):
+    """Coefficient stack (count, 2N+1, 2) of nearby perturbed unit circles."""
+    return np.stack([perturbed_circle(rng, STACK_ORDER).coeffs for _ in range(count)])
+
+
+def reversed_coeffs(coeffs):
+    """The same curve traversed backwards (sine rows negated)."""
+    out = coeffs.copy()
+    out[STACK_ORDER + 1 :] *= -1.0
+    return out
+
+
+def per_pair(fn, hat, chk, *args):
+    return [
+        fn(FourierCurve.from_coeffs(h), FourierCurve.from_coeffs(c), *args)
+        for h, c in zip(hat, chk)
+    ]
+
+
+@pytest.mark.parametrize("kind", STACK_KINDS, ids=kind_id)
+@pytest.mark.parametrize("segments", [1, 2, 20])
+def test_stacked_energies_match_per_pair_calls(kind, segments):
+    path = curve_stack(np.random.default_rng(30 + segments), segments + 1)
+    hat, chk = path[:-1], path[1:]
+    values = w_eval(hat, chk, W2, kind, STACK_M)
+    both, gh, gc = w_value_and_grad(hat, chk, W2, kind, STACK_M)
+    assert values.shape == both.shape == (segments,)
+    assert gh.shape == gc.shape == hat.shape
+    pairs = per_pair(w_value_and_grad, hat, chk, W2, kind, STACK_M)
+    loop = np.array([value for value, _, _ in pairs])
+    np.testing.assert_allclose(values, loop, rtol=1e-14, atol=0.0)
+    np.testing.assert_allclose(both, loop, rtol=1e-14, atol=0.0)
+    for s, (_, ph, pc) in enumerate(pairs):
+        scale = max(np.abs(ph.coeffs).max(), np.abs(pc.coeffs).max())
+        np.testing.assert_allclose(gh[s], ph.coeffs, rtol=0.0, atol=1e-13 * scale)
+        np.testing.assert_allclose(gc[s], pc.coeffs, rtol=0.0, atol=1e-13 * scale)
+
+
+def test_stacked_rational_energy_is_infinite_only_on_a_reversed_segment():
+    path = curve_stack(np.random.default_rng(40), 6)
+    hat, chk = path[:-1], path[1:].copy()
+    chk[2] = reversed_coeffs(chk[2])
+    values = w_eval(hat, chk, W2, RAT, STACK_M)
+    assert np.isinf(values).tolist() == [False, False, True, False, False]
+    finite = np.delete(np.arange(5), 2)
+    loop = per_pair(w_eval, hat[finite], chk[finite], W2, RAT, STACK_M)
+    np.testing.assert_allclose(values[finite], loop, rtol=1e-14, atol=0.0)
+    with pytest.raises(NonPositiveQ):
+        w_value_and_grad(hat, chk, W2, RAT, STACK_M)
+
+
+@pytest.mark.parametrize("kind", STACK_KINDS, ids=kind_id)
+def test_stack_errors_match_the_first_failing_segment(kind):
+    path = curve_stack(np.random.default_rng(41), 21)
+    hat, chk = path[:-1], path[1:].copy()
+    chk[15] = 0.0  # degenerate, in the second block
+    for fn in (w_eval, w_value_and_grad):
+        with pytest.raises(DegenerateCurve):
+            fn(hat, chk, W2, kind, STACK_M)
+    with pytest.raises(InsufficientSamples):
+        w_eval(hat, chk, W2, kind, 2 * STACK_ORDER)
+    # an earlier failing segment raises first, as in one call per segment
+    if kind.is_rat:
+        chk[3] = reversed_coeffs(chk[3])
+        with pytest.raises(NonPositiveQ):
+            w_value_and_grad(hat, chk, W2, kind, STACK_M)
+        with pytest.raises(DegenerateCurve):
+            w_eval(hat, chk, W2, kind, STACK_M)  # inf on 3, then the floor on 15
+    else:
+        # speed 0.005 < epsilon / 2: the clipped lower bound vanishes there
+        hat[3] = chk[3] = 0.005 * circle(order=STACK_ORDER).coeffs
+        with pytest.warns(RuntimeWarning, match="twice the minimal speed"):
+            with pytest.raises(NonPositiveLowerBound):
+                w_eval(hat, chk, W2, kind, STACK_M)
+
+
+def test_stack_shapes_are_checked():
+    path = curve_stack(np.random.default_rng(42), 3)
+    for hat, chk in ((path[:-1], path[1:, :-1]), (path[0], path[1]), (path[:0], path[:0])):
+        with pytest.raises(ValueError):
+            w_eval(hat, chk, W2, RAT, STACK_M)
+
+
+@pytest.mark.parametrize("kind", STACK_KINDS, ids=kind_id)
+def test_two_segment_stack_gives_the_midpoint_residual(kind):
+    # W_{,2}[a, x] + W_{,1}[x, b] from one call on (stack[a, x], stack[x, b])
+    a, x, b = curve_stack(np.random.default_rng(43), 3)
+    gh, gc = w_grad(np.stack((a, x)), np.stack((x, b)), W2, kind, STACK_M)
+    curves = [FourierCurve.from_coeffs(c) for c in (a, x, b)]
+    two_calls = (
+        w_grad(curves[0], curves[1], W2, kind, STACK_M)[1].coeffs
+        + w_grad(curves[1], curves[2], W2, kind, STACK_M)[0].coeffs
+    )
+    scale = np.abs(two_calls).max()
+    np.testing.assert_allclose(gc[0] + gh[1], two_calls, rtol=0.0, atol=1e-13 * scale)

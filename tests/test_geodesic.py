@@ -2,13 +2,15 @@ import numpy as np
 import pytest
 
 from conftest import circle, perturbed_circle, rotate, tangent_field
+from sobcurve import geodesic
 from sobcurve.curve import FourierCurve
-from sobcurve.energy import EnergyKind, w_eval
+from sobcurve.energy import EnergyKind, w_eval, w_value_and_grad
 from sobcurve.errors import (
     DegenerateCurve,
     DegenerateInit,
     InfiniteEnergy,
     MaxIters,
+    NoConvergence,
 )
 from sobcurve.geodesic import (
     DiscretePath,
@@ -73,6 +75,11 @@ class TestDiscretePath:
     def test_degenerate_member_rejected(self):
         with pytest.raises(DegenerateCurve):
             DiscretePath((circle(), FourierCurve.zeros(1, 2)))
+
+    def test_degenerate_members_report_the_first_index(self):
+        c, z = circle(), FourierCurve.zeros(1, 2)
+        with pytest.raises(DegenerateCurve, match="path curve 2 is not immersed"):
+            DiscretePath((c, c, z, c, z))
 
     def test_properties_and_iteration(self):
         path = DiscretePath.linear(circle(1.0), circle(1.2), 4)
@@ -280,6 +287,39 @@ class TestSolveBvp:
 # ---------------------------------------------------------------------------
 
 
+def per_segment_w_eval(hat, chk, weights, kind, num_nodes):
+    """One energy call per segment: the reference for the stacked call."""
+    return np.array([
+        w_eval(FourierCurve.from_coeffs(h), FourierCurve.from_coeffs(c), weights, kind, num_nodes)
+        for h, c in zip(hat, chk)
+    ])
+
+
+def per_segment_w_value_and_grad(hat, chk, weights, kind, num_nodes):
+    parts = [
+        w_value_and_grad(FourierCurve.from_coeffs(h), FourierCurve.from_coeffs(c), weights, kind, num_nodes)
+        for h, c in zip(hat, chk)
+    ]
+    return (
+        np.array([value for value, _, _ in parts]),
+        np.stack([gh.coeffs for _, gh, _ in parts]),
+        np.stack([gc.coeffs for _, _, gc in parts]),
+    )
+
+
+@pytest.mark.parametrize("kind", KINDS, ids=kind_id)
+def test_stacked_solve_matches_a_per_segment_solve(kind, monkeypatch):
+    rng = np.random.default_rng(50)
+    c_a, c_b = perturbed_circle(rng), perturbed_circle(rng) * 1.2
+    stacked, info = solve_bvp(c_a, c_b, 16, W, kind, M, return_info=True)
+    monkeypatch.setattr(geodesic, "w_eval", per_segment_w_eval)
+    monkeypatch.setattr(geodesic, "w_value_and_grad", per_segment_w_value_and_grad)
+    reference, ref_info = solve_bvp(c_a, c_b, 16, W, kind, M, return_info=True)
+    assert info["iterations"] == ref_info["iterations"]
+    for got, want in zip(stacked, reference):
+        np.testing.assert_allclose(got.coeffs, want.coeffs, rtol=0.0, atol=1e-12)
+
+
 class TestExpLog:
     @pytest.mark.parametrize("kind", KINDS, ids=kind_id)
     def test_exp2_zero_velocity(self, kind):
@@ -353,6 +393,27 @@ class TestExpLog:
         path = exp_k(c0, v, 2, W, kind, M)
         c2 = exp2(c0, v, W, kind, M)
         assert np.allclose(path[2].coeffs, c2.coeffs, atol=1e-12)
+
+    def test_exp_k_stall_keeps_the_finished_path(self, monkeypatch):
+        c0 = circle()
+        v = tangent_field(np.random.default_rng(51), 1, scale=0.3)
+        full = exp_k(c0, v, 6, W, EnergyKind.rat(), M)
+        real_step, calls = geodesic.el_step, []
+
+        def stalls_third(*args, **kwargs):
+            calls.append(None)
+            if len(calls) == 3:
+                raise NoConvergence("el_step: stalled")
+            return real_step(*args, **kwargs)
+
+        monkeypatch.setattr(geodesic, "el_step", stalls_third)
+        with pytest.raises(NoConvergence) as info:
+            exp_k(c0, v, 6, W, EnergyKind.rat(), M)
+        assert str(info.value) == "exp_k stalled at step 4/6: el_step: stalled"
+        partial = info.value.partial
+        assert isinstance(partial, DiscretePath) and partial.num_segments == 3
+        for got, want in zip(partial, full):
+            np.testing.assert_array_equal(got.coeffs, want.coeffs)
 
     def test_exp_k_refeeds_geodesic(self):
         # shooting with the first step of a solved boundary value problem must

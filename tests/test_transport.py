@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import circle, perturbed_circle, tangent_field
+from sobcurve import transport
 from sobcurve.curve import FourierCurve, pad
 from sobcurve.energy import EnergyKind
 from sobcurve.errors import DegeneratePlane, NoConvergence
@@ -156,6 +157,26 @@ class TestTransportPath:
         )
         with pytest.raises(NoConvergence, match="rung 1/2"):
             transport_path(path, W_UNIT, W, RAT, M, opts=opts)
+
+    def test_stall_keeps_the_finished_vectors(self, monkeypatch):
+        path = solve_bvp(circle(1.0), circle(1.2), 4, W, RAT, M)
+        full = transport_path(path, W_UNIT, W, RAT, M, return_all=True)
+        real_step, calls = transport.schild_step, []
+
+        def stalls_third(*args, **kwargs):
+            calls.append(None)
+            if len(calls) == 3:
+                raise NoConvergence("el_midpoint: stalled")
+            return real_step(*args, **kwargs)
+
+        monkeypatch.setattr(transport, "schild_step", stalls_third)
+        with pytest.raises(NoConvergence) as info:
+            transport_path(path, W_UNIT, W, RAT, M)
+        assert str(info.value) == "transport stalled at rung 3/4: el_midpoint: stalled"
+        partial = info.value.partial
+        assert len(partial) == 3
+        for got, want in zip(partial, full):
+            np.testing.assert_array_equal(got.coeffs, want.coeffs)
 
 
 # ---------------------------------------------------------------------------
