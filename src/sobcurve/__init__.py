@@ -10,7 +10,6 @@ curvature tensor, and exact analytic oracles at the circle for all of it.
 
 from .curve import (
     FourierCurve,
-    SampledJet,
     grid,
     load_curve,
     min_speed,
@@ -62,9 +61,7 @@ from .geodesic import (
     solve_bvp,
 )
 from .metric import (
-    ArclengthJet,
     MetricWeights,
-    arclength_jet,
     gram_matrix,
     metric_eval,
     sobolev_norm,

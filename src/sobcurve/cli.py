@@ -158,8 +158,8 @@ def parse_eps_rule(text: str):
         c = float(m.group(1))
         return lambda k: c * k**-1.5
     value = float(t)  # raises ValueError on anything else
-    if value <= 0.0:
-        raise ValueError("epsilon must be positive")
+    if not 0.0 < value < math.inf:
+        raise ValueError("epsilon must be finite and positive")
     return lambda k: value
 
 
@@ -175,8 +175,8 @@ def parse_tau_rule(text: str):
         denom = float(m.group(2)) if m.group(2) else 1.0
         return lambda tau: tau**power / denom
     value = float(t)
-    if value <= 0.0:
-        raise ValueError("schedule epsilon must be positive")
+    if not 0.0 < value < math.inf:
+        raise ValueError("schedule epsilon must be finite and positive")
     return lambda tau: value
 
 

@@ -7,7 +7,8 @@ coefficients,
 
 with vector coefficients ``a_k, b_k in R^d``.  Differentiation in theta is
 performed in coefficient space (multiply mode ``k`` by the exact factors), so
-sampled jets carry no differentiation error beyond round-off.  Grids are
+the jets :func:`sample_jet` returns, plain read-only arrays of shape
+(m+1, M, d), carry no differentiation error beyond round-off.  Grids are
 always the uniform nodes ``theta_i = 2 pi i / M``.
 
 Curves are immutable value objects; the arithmetic operators return new
@@ -29,7 +30,6 @@ from .errors import InsufficientSamples
 
 __all__ = [
     "FourierCurve",
-    "SampledJet",
     "sample_jet",
     "project_samples",
     "truncate",
@@ -184,47 +184,18 @@ class FourierCurve:
         return self * (-1.0)
 
 
-@dataclass(frozen=True)
-class SampledJet:
-    """Exact grid samples of a curve and its first ``m`` theta-derivatives.
-
-    ``values[j, i]`` is c^{(j)}(theta_i) in R^d, for j = 0..m on the uniform
-    M-point grid.
-    """
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        vals = _as_readonly(self.values)
-        if vals.ndim != 3:
-            raise ValueError("jet values must have shape (m+1, M, d)")
-        object.__setattr__(self, "values", vals)
-
-    @property
-    def max_order(self) -> int:
-        return self.values.shape[0] - 1
-
-    @property
-    def num_nodes(self) -> int:
-        return self.values.shape[1]
-
-    @property
-    def dim(self) -> int:
-        return self.values.shape[2]
-
-    def deriv(self, j: int) -> np.ndarray:
-        """Samples of c^{(j)} on the grid, shape (M, d)."""
-        return self.values[j]
-
-
-def sample_jet(curve: FourierCurve, num_nodes: int, max_order: int) -> SampledJet:
+def sample_jet(curve: FourierCurve, num_nodes: int, max_order: int) -> np.ndarray:
     """Sample ``curve`` and its theta-derivatives up to ``max_order``.
 
+    Returns a read-only array of shape (max_order+1, M, d) whose entry
+    ``[j, i]`` is c^{(j)}(theta_i) on the uniform M-point grid.
     Differentiation happens on the coefficients (mode k picks up the exact
     factor k^j and phase shift), so every entry is exact to round-off.
     """
     vals = _jet_matrix(curve.order, num_nodes, max_order) @ curve.coeffs
-    return SampledJet(vals.reshape(max_order + 1, num_nodes, curve.dim))
+    vals = vals.reshape(max_order + 1, num_nodes, curve.dim)
+    vals.setflags(write=False)
+    return vals
 
 
 def project_samples(samples: np.ndarray, order: int) -> FourierCurve:

@@ -52,7 +52,14 @@ import numpy as np
 
 from .curve import FourierCurve, _jet_matrix, pad, sample_jet, truncate
 from .errors import DegenerateCurve, NonPositiveLowerBound, NonPositiveQ
-from .metric import SPEED_FLOOR, MetricWeights, _require_m2, _scalar_arclength_ops, gram_scalar
+from .metric import (
+    SPEED_FLOOR,
+    MetricWeights,
+    _require_m2,
+    _scalar_arclength_ops,
+    _weighted_gram,
+    gram_scalar,
+)
 
 __all__ = [
     "EnergyKind",
@@ -86,8 +93,8 @@ class EnergyKind:
         if self.name not in ("reg", "rat"):
             raise ValueError(f"unknown energy kind {self.name!r}")
         if self.name == "reg":
-            if self.epsilon is None or not self.epsilon > 0.0:
-                raise ValueError("reg energy needs epsilon > 0")
+            if self.epsilon is None or not 0.0 < self.epsilon < math.inf:
+                raise ValueError("reg energy needs a finite epsilon > 0")
         elif self.epsilon is not None:
             raise ValueError("rat energy takes no epsilon")
 
@@ -158,8 +165,8 @@ def length_bounds(
     Warns when epsilon is so large that the clipped minimum can kink
     (epsilon >= 2 min speed).
     """
-    hp = sample_jet(c_hat, num_nodes, 1).deriv(1)
-    cp = sample_jet(c_check, num_nodes, 1).deriv(1)
+    hp = sample_jet(c_hat, num_nodes, 1)[1]
+    cp = sample_jet(c_check, num_nodes, 1)[1]
     r, p = _norm(hp), _norm(cp)
     _check_epsilon(epsilon, _require_immersed(r, p))
     return _length_bound_arrays(hp, cp, r, p, epsilon)
@@ -1146,12 +1153,7 @@ def hessian_scalar_at_diagonal(
     factors = [speed + eps / 2.0]
     for j in range(1, weights.order + 1):
         factors.append((speed - eps / 2.0) ** (5 - 6 * j) * speed ** (6 * j - 4))
-    hess = np.zeros((2 * n + 1, 2 * n + 1))
-    for j, a in enumerate(weights.coefficients):
-        if a == 0.0:
-            continue
-        hess += a * (ops[j].T @ (ops[j] * (tw * factors[j])[:, None]))
-    return 2.0 * 0.5 * (hess + hess.T)
+    return 2.0 * _weighted_gram(ops, weights.coefficients, [tw * f for f in factors])
 
 
 def hessian_at_diagonal(

@@ -7,10 +7,15 @@ The metric at a curve ``c`` acting on tangent fields ``xi, zeta`` is
 with arc-length differentiation ``d_s = |c'|^{-1} d_theta`` and measure
 ``ds = |c'| dtheta``.  Constant coefficients a_0, a_m > 0, a_j >= 0.
 
-Discretely, a tangent field is pushed to the uniform grid, and each d_s
-application is one exact spectral theta-derivative (through the alias-free
-modes <= floor((M-1)/2)) followed by pointwise division by the speed.
-Integrals use the trapezium rule, which is spectrally accurate here.
+Discretely, one arc-length chain serves every use of the metric: grid
+samples of shape (M, cols) are differentiated order by order, each d_s
+application being one exact spectral theta-derivative (through the
+alias-free modes <= floor((M-1)/2)) followed by pointwise division by the
+speed.  :func:`metric_eval` runs it on the samples of both fields side by
+side; the Gram operators run it on the columns of the evaluation matrix and
+sum their weighted products in one helper, which the smoothed diagonal
+Hessian shares.  Integrals use the trapezium rule, which is spectrally
+accurate here.
 """
 
 from __future__ import annotations
@@ -25,8 +30,6 @@ from .errors import DegenerateCurve
 __all__ = [
     "SPEED_FLOOR",
     "MetricWeights",
-    "ArclengthJet",
-    "arclength_jet",
     "metric_eval",
     "gram_matrix",
     "w_lin_oracle",
@@ -47,6 +50,8 @@ class MetricWeights:
         coeff = tuple(float(a) for a in self.coefficients)
         if len(coeff) < 3:
             raise ValueError("metric order must be at least 2 (need a_0..a_m, m >= 2)")
+        if not all(np.isfinite(coeff)):
+            raise ValueError("metric coefficients must be finite (got NaN or infinity)")
         if coeff[0] <= 0.0 or coeff[-1] <= 0.0:
             raise ValueError("a_0 and a_m must be positive")
         if any(a < 0.0 for a in coeff):
@@ -88,55 +93,22 @@ def spectral_theta_deriv(values: np.ndarray) -> np.ndarray:
     return np.fft.irfft(spec * ik.reshape(shape), n=m, axis=0)
 
 
-def _speed(base: FourierCurve, num_nodes: int, floor: float) -> np.ndarray:
-    cp = sample_jet(base, num_nodes, 1).deriv(1)
-    speed = np.linalg.norm(cp, axis=1)
-    if np.min(speed) <= floor:
+def _speed(base: FourierCurve, num_nodes: int) -> np.ndarray:
+    speed = np.linalg.norm(sample_jet(base, num_nodes, 1)[1], axis=1)
+    if np.min(speed) <= SPEED_FLOOR:
         raise DegenerateCurve(
-            f"curve speed {np.min(speed):.3e} at or below floor {floor:.1e}"
+            f"curve speed {np.min(speed):.3e} at or below floor {SPEED_FLOOR:.1e}"
         )
     return speed
 
 
-@dataclass(frozen=True)
-class ArclengthJet:
-    """Grid samples of d_s^j xi for j = 0..m along a base curve.
-
-    ``values[j, i]`` is (d_s^j xi)(theta_i); ``speed[i]`` is |c'(theta_i)| of
-    the base curve the jet was formed along.
-    """
-
-    values: np.ndarray
-    speed: np.ndarray
-
-    @property
-    def max_order(self) -> int:
-        return self.values.shape[0] - 1
-
-    def deriv(self, j: int) -> np.ndarray:
-        return self.values[j]
-
-
-def arclength_jet(
-    base: FourierCurve,
-    field: FourierCurve,
-    num_nodes: int,
-    max_order: int,
-    floor: float = SPEED_FLOOR,
-) -> ArclengthJet:
-    """Arc-length derivatives of ``field`` along ``base`` on the uniform grid.
-
-    Raises
-    ------
-    DegenerateCurve
-        If min |base'| <= floor.
-    """
-    speed = _speed(base, num_nodes, floor)
-    vals = np.empty((max_order + 1, num_nodes, field.dim))
-    vals[0] = sample_jet(field, num_nodes, 0).deriv(0)
-    for j in range(max_order):
-        vals[j + 1] = spectral_theta_deriv(vals[j]) / speed[:, None]
-    return ArclengthJet(vals, speed)
+def _arclength_chain(samples: np.ndarray, speed: np.ndarray, max_order: int) -> list:
+    """The arc-length chain [x, d_s x, ..., d_s^max_order x] of grid samples
+    x of shape (M, cols), column by column, along a base of grid speed ``speed``."""
+    chain = [samples]
+    for _ in range(max_order):
+        chain.append(spectral_theta_deriv(chain[-1]) / speed[:, None])
+    return chain
 
 
 def metric_eval(
@@ -146,15 +118,27 @@ def metric_eval(
     weights: MetricWeights,
     num_nodes: int,
 ) -> float:
-    """Evaluate g_base(xi, zeta) by trapezium quadrature on ``num_nodes`` nodes."""
-    jx = arclength_jet(base, xi, num_nodes, weights.order)
-    jz = arclength_jet(base, zeta, num_nodes, weights.order)
+    """Evaluate g_base(xi, zeta) by trapezium quadrature on ``num_nodes`` nodes.
+
+    Raises
+    ------
+    ValueError
+        If a field's ambient dimension differs from the base curve's.
+    DegenerateCurve
+        If min |base'| on the grid is at or below :data:`SPEED_FLOOR`.
+    """
+    if {xi.dim, zeta.dim} != {base.dim}:
+        raise ValueError(
+            f"fields of dimension {xi.dim} and {zeta.dim} along a curve in R^{base.dim}"
+        )
+    speed = _speed(base, num_nodes)
+    both = np.hstack([sample_jet(xi, num_nodes, 0)[0], sample_jet(zeta, num_nodes, 0)[0]])
+    d = base.dim
     integrand = np.zeros(num_nodes)
-    for j, a in enumerate(weights.coefficients):
-        if a == 0.0:
-            continue
-        integrand += a * np.sum(jx.deriv(j) * jz.deriv(j), axis=1)
-    return float(2.0 * np.pi / num_nodes * np.sum(integrand * jx.speed))
+    for a, ds in zip(weights.coefficients, _arclength_chain(both, speed, weights.order)):
+        if a != 0.0:
+            integrand += a * np.sum(ds[:, :d] * ds[:, d:], axis=1)
+    return float(2.0 * np.pi / num_nodes * np.sum(integrand * speed))
 
 
 # ---------------------------------------------------------------------------
@@ -167,17 +151,23 @@ def _scalar_arclength_ops(
     weights: MetricWeights,
     order: int,
     num_nodes: int,
-    floor: float = SPEED_FLOOR,
 ):
     """Operators A_j taking stacked scalar coefficients to grid samples of
-    d_s^j, j = 0..m, plus the base speed.  A_0 is the plain evaluation matrix;
-    each further step is one spectral derivative and a pointwise division.
+    d_s^j, j = 0..m, plus the base speed: the arc-length chain of the
+    evaluation matrix's columns.
     """
-    speed = _speed(base, num_nodes, floor)
-    ops = [np.asarray(_eval_matrix(order, num_nodes, 0))]
-    for _ in range(weights.order):
-        ops.append(spectral_theta_deriv(ops[-1]) / speed[:, None])
-    return ops, speed
+    speed = _speed(base, num_nodes)
+    return _arclength_chain(_eval_matrix(order, num_nodes, 0), speed, weights.order), speed
+
+
+def _weighted_gram(ops: list, coefficients: tuple, node_weights: list) -> np.ndarray:
+    """Symmetrised sum_j a_j A_j^T diag(w_j) A_j over the nonzero a_j, for
+    operators A_j and node weights w_j of order j = 0..m."""
+    gram = np.zeros((ops[0].shape[1],) * 2)
+    for a, op, w in zip(coefficients, ops, node_weights):
+        if a != 0.0:
+            gram += a * (op.T @ (op * w[:, None]))
+    return 0.5 * (gram + gram.T)
 
 
 def gram_scalar(
@@ -192,14 +182,8 @@ def gram_scalar(
     over R^d-valued coefficients is this block kron'd with the identity.
     """
     ops, speed = _scalar_arclength_ops(base, weights, order, num_nodes)
-    tw = 2.0 * np.pi / num_nodes
-    n = 2 * order + 1
-    gram = np.zeros((n, n))
-    for j, a in enumerate(weights.coefficients):
-        if a == 0.0:
-            continue
-        gram += a * (ops[j].T @ (ops[j] * (tw * speed)[:, None]))
-    return 0.5 * (gram + gram.T)
+    node_weight = 2.0 * np.pi / num_nodes * speed
+    return _weighted_gram(ops, weights.coefficients, [node_weight] * len(ops))
 
 
 def gram_matrix(

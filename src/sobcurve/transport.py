@@ -60,8 +60,8 @@ class CurvatureSchedule:
     def __post_init__(self):
         if not self.beta > 1.0:
             raise ValueError("inner-step exponent beta must exceed 1")
-        if not (self.eps_out > 0.0 and self.eps_in > 0.0):
-            raise ValueError("regularization parameters must be positive")
+        if not (0.0 < self.eps_out < np.inf and 0.0 < self.eps_in < np.inf):
+            raise ValueError("regularization parameters must be finite and positive")
 
     @classmethod
     def one_sided(cls, tau: float) -> "CurvatureSchedule":

@@ -82,7 +82,7 @@ class TestRuleParsing:
         rule = parse_eps_rule("2*K^-3/2")
         assert rule(4) == pytest.approx(0.25)
 
-    @pytest.mark.parametrize("bad", ["-1", "0", "K", "eps/K"])
+    @pytest.mark.parametrize("bad", ["-1", "0", "K", "eps/K", "inf", "nan"])
     def test_eps_rejects(self, bad):
         with pytest.raises(ValueError):
             parse_eps_rule(bad)
@@ -232,6 +232,20 @@ class TestErrorExits:
         path.write_text(json.dumps(record))
         rc = main(argv + [str(path), "--out", str(tmp_path / "out")])
         assert rc == 2
+        err = capsys.readouterr().err
+        assert "error[config]" in err and "finite" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["log", "--in-a", "circle", "--in-b", "circle:1.1", "--weights", "1,nan,1"],
+        ["geodesic", "-K", "2", "--in-a", "circle", "--in-b", "circle:1.1",
+         "--weights", "1,1,inf"],
+        ["geodesic", "-K", "2", "--in-a", "circle", "--in-b", "circle:1.1",
+         "--kind", "reg", "--epsilon", "inf"],
+        ["curvature", "--in-a", "circle", "--in-v", "cosx", "--in-w", "mixw", "-K", "8",
+         "--kind", "reg", "--eps-out", "inf"],
+    ], ids=["weights-nan", "weights-inf", "epsilon-inf", "eps-out-inf"])
+    def test_non_finite_parameters_are_config_errors(self, argv, tmp_path, capsys):
+        assert main(argv + ["--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err
         assert "error[config]" in err and "finite" in err
 

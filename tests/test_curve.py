@@ -86,9 +86,10 @@ def test_sample_jet_matches_eval():
     rng = np.random.default_rng(2)
     c = perturbed_circle(rng, order=4)
     jet = sample_jet(c, 32, 3)
+    assert jet.shape == (4, 32, 2) and not jet.flags.writeable
     theta = grid(32)
     for j in range(4):
-        np.testing.assert_allclose(jet.deriv(j), c.eval(theta, deriv=j), atol=1e-12)
+        np.testing.assert_allclose(jet[j], c.eval(theta, deriv=j), atol=1e-12)
 
 
 @settings(max_examples=25, deadline=None)
@@ -121,7 +122,7 @@ def test_min_speed():
     assert min_speed(circle(radius=0.7), 64) == pytest.approx(0.7, rel=1e-12)
     rng = np.random.default_rng(4)
     c = perturbed_circle(rng)
-    speeds = np.linalg.norm(sample_jet(c, 256, 1).deriv(1), axis=1)
+    speeds = np.linalg.norm(sample_jet(c, 256, 1)[1], axis=1)
     assert min_speed(c, 256) == pytest.approx(np.min(speeds))
 
 

@@ -56,6 +56,10 @@ class TestEnergyKind:
         with pytest.raises(ValueError):
             EnergyKind.reg(0.0)
         with pytest.raises(ValueError):
+            EnergyKind.reg(np.inf)
+        with pytest.raises(ValueError):
+            EnergyKind.reg(np.nan)
+        with pytest.raises(ValueError):
             EnergyKind("rat", 0.1)
         with pytest.raises(ValueError):
             EnergyKind("smooth", 0.1)
@@ -81,7 +85,7 @@ def test_length_bounds_on_diagonal():
     c = perturbed_circle(rng)
     eps = 0.05
     lplus, lminus = length_bounds(c, c, eps, M)
-    speed = np.linalg.norm(sample_jet(c, M, 1).deriv(1), axis=1)
+    speed = np.linalg.norm(sample_jet(c, M, 1)[1], axis=1)
     np.testing.assert_allclose(lplus, speed + eps / 2.0, atol=1e-14)
     np.testing.assert_allclose(lminus, speed - eps / 2.0, atol=1e-14)
 
@@ -91,8 +95,8 @@ def test_length_bounds_contain_blend_speeds():
     rng = np.random.default_rng(2)
     a, b = nearby_pair(rng)
     lplus, lminus = length_bounds(a, b, 0.01, M)
-    ap = sample_jet(a, M, 1).deriv(1)
-    bp = sample_jet(b, M, 1).deriv(1)
+    ap = sample_jet(a, M, 1)[1]
+    bp = sample_jet(b, M, 1)[1]
     t = np.linspace(0.0, 1.0, 1000)[:, None, None]
     speeds = np.linalg.norm((1.0 - t) * ap + t * bp, axis=2)  # (T, M)
     assert np.all(speeds <= lplus[None, :] + 1e-12)
@@ -217,8 +221,8 @@ def w_reg_monomial(c_hat, c_check, weights, epsilon, num_nodes):
     Bernstein basis; weights 1/5, 1/20, 1/30 are the exact integrals of
     (1-t)^a t^(4-a)."""
     a0, a1, a2 = weights.coefficients
-    hat = sample_jet(c_hat, num_nodes, 2).values
-    chk = sample_jet(c_check, num_nodes, 2).values
+    hat = sample_jet(c_hat, num_nodes, 2)
+    chk = sample_jet(c_check, num_nodes, 2)
     lplus, lminus = length_bounds(c_hat, c_check, epsilon, num_nodes)
     d0, d1, d2 = chk[0] - hat[0], chk[1] - hat[1], chk[2] - hat[2]
 
@@ -354,14 +358,14 @@ def test_rational_coefficients_fields():
     co = rational_coefficients(a, b, M)
     hat = sample_jet(a, M, 2)
     chk = sample_jet(b, M, 2)
-    np.testing.assert_allclose(co.r, np.linalg.norm(hat.deriv(1), axis=1), atol=1e-14)
+    np.testing.assert_allclose(co.r, np.linalg.norm(hat[1], axis=1), atol=1e-14)
     np.testing.assert_allclose(co.v, co.q / (co.r * co.p), atol=1e-14)
     assert np.all(co.V <= 1.0 + 1e-14)
     assert np.all(co.V >= co.v - 1e-14)
     # blend identities: |c_t'|^2 and c_t'.c_t'' are the stated t-quadratics
     for t in (0.25, 0.7):
-        blend_p = (1.0 - t) * hat.deriv(1) + t * chk.deriv(1)
-        blend_pp = (1.0 - t) * hat.deriv(2) + t * chk.deriv(2)
+        blend_p = (1.0 - t) * hat[1] + t * chk[1]
+        blend_pp = (1.0 - t) * hat[2] + t * chk[2]
         dsq = (1 - t) ** 2 * co.r**2 + 2 * t * (1 - t) * co.q + t**2 * co.p**2
         quad = (1 - t) ** 2 * co.rho + 2 * t * (1 - t) * co.tau + t**2 * co.sigma
         np.testing.assert_allclose(np.sum(blend_p * blend_p, 1), dsq, rtol=1e-13)
@@ -422,23 +426,29 @@ def test_hessian_reg_sandwiched_by_gram():
     eps = 0.05
     H = hessian_at_diagonal(c, W2, EnergyKind.reg(eps), M)
     G2 = 2.0 * gram_matrix(c, W2, c.order, M)
-    speed = np.linalg.norm(sample_jet(c, M, 1).deriv(1), axis=1)
+    speed = np.linalg.norm(sample_jet(c, M, 1)[1], axis=1)
     upper = (1.0 - eps / (2.0 * np.min(speed))) ** (5 - 6 * 2)
     vals = scipy.linalg.eigh(H, G2, eigvals_only=True)
     assert np.all(vals >= 1.0 - 1e-8)
     assert np.all(vals <= upper + 1e-8)
 
 
-@pytest.mark.parametrize("kind", KINDS[:2], ids=kind_id)
-def test_hessian_matches_finite_differences(kind):
+@pytest.mark.parametrize("kind, weights", [
+    pytest.param(KINDS[0], W2, id="rat"),
+    pytest.param(KINDS[1], W2, id="reg0.1"),
+    pytest.param(KINDS[1], MetricWeights.of(1.0, 0.0, 0.5, 0.25), id="reg0.1-m3"),
+])
+def test_hessian_matches_finite_differences(kind, weights):
     rng = np.random.default_rng(19)
     c = perturbed_circle(rng, order=2)
-    H = hessian_at_diagonal(c, W2, kind, M)
+    H = hessian_at_diagonal(c, weights, kind, M)
     s = 1e-4
     for _ in range(3):
         u = tangent_field(rng, c.order, scale=0.5)
         flat = u.coeffs.ravel()
-        second = (w_eval(c, c + u * s, W2, kind, M) + w_eval(c, c + u * (-s), W2, kind, M)) / s**2
+        second = (
+            w_eval(c, c + u * s, weights, kind, M) + w_eval(c, c + u * (-s), weights, kind, M)
+        ) / s**2
         assert second == pytest.approx(flat @ H @ flat, rel=1e-3)
 
 

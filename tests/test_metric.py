@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -6,7 +8,7 @@ from sobcurve.curve import FourierCurve, grid
 from sobcurve.errors import DegenerateCurve
 from sobcurve.metric import (
     MetricWeights,
-    arclength_jet,
+    _scalar_arclength_ops,
     gram_matrix,
     metric_eval,
     sobolev_norm,
@@ -15,6 +17,7 @@ from sobcurve.metric import (
 )
 
 W2 = MetricWeights.of(1.0, 1.0, 1.0)
+W3 = MetricWeights.of(1.0, 0.0, 0.5, 0.25)  # a zero coefficient and a third order
 
 
 class TestWeights:
@@ -24,7 +27,8 @@ class TestWeights:
 
     @pytest.mark.parametrize(
         "coeffs",
-        [(1.0,), (1.0, 1.0), (0.0, 1.0, 1.0), (1.0, 1.0, 0.0), (1.0, -1.0, 1.0)],
+        [(1.0,), (1.0, 1.0), (0.0, 1.0, 1.0), (1.0, 1.0, 0.0), (1.0, -1.0, 1.0),
+         (1.0, math.nan, 1.0), (1.0, 1.0, math.inf)],
     )
     def test_validation(self, coeffs):
         with pytest.raises(ValueError):
@@ -39,20 +43,32 @@ def test_spectral_derivative_exact(num_nodes):
     np.testing.assert_allclose(spectral_theta_deriv(vals), expected, atol=1e-12)
 
 
-def test_arclength_jet_is_theta_jet_at_unit_circle():
+def test_arclength_chain_is_theta_jet_at_unit_circle():
+    # unit speed makes d_s = d_theta, so the chain applied to the columns of
+    # the evaluation matrix gives the theta-jet of any field
     rng = np.random.default_rng(0)
     field = tangent_field(rng, 3)
-    jet = arclength_jet(circle(), field, 64, 2)
+    ops, speed = _scalar_arclength_ops(circle(), W3, field.order, 64)
     theta = grid(64)
-    np.testing.assert_allclose(jet.speed, 1.0, atol=1e-14)
-    for j in range(3):
-        np.testing.assert_allclose(jet.deriv(j), field.eval(theta, deriv=j), atol=1e-11)
+    np.testing.assert_allclose(speed, 1.0, atol=1e-14)
+    for j in range(4):
+        np.testing.assert_allclose(ops[j] @ field.coeffs, field.eval(theta, deriv=j), atol=1e-10)
 
 
-def test_arclength_jet_rejects_degenerate_curve():
+def test_degenerate_base_is_rejected():
     flat = FourierCurve(np.array([[0.3, -0.1]]), np.zeros((0, 2)))  # a point
     with pytest.raises(DegenerateCurve):
-        arclength_jet(flat, circle(), 16, 1)
+        metric_eval(flat, circle(), circle(), W2, 16)
+    with pytest.raises(DegenerateCurve):
+        gram_matrix(flat, W2, 1, 16)
+
+
+def test_metric_rejects_fields_of_another_dimension():
+    field = FourierCurve(np.array([[0.0, 0.0, 1.0]]), np.zeros((0, 3)))
+    with pytest.raises(ValueError, match="dimension"):
+        metric_eval(circle(), field, field, W2, 16)
+    with pytest.raises(ValueError, match="dimension"):
+        metric_eval(circle(), circle(), field, W2, 16)
 
 
 @pytest.mark.parametrize("mode", range(1, 4))
@@ -106,15 +122,16 @@ def test_metric_rigid_motion_invariance():
     assert rotated == pytest.approx(ref, rel=1e-12)
 
 
-def test_gram_matrix_reproduces_metric():
+@pytest.mark.parametrize("weights", [W2, W3], ids=["m2", "m3"])
+def test_gram_matrix_reproduces_metric(weights):
     rng = np.random.default_rng(3)
     base = perturbed_circle(rng, order=3)
     order = 4
-    G = gram_matrix(base, W2, order, 128)
+    G = gram_matrix(base, weights, order, 128)
     for _ in range(5):
         xi, zeta = tangent_field(rng, order), tangent_field(rng, order)
         quad = xi.coeffs.ravel() @ G @ zeta.coeffs.ravel()
-        assert quad == pytest.approx(metric_eval(base, xi, zeta, W2, 128), rel=1e-11)
+        assert quad == pytest.approx(metric_eval(base, xi, zeta, weights, 128), rel=1e-11)
     np.testing.assert_allclose(G, G.T, atol=1e-12)
     assert np.all(np.linalg.eigvalsh(G) > 0.0)
 

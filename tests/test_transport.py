@@ -70,6 +70,10 @@ class TestCurvatureSchedule:
             CurvatureSchedule(beta=1.0, eps_out=0.1, eps_in=0.01)
         with pytest.raises(ValueError):
             CurvatureSchedule(beta=2.0, eps_out=0.0, eps_in=0.01)
+        with pytest.raises(ValueError):
+            CurvatureSchedule(beta=2.0, eps_out=np.inf, eps_in=0.01)
+        with pytest.raises(ValueError):
+            CurvatureSchedule(beta=2.0, eps_out=0.1, eps_in=np.inf)
 
     def test_kinds_resolution(self):
         sch = CurvatureSchedule.one_sided(0.25)
