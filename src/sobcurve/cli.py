@@ -142,6 +142,12 @@ def parse_weights(text: str) -> MetricWeights:
     return MetricWeights.of(*(float(p) for p in text.split(",")))
 
 
+def _finite_positive(value: float, what: str) -> float:
+    if not 0.0 < value < math.inf:
+        raise ValueError(f"{what} must be finite and positive")
+    return value
+
+
 def parse_eps_rule(text: str):
     """Epsilon as a function of the segment count K.
 
@@ -155,11 +161,9 @@ def parse_eps_rule(text: str):
         return lambda k: 1.0 / math.sqrt(k)
     m = re.fullmatch(r"([0-9.eE+-]+)\*k\^\(?(?:-3/2|-1\.5)\)?", t)
     if m:
-        c = float(m.group(1))
+        c = _finite_positive(float(m.group(1)), "the factor c of c*K^-3/2")
         return lambda k: c * k**-1.5
-    value = float(t)  # raises ValueError on anything else
-    if not 0.0 < value < math.inf:
-        raise ValueError("epsilon must be finite and positive")
+    value = _finite_positive(float(t), "epsilon")  # float raises on anything else
     return lambda k: value
 
 
@@ -173,10 +177,9 @@ def parse_tau_rule(text: str):
     if m:
         power = float(m.group(1)) if m.group(1) else 1.0
         denom = float(m.group(2)) if m.group(2) else 1.0
+        _finite_positive(denom, "the divisor c of tau^p/c")
         return lambda tau: tau**power / denom
-    value = float(t)
-    if not 0.0 < value < math.inf:
-        raise ValueError("schedule epsilon must be finite and positive")
+    value = _finite_positive(float(t), "schedule epsilon")
     return lambda tau: value
 
 

@@ -21,6 +21,7 @@ finite-difference Newton polish when the contraction is too slow.
 from __future__ import annotations
 
 import dataclasses
+import numbers
 
 import numpy as np
 import scipy.linalg
@@ -127,6 +128,7 @@ class DiscretePath:
     @classmethod
     def linear(cls, c_a: FourierCurve, c_b: FourierCurve, num_segments: int) -> "DiscretePath":
         """Linear interpolation between the endpoints in coefficient space."""
+        _require_count(num_segments, "num_segments")
         ts = np.linspace(0.0, 1.0, num_segments + 1)
         return cls(tuple(c_a + (c_b - c_a) * float(t) for t in ts))
 
@@ -142,6 +144,7 @@ class DiscretePath:
 
 def resample_path(path: DiscretePath, num_segments: int) -> DiscretePath:
     """Linear-in-time resampling of a path onto ``num_segments`` segments."""
+    _require_count(num_segments, "num_segments")
     k_old = path.num_segments
     out = []
     for j in range(num_segments + 1):
@@ -162,7 +165,15 @@ class SolverOptions:
     grad_tol is relative: the boundary value solver stops at
     grad_tol * (1 + initial gradient norm).  fixed_point_tol bounds the
     preconditioned residual of the Euler-Lagrange step solver, again relative
-    to 1 + the initial residual.
+    to 1 + the initial residual.  How far below it a solve goes depends on
+    the caller: ``exp_k`` stops each of its K steps as soon as the residual
+    is at most fixed_point_tol / K (a position error in one step becomes a
+    velocity error K times larger).  Every other caller -- ``el_step`` and
+    ``el_midpoint`` called directly, ``exp2`` / ``log2`` and the Schild
+    rungs of ``transport_path``, ``cov_deriv`` and ``riemann_tensor`` --
+    accepts at fixed_point_tol but keeps iterating to the rounding floor
+    while each sweep still gains a digit, because those results get divided
+    by small step sizes.
     """
 
     grad_tol: float = 1e-8
@@ -172,10 +183,17 @@ class SolverOptions:
     newton_fallback: bool = True
 
     def __post_init__(self):
-        if not (self.grad_tol > 0.0 and self.fixed_point_tol > 0.0):
-            raise ValueError("tolerances must be positive")
-        if self.max_iters < 1 or self.fixed_point_max_iters < 1:
-            raise ValueError("iteration budgets must be at least 1")
+        for name in ("grad_tol", "fixed_point_tol"):
+            if not 0.0 < getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be finite and positive")
+        for name in ("max_iters", "fixed_point_max_iters"):
+            _require_count(getattr(self, name), name)
+
+
+def _require_count(value, name):
+    """Raise ValueError unless ``value`` is an integer >= 1 (bools are rejected)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
 
 
 _DEFAULT_OPTIONS = SolverOptions()
@@ -248,17 +266,20 @@ def _residual_norm(res_arr, precond):
     return eta, float(np.sqrt(max(np.sum(res_arr * eta), 0.0)))
 
 
-def _solve_root(residual, y0, precond, sign, opts, label):
+def _solve_root(residual, y0, precond, sign, opts, label, stop_tol=None):
     """Drive ``residual`` to zero starting from coefficient array ``y0``.
 
     residual(y) -> array, may raise a package error when y leaves the
     admissible set (the step is then damped).  Returns the solution array.
+    With ``stop_tol`` the solve stops as soon as the preconditioned residual
+    is at most stop_tol * (1 + initial residual); without it, it accepts at
+    opts.fixed_point_tol but polishes on towards the rounding floor.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        return _solve_root_impl(residual, y0, precond, sign, opts, label)
+        return _solve_root_impl(residual, y0, precond, sign, opts, label, stop_tol)
 
 
-def _solve_root_impl(residual, y0, precond, sign, opts, label):
+def _solve_root_impl(residual, y0, precond, sign, opts, label, stop_tol):
     # non-finite residuals are handled explicitly, so overflow in wildly
     # inadmissible probe steps is expected and silenced by the caller
     y = y0
@@ -266,14 +287,17 @@ def _solve_root_impl(residual, y0, precond, sign, opts, label):
     if not np.all(np.isfinite(res_arr)):
         raise NoConvergence(f"{label}: residual not finite at the initial guess")
     eta, res = _residual_norm(res_arr, precond)
-    tol = opts.fixed_point_tol * (1.0 + res)
+    polish = stop_tol is None
+    tol = (opts.fixed_point_tol if polish else stop_tol) * (1.0 + res)
     best_y, best_res = y, res
     stall = 0
-    # While consecutive sweeps gain a full digit the map is strongly
-    # contractive (nearby curves), so keep polishing past the tolerance down
-    # to the rounding floor -- callers that divide the answer by small step
-    # sizes (covariant quotients) need every digit that comes this cheap.
-    rapid = res > 0.0
+    # Without a stop tolerance, keep polishing past the tolerance down to the
+    # rounding floor while consecutive sweeps gain a full digit (the map is
+    # strongly contractive for nearby curves): exp2 / log2 and the Schild
+    # rungs behind transport_path, cov_deriv and riemann_tensor divide their
+    # answer by small step sizes and need every digit that comes this cheap.
+    # exp_k passes stop_tol = fixed_point_tol / K and stops at it instead.
+    rapid = polish and res > 0.0
     for _ in range(opts.fixed_point_max_iters):
         if best_res <= tol and not rapid:
             break
@@ -294,7 +318,7 @@ def _solve_root_impl(residual, y0, precond, sign, opts, label):
         y = y_new
         prev = res
         eta, res = _residual_norm(res_arr, precond)
-        rapid = res <= 0.1 * prev
+        rapid = polish and res <= 0.1 * prev
         if res < best_res:
             improved = res < 0.9 * best_res
             best_y, best_res = y, res
@@ -370,6 +394,9 @@ def el_step(
     num_nodes: int,
     opts: SolverOptions | None = None,
     init: FourierCurve | None = None,
+    *,
+    _stop_tol: float | None = None,
+    _carry: list | None = None,
 ) -> FourierCurve:
     """One forward Euler-Lagrange step: the curve ``next`` solving
 
@@ -377,19 +404,32 @@ def el_step(
 
     The default initial guess extrapolates linearly (2 cur - prev); the
     preconditioner is the diagonal Hessian at ``prev``.
+
+    ``_stop_tol`` and ``_carry`` serve ``exp_k``: the first is the solver's
+    stop tolerance (see ``_solve_root``); the second is a one-element list
+    holding W_{,2}[prev, cur] or None on entry, and W_{,2}[cur, next] on
+    exit when the solver's last gradient call was at the accepted ``next``
+    (None otherwise), so consecutive steps share that partial.
     """
     opts = opts or _DEFAULT_OPTIONS
     n = max(prev.order, cur.order, init.order if init is not None else 0)
     prev, cur = pad(prev, n), pad(cur, n)
     base = cur.coeffs
-    fixed = w_grad(prev.coeffs[None], base[None], weights, kind, num_nodes)[1][0]
+    fixed = _carry[0] if _carry is not None else None
+    if fixed is None:
+        fixed = w_grad(prev.coeffs[None], base[None], weights, kind, num_nodes)[1][0]
+    last = [None, None]  # the latest iterate and its W_{,2}[cur, iterate]
 
     def residual(y):
-        return fixed + w_grad(base[None], y[None], weights, kind, num_nodes)[0][0]
+        g_cur, g_next = w_grad(base[None], y[None], weights, kind, num_nodes)
+        last[:] = y, g_next[0]
+        return fixed + g_cur[0]
 
     precond = _Preconditioner(prev, weights, kind, num_nodes)
     y0 = (pad(init, n).coeffs if init is not None else 2.0 * base - prev.coeffs).copy()
-    sol = _solve_root(residual, y0, precond, +1.0, opts, "el_step")
+    sol = _solve_root(residual, y0, precond, +1.0, opts, "el_step", _stop_tol)
+    if _carry is not None:
+        _carry[0] = last[1] if np.array_equal(last[0], sol) else None
     return FourierCurve.from_coeffs(sol)
 
 
@@ -464,15 +504,25 @@ def exp_k(
     Returns the whole path; its final curve approximates the time-1 geodesic
     endpoint with initial velocity v.  A stalled step raises NoConvergence
     whose ``partial`` is the path c_0..c_k finished before it.
+
+    Each step stops at the preconditioned residual fixed_point_tol / K
+    (relative), so the velocity error K * (position error) stays at
+    fixed_point_tol.  From the second step on it starts from the quadratic
+    extrapolation 3 c_k - 3 c_{k-1} + c_{k-2}, and it reuses the partial
+    W_{,2}[c_{k-1}, c_k] the previous step already computed.
     """
-    if num_segments < 1:
-        raise ValueError("need at least one segment")
+    _require_count(num_segments, "num_segments")
+    opts = opts or _DEFAULT_OPTIONS
+    stop_tol = opts.fixed_point_tol / num_segments
     c0 = pad(c0, v.order)
     curves = [c0, c0 + v * (1.0 / num_segments)]
+    carry = [None]
     for k in range(1, num_segments):
+        init = curves[-1] * 3.0 - curves[-2] * 3.0 + curves[-3] if k >= 2 else None
         try:
             curves.append(
-                el_step(curves[-2], curves[-1], weights, kind, num_nodes, opts)
+                el_step(curves[-2], curves[-1], weights, kind, num_nodes, opts, init,
+                        _stop_tol=stop_tol, _carry=carry)
             )
         except NoConvergence as err:
             stalled = NoConvergence(f"exp_k stalled at step {k + 1}/{num_segments}: {err}")
@@ -566,9 +616,8 @@ def solve_bvp(
     for label, c in (("c_a", c_a), ("c_b", c_b)):
         if min_speed(c, check_m) <= SPEED_FLOOR:
             raise DegenerateCurve(f"endpoint {label} is not immersed")
+    _require_count(num_segments, "num_segments")
     k = num_segments
-    if k < 1:
-        raise ValueError("need at least one segment")
 
     a_arr, b_arr = c_a.coeffs, c_b.coeffs
     if init_path is not None:

@@ -82,10 +82,16 @@ class TestRuleParsing:
         rule = parse_eps_rule("2*K^-3/2")
         assert rule(4) == pytest.approx(0.25)
 
-    @pytest.mark.parametrize("bad", ["-1", "0", "K", "eps/K", "inf", "nan"])
+    @pytest.mark.parametrize("bad", ["-1", "0", "K", "eps/K", "inf", "nan",
+                                     "-1*K^-3/2", "0*K^-3/2", "1e999*K^-3/2"])
     def test_eps_rejects(self, bad):
         with pytest.raises(ValueError):
             parse_eps_rule(bad)
+
+    @pytest.mark.parametrize("bad", ["tau/0", "tau^2/-1", "tau^2/1e999", "0", "inf"])
+    def test_tau_rejects(self, bad):
+        with pytest.raises(ValueError, match="finite and positive"):
+            parse_tau_rule(bad)
 
     def test_tau_powers(self):
         assert parse_tau_rule("tau")(0.25) == 0.25
@@ -243,7 +249,12 @@ class TestErrorExits:
          "--kind", "reg", "--epsilon", "inf"],
         ["curvature", "--in-a", "circle", "--in-v", "cosx", "--in-w", "mixw", "-K", "8",
          "--kind", "reg", "--eps-out", "inf"],
-    ], ids=["weights-nan", "weights-inf", "epsilon-inf", "eps-out-inf"])
+        ["curvature", "--in-a", "circle", "--in-v", "cosx", "--in-w", "mixw", "-K", "8",
+         "--kind", "reg", "--eps-out", "tau/0"],
+        ["geodesic", "-K", "2", "--in-a", "circle", "--in-b", "circle:1.1",
+         "--tol", "inf"],
+    ], ids=["weights-nan", "weights-inf", "epsilon-inf", "eps-out-inf",
+            "eps-out-zero-divisor", "tol-inf"])
     def test_non_finite_parameters_are_config_errors(self, argv, tmp_path, capsys):
         assert main(argv + ["--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err

@@ -26,7 +26,7 @@ from sobcurve.geodesic import (
     segment_energies,
     solve_bvp,
 )
-from sobcurve.metric import MetricWeights
+from sobcurve.metric import MetricWeights, sobolev_norm
 
 W = MetricWeights.of(1e-4, 1.0, 1e-2)
 M = 64
@@ -126,6 +126,21 @@ class TestDiscretePath:
             assert np.allclose(same[j].coeffs, path[j].coeffs, atol=1e-15)
 
 
+SEGMENT_COUNT_TAKERS = {
+    "exp_k": lambda k: exp_k(circle(1.0), FourierCurve.zeros(1, 2), k, W, EnergyKind.rat(), M),
+    "solve_bvp": lambda k: solve_bvp(circle(1.0), circle(1.2), k, W, EnergyKind.rat(), M),
+    "resample_path": lambda k: resample_path(DiscretePath.linear(circle(), circle(1.2), 4), k),
+    "linear": lambda k: DiscretePath.linear(circle(1.0), circle(1.2), k),
+}
+
+
+@pytest.mark.parametrize("bad", [True, 2.5, 0, np.float64(4.0)])
+@pytest.mark.parametrize("name", SEGMENT_COUNT_TAKERS)
+def test_segment_counts_must_be_integers(name, bad):
+    with pytest.raises(ValueError, match="num_segments"):
+        SEGMENT_COUNT_TAKERS[name](bad)
+
+
 class TestSolverOptions:
     def test_defaults_valid(self):
         opts = SolverOptions()
@@ -138,6 +153,12 @@ class TestSolverOptions:
             {"fixed_point_tol": -1e-10},
             {"max_iters": 0},
             {"fixed_point_max_iters": 0},
+            {"grad_tol": np.inf},
+            {"fixed_point_tol": np.inf},
+            {"grad_tol": np.nan},
+            {"max_iters": 2.5},
+            {"max_iters": True},
+            {"fixed_point_max_iters": 3.0},
         ],
     )
     def test_invalid_rejected(self, kwargs):
@@ -414,6 +435,76 @@ class TestExpLog:
         assert isinstance(partial, DiscretePath) and partial.num_segments == 3
         for got, want in zip(partial, full):
             np.testing.assert_array_equal(got.coeffs, want.coeffs)
+
+    def test_exp_k_matches_a_floor_polished_el_step_chain(self):
+        # exp_k stops each step at fixed_point_tol / K; plain el_step calls
+        # from the linear start polish every step to the rounding floor
+        c0, v = self._shot()
+        path = exp_k(c0, v, 64, W, EnergyKind.rat(), M)
+        curves = [c0, c0 + v * (1.0 / 64)]
+        for _ in range(63):
+            curves.append(el_step(curves[-2], curves[-1], W, EnergyKind.rat(), M))
+        assert sobolev_norm(path[-1] - curves[-1], 2) <= 1e-8
+
+    def test_exp_k_gradient_calls_per_step(self, monkeypatch):
+        # 4.05 calls per step; polishing every step to the floor took 9.0
+        c0, v = self._shot()
+        real_grad, calls = geodesic.w_grad, []
+
+        def counted(*args, **kwargs):
+            calls.append(None)
+            return real_grad(*args, **kwargs)
+
+        monkeypatch.setattr(geodesic, "w_grad", counted)
+        exp_k(c0, v, 64, W, EnergyKind.rat(), M)
+        assert len(calls) / 63 <= 5.5
+
+    def test_exp_k_carried_partial_equals_a_recomputed_one(self, monkeypatch):
+        c0, v = self._shot()
+        carried = exp_k(c0, v, 16, W, EnergyKind.rat(), M)
+        real_step = geodesic.el_step
+
+        def recomputing(*args, _carry=None, **kwargs):
+            return real_step(*args, **kwargs)
+
+        monkeypatch.setattr(geodesic, "el_step", recomputing)
+        fresh = exp_k(c0, v, 16, W, EnergyKind.rat(), M)
+        for got, want in zip(carried, fresh):
+            np.testing.assert_array_equal(got.coeffs, want.coeffs)
+
+    def test_exp_k_partial_after_a_newton_polish(self, monkeypatch):
+        # one fixed-point sweep never reaches the tolerance, so every step
+        # ends in the Newton polish
+        c0, v = self._shot()
+        opts = SolverOptions(fixed_point_max_iters=1)
+        default = exp_k(c0, v, 64, W, EnergyKind.rat(), M)
+        real_polish, polishes = geodesic._newton_polish, []
+
+        def counted(*args, **kwargs):
+            polishes.append(None)
+            return real_polish(*args, **kwargs)
+
+        monkeypatch.setattr(geodesic, "_newton_polish", counted)
+        polished = exp_k(c0, v, 64, W, EnergyKind.rat(), M, opts)
+        assert len(polishes) == 63
+        assert sobolev_norm(polished[-1] - default[-1], 2) <= 1e-8
+
+        def probes_after(residual, y, *args, **kwargs):
+            out = real_polish(residual, y, *args, **kwargs)
+            residual(2.0 * y)  # the last gradient call is off the accepted iterate
+            return out
+
+        # so the next step must recompute W_{,2} rather than carry it
+        monkeypatch.setattr(geodesic, "_newton_polish", probes_after)
+        recomputed = exp_k(c0, v, 64, W, EnergyKind.rat(), M, opts)
+        for got, want in zip(recomputed, polished):
+            np.testing.assert_array_equal(got.coeffs, want.coeffs)
+
+    @staticmethod
+    def _shot():
+        rng = np.random.default_rng(52)
+        c0 = perturbed_circle(rng, order=4, scale=0.02)
+        return c0, tangent_field(rng, order=3, scale=0.3)
 
     def test_exp_k_refeeds_geodesic(self):
         # shooting with the first step of a solved boundary value problem must
