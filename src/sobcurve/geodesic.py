@@ -173,7 +173,9 @@ class SolverOptions:
     rungs of ``transport_path``, ``cov_deriv`` and ``riemann_tensor`` --
     accepts at fixed_point_tol but keeps iterating to the rounding floor
     while each sweep still gains a digit, because those results get divided
-    by small step sizes.
+    by small step sizes.  ``transport_path`` starts the two solves of each
+    rung from the previous rungs' corrections, extrapolated, so they need
+    fewer sweeps to reach the same floor.
     """
 
     grad_tol: float = 1e-8
@@ -296,7 +298,9 @@ def _solve_root_impl(residual, y0, precond, sign, opts, label, stop_tol):
     # strongly contractive for nearby curves): exp2 / log2 and the Schild
     # rungs behind transport_path, cov_deriv and riemann_tensor divide their
     # answer by small step sizes and need every digit that comes this cheap.
-    # exp_k passes stop_tol = fixed_point_tol / K and stops at it instead.
+    # transport_path saves sweeps by warm-starting its rungs, not by
+    # stopping early.  exp_k passes stop_tol = fixed_point_tol / K and stops
+    # at it instead.
     rapid = polish and res > 0.0
     for _ in range(opts.fixed_point_max_iters):
         if best_res <= tol and not rapid:
@@ -490,6 +494,18 @@ def log2(
     return (mid - c0) * 2.0
 
 
+#: Weights, newest sample first, of the constant, linear and quadratic
+#: extrapolation one step ahead from 1, 2 or 3 equally spaced samples.
+_EXTRAPOLATION = {1: (1.0,), 2: (2.0, -1.0), 3: (3.0, -3.0, 1.0)}
+
+
+def _extrapolate(samples):
+    """Next member of a sequence of curves from its last one to three
+    members (oldest first), e.g. 3 x_k - 3 x_{k-1} + x_{k-2}."""
+    terms = [x * w for x, w in zip(reversed(samples), _EXTRAPOLATION[len(samples)])]
+    return sum(terms[1:], terms[0])
+
+
 def exp_k(
     c0: FourierCurve,
     v: FourierCurve,
@@ -518,7 +534,7 @@ def exp_k(
     curves = [c0, c0 + v * (1.0 / num_segments)]
     carry = [None]
     for k in range(1, num_segments):
-        init = curves[-1] * 3.0 - curves[-2] * 3.0 + curves[-3] if k >= 2 else None
+        init = _extrapolate(curves[-3:]) if k >= 2 else None
         try:
             curves.append(
                 el_step(curves[-2], curves[-1], weights, kind, num_nodes, opts, init,

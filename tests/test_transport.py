@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import circle, perturbed_circle, tangent_field
-from sobcurve import transport
+from sobcurve import geodesic, transport
 from sobcurve.curve import FourierCurve, pad
 from sobcurve.energy import EnergyKind
 from sobcurve.errors import DegeneratePlane, NoConvergence
@@ -104,6 +104,33 @@ class TestSchildStep:
         with pytest.raises(ValueError):
             inverse_transport(circle(), V_UNIT, -0.1, W_UNIT, W, RAT, M)
 
+    @pytest.mark.parametrize("tau", [np.nan, np.inf, -1.0, 0.0])
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            lambda tau: schild_step(circle(), V_UNIT, W_UNIT, tau, W, RAT, M),
+            lambda tau: inverse_transport(circle(), V_UNIT, tau, W_UNIT, W, RAT, M),
+            lambda tau: cov_deriv(circle(), V_UNIT, W_UNIT, tau, W, RAT, M),
+            lambda tau: riemann_tensor(
+                circle(), V_UNIT, W_UNIT, W_UNIT, tau, CurvatureSchedule.central(0.1),
+                UNIT, RAT, M,
+            ),
+            lambda tau: sectional_curvature(
+                circle(), V_UNIT, W_UNIT, tau, CurvatureSchedule.central(0.1), UNIT, RAT, M
+            ),
+        ],
+        ids=["schild_step", "inverse_transport", "cov_deriv", "riemann_tensor",
+             "sectional_curvature"],
+    )
+    def test_step_size_must_be_finite_and_positive(self, entry, tau, monkeypatch):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solved before checking tau")
+
+        monkeypatch.setattr(transport, "el_midpoint", no_solve)
+        monkeypatch.setattr(transport, "el_step", no_solve)
+        with pytest.raises(ValueError, match="step size tau must be finite and positive"):
+            entry(tau)
+
     def test_inverse_round_trip(self):
         rng = np.random.default_rng(5)
         c = perturbed_circle(rng)
@@ -122,7 +149,44 @@ class TestSchildStep:
         assert max_coeff_diff(out, W_UNIT) <= 1e-12
 
 
+def cold_chain(path, w0):
+    """transport_path without the warm start: every rung starts afresh."""
+    vectors = [w0]
+    for k in range(path.num_segments):
+        v_k = (path[k + 1] - path[k]) * (1.0 / path.step)
+        vectors.append(schild_step(path[k], v_k, vectors[-1], path.step, W, RAT, M))
+    return vectors
+
+
+@pytest.fixture(scope="module")
+def path16():
+    return solve_bvp(circle(1.0), circle(1.2), 16, W, RAT, M)
+
+
 class TestTransportPath:
+    def test_warm_start_matches_a_cold_chain(self, path16):
+        warm = transport_path(path16, W_UNIT, W, RAT, M, return_all=True)
+        cold = cold_chain(path16, W_UNIT)
+        assert len(warm) == len(cold) == 17
+        for got, want in zip(warm, cold):
+            assert max_coeff_diff(got, want) <= 1e-12
+
+    def test_warm_start_saves_gradient_calls(self, path16, monkeypatch):
+        real_grad, calls = geodesic.w_grad, []
+
+        def counted(*args, **kwargs):
+            calls.append(None)
+            return real_grad(*args, **kwargs)
+
+        monkeypatch.setattr(geodesic, "w_grad", counted)
+        transport_path(path16, W_UNIT, W, RAT, M)
+        warm = len(calls)
+        calls.clear()
+        cold_chain(path16, W_UNIT)
+        # quadratic extrapolation takes 0.655 of the cold calls here; linear
+        # and constant extrapolation take 0.73 and 0.79
+        assert warm <= 0.7 * len(calls)
+
     def test_zero_vector_stays_zero(self):
         path = solve_bvp(circle(1.0), circle(1.2), 4, W, RAT, M)
         out = transport_path(path, FourierCurve.zeros(1, 2), W, RAT, M)
