@@ -425,9 +425,9 @@ def cmd_transport(args, s) -> int:
     c_a, c_b, w0 = s.curves
     kind = s.kind_of(args.K)
     path = solve_bvp(c_a, c_b, args.K, s.weights, kind, s.nodes, opts=s.opts)
-    moved = transport_path(path, w0, s.weights, kind, s.nodes, s.opts)
-    alphas = transport_inner_products(path, w0, s.weights, kind, s.nodes, s.opts)
-    _save_json(_out_path(args, "transport_result.json"), curve_to_dict(moved))
+    vectors = transport_path(path, w0, s.weights, kind, s.nodes, s.opts, return_all=True)
+    alphas = transport_inner_products(path, vectors, s.weights, kind, s.nodes)
+    _save_json(_out_path(args, "transport_result.json"), curve_to_dict(vectors[-1]))
     path = _out_path(args, "transport_alphas.csv")
     with _CsvWriter(path, ["k", "alpha"], _config_line(args)) as writer:
         for k, alpha in enumerate(alphas):

@@ -126,6 +126,8 @@ class FourierCurve:
             raise ValueError("cos/sin coefficient dimensions disagree")
         if cos.shape[1] < self.min_dim:
             raise ValueError(f"expected dimension d >= {self.min_dim}, got {cos.shape[1]}")
+        if not (np.isfinite(cos).all() and np.isfinite(sin).all()):
+            raise ValueError("curve coefficients must be finite (got NaN or infinity)")
         object.__setattr__(self, "cos_coeffs", cos)
         object.__setattr__(self, "sin_coeffs", sin)
 
@@ -292,10 +294,7 @@ def curve_from_dict(data: dict) -> FourierCurve:
     for row in list(cos) + list(sin):
         if len(row) != dim:
             raise ValueError(f"coefficient row of length {len(row)} != dim {dim}")
-    cos, sin = np.asarray(cos, float), np.asarray(sin, float).reshape(order, dim)
-    if not (np.all(np.isfinite(cos)) and np.all(np.isfinite(sin))):
-        raise ValueError("curve coefficients must be finite (got NaN or infinity)")
-    return FourierCurve(cos, sin)
+    return FourierCurve(np.asarray(cos, float), np.asarray(sin, float).reshape(order, dim))
 
 
 def save_curve(curve: FourierCurve, path: str) -> None:

@@ -663,7 +663,7 @@ def _oracle_jets(c_hat, c_check, num_nodes):
     return hat[:, :, 0], chk[:, :, 0], tuple(x[:, 0] for x in pairings)
 
 
-def _raw_2bc_quadrature(r, p, q, rho, sigma, tau, seeds=None, num_t=96):
+def _raw_2bc_quadrature(r, p, q, rho, sigma, tau, seeds=None):
     """Gauss-Legendre values of int L Q / D^3 and int L Q^2 / D^4 dt.
 
     Fallback for tiny v where the closed forms cancel; the integrands are
@@ -672,7 +672,7 @@ def _raw_2bc_quadrature(r, p, q, rho, sigma, tau, seeds=None, num_t=96):
     bar_b * I2b + bar_c * I2c in (r, p, q, rho, sigma, tau), differentiated
     under the sum; otherwise it is None.
     """
-    t, w = _gauss01(num_t)
+    t, w = _gauss01(96)
     shape = (1,) * np.ndim(r)
     t = t.reshape(t.shape + shape)
     w = w.reshape(w.shape + shape)

@@ -14,8 +14,9 @@ Solving that condition *forward* -- for c_{k+1} given the previous two curves
 -- steps the initial value problem and yields the discrete exponential map;
 solving it for the middle curve given the outer two inverts it (the discrete
 logarithm).  Both reduce to the same preconditioned fixed-point solver, with
-twice the diagonal energy Hessian as the preconditioner and an optional
-finite-difference Newton polish when the contraction is too slow.
+twice the diagonal energy Hessian as the preconditioner and a
+finite-difference Newton polish whenever the fixed point stalls above its
+tolerance.
 """
 
 from __future__ import annotations
@@ -175,14 +176,16 @@ class SolverOptions:
     while each sweep still gains a digit, because those results get divided
     by small step sizes.  ``transport_path`` starts the two solves of each
     rung from the previous rungs' corrections, extrapolated, so they need
-    fewer sweeps to reach the same floor.
+    fewer sweeps to reach the same floor.  fixed_point_max_iters caps the
+    sweeps of one solve; a solve that stalls or runs out of sweeps above
+    its tolerance always hands its best iterate to a finite-difference
+    Newton polish, and raises NoConvergence only when that stalls too.
     """
 
     grad_tol: float = 1e-8
     max_iters: int = 500
     fixed_point_tol: float = 1e-10
     fixed_point_max_iters: int = 50
-    newton_fallback: bool = True
 
     def __post_init__(self):
         for name in ("grad_tol", "fixed_point_tol"):
@@ -237,35 +240,45 @@ def discrete_path_energy(
 # The solver below iterates y <- y + sign * P^{-1} R(y) with P a Cholesky
 # factorization of (a multiple of) the diagonal energy Hessian, monitoring
 # the preconditioned residual norm sqrt(R . P^{-1} R).  When the fixed point
-# stalls, it optionally polishes with damped Newton on a finite-difference
-# Jacobian.
-
-
-def _hessian_block(anchor, weights, kind, num_nodes):
-    """Scalar block of the diagonal energy Hessian at ``anchor``."""
-    try:
-        return hessian_scalar_at_diagonal(anchor, weights, kind, num_nodes)
-    except SobcurveError:
-        # epsilon too large for the kind-specific form; the metric Gram
-        # block is an equivalent preconditioner
-        return 2.0 * gram_scalar(anchor, weights, anchor.order, num_nodes)
+# stalls above its tolerance, it polishes its best iterate with damped Newton
+# on a finite-difference Jacobian.  Both halve a step until the trial point is
+# admissible and its residual finite.
 
 
 class _Preconditioner:
     """Cholesky solve with the scalar block of the diagonal energy Hessian."""
 
     def __init__(self, anchor, weights, kind, num_nodes, scale=1.0):
-        block = _hessian_block(anchor, weights, kind, num_nodes)
+        try:
+            block = hessian_scalar_at_diagonal(anchor, weights, kind, num_nodes)
+        except SobcurveError:
+            # epsilon too large for the kind-specific form; the metric Gram
+            # block is an equivalent preconditioner
+            block = 2.0 * gram_scalar(anchor, weights, anchor.order, num_nodes)
         self._factor = scipy.linalg.cho_factor(scale * block)
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """Apply to a stacked-coefficient array of shape (2N+1, d)."""
+        """Apply to coefficient columns, an array of shape (2N+1, ...)."""
         return scipy.linalg.cho_solve(self._factor, rhs)
 
 
 def _residual_norm(res_arr, precond):
     eta = precond.solve(res_arr)
     return eta, float(np.sqrt(max(np.sum(res_arr * eta), 0.0)))
+
+
+def _trial_steps(residual, y, step, tries):
+    """Yield (y + step / 2^j, its residual) for j = 0 .. tries-1, skipping the
+    trial points that leave the admissible set or give a non-finite residual."""
+    for _ in range(tries):
+        y_new = y + step
+        try:
+            res_arr = residual(y_new)
+        except SobcurveError:
+            res_arr = None
+        if res_arr is not None and np.all(np.isfinite(res_arr)):
+            yield y_new, res_arr
+        step = 0.5 * step
 
 
 def _solve_root(residual, y0, precond, sign, opts, label, stop_tol=None):
@@ -275,85 +288,68 @@ def _solve_root(residual, y0, precond, sign, opts, label, stop_tol=None):
     admissible set (the step is then damped).  Returns the solution array.
     With ``stop_tol`` the solve stops as soon as the preconditioned residual
     is at most stop_tol * (1 + initial residual); without it, it accepts at
-    opts.fixed_point_tol but polishes on towards the rounding floor.
+    opts.fixed_point_tol but polishes on towards the rounding floor.  A fixed
+    point that stalls above its tolerance hands its best iterate to
+    ``_newton_polish``; NoConvergence is raised when that stalls too.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        return _solve_root_impl(residual, y0, precond, sign, opts, label, stop_tol)
-
-
-def _solve_root_impl(residual, y0, precond, sign, opts, label, stop_tol):
     # non-finite residuals are handled explicitly, so overflow in wildly
-    # inadmissible probe steps is expected and silenced by the caller
-    y = y0
-    res_arr = residual(y)
-    if not np.all(np.isfinite(res_arr)):
-        raise NoConvergence(f"{label}: residual not finite at the initial guess")
-    eta, res = _residual_norm(res_arr, precond)
-    polish = stop_tol is None
-    tol = (opts.fixed_point_tol if polish else stop_tol) * (1.0 + res)
-    best_y, best_res = y, res
-    stall = 0
-    # Without a stop tolerance, keep polishing past the tolerance down to the
-    # rounding floor while consecutive sweeps gain a full digit (the map is
-    # strongly contractive for nearby curves): exp2 / log2 and the Schild
-    # rungs behind transport_path, cov_deriv and riemann_tensor divide their
-    # answer by small step sizes and need every digit that comes this cheap.
-    # transport_path saves sweeps by warm-starting its rungs, not by
-    # stopping early.  exp_k passes stop_tol = fixed_point_tol / K and stops
-    # at it instead.
-    rapid = polish and res > 0.0
-    for _ in range(opts.fixed_point_max_iters):
-        if best_res <= tol and not rapid:
-            break
-        step = sign * eta
-        y_new = y + step
-        for _ in range(8):
-            try:
-                res_arr = residual(y_new)
-            except SobcurveError:
-                res_arr = None
-            if res_arr is not None and np.all(np.isfinite(res_arr)):
-                break
-            # inadmissible or overflowing step: damp it
-            step = 0.5 * step
-            y_new = y + step
-        else:
-            break  # hand over to the fallback from the best iterate
-        y = y_new
-        prev = res
+    # inadmissible trial steps is expected and silenced
+    with np.errstate(over="ignore", invalid="ignore"):
+        y, res_arr = y0, residual(y0)
+        if not np.all(np.isfinite(res_arr)):
+            raise NoConvergence(f"{label}: residual not finite at the initial guess")
         eta, res = _residual_norm(res_arr, precond)
-        rapid = polish and res <= 0.1 * prev
-        if res < best_res:
-            improved = res < 0.9 * best_res
-            best_y, best_res = y, res
-            stall = 0 if improved else stall + 1
-        else:
-            stall += 1
-        if stall >= 2:
-            break
+        to_floor = stop_tol is None
+        tol = (opts.fixed_point_tol if to_floor else stop_tol) * (1.0 + res)
+        best = y, res_arr, res
+        stall = 0
+        # Without a stop tolerance, keep polishing past the tolerance down to
+        # the rounding floor while consecutive sweeps gain a full digit (the
+        # map is strongly contractive for nearby curves): exp2 / log2 and the
+        # Schild rungs behind transport_path, cov_deriv and riemann_tensor
+        # divide their answer by small step sizes and need every digit that
+        # comes this cheap.  transport_path saves sweeps by warm-starting its
+        # rungs, not by stopping early.  exp_k passes
+        # stop_tol = fixed_point_tol / K and stops at it instead.
+        rapid = to_floor and res > 0.0
+        for _ in range(opts.fixed_point_max_iters):
+            if best[2] <= tol and not rapid:
+                break
+            trial = next(_trial_steps(residual, y, sign * eta, 8), None)
+            if trial is None:
+                break  # hand over to the Newton polish from the best iterate
+            y, res_arr = trial
+            prev = res
+            eta, res = _residual_norm(res_arr, precond)
+            rapid = to_floor and res <= 0.1 * prev
+            if res < best[2]:
+                stall = 0 if res < 0.9 * best[2] else stall + 1
+                best = y, res_arr, res
+            else:
+                stall += 1
+            if stall >= 2:
+                break
 
-    if best_res <= tol:
-        return best_y
-    if opts.newton_fallback:
-        polished = _newton_polish(residual, best_y, precond, tol, opts, label)
-        if polished is not None:
-            return polished
-    raise NoConvergence(
-        f"{label}: preconditioned residual {best_res:.3e} above tolerance {tol:.3e}"
-    )
+        if best[2] <= tol:
+            return best[0]
+        polished = _newton_polish(residual, *best, precond, tol)
+        if polished is None:
+            raise NoConvergence(
+                f"{label}: preconditioned residual {best[2]:.3e} above tolerance {tol:.3e}"
+            )
+        return polished
 
 
-def _newton_polish(residual, y, precond, tol, opts, label, fd_step=1e-6):
-    """Damped Newton with a finite-difference Jacobian; None when it stalls."""
+#: Coefficient increment of the finite-difference Jacobian in _newton_polish.
+_FD_STEP = 1e-6
+
+
+def _newton_polish(residual, y, res_arr, res, precond, tol):
+    """Damped Newton with a finite-difference Jacobian from the admissible
+    iterate ``y``, whose residual ``res_arr`` and preconditioned residual
+    norm ``res`` are given; None when it stalls above ``tol``."""
     shape = y.shape
     n = y.size
-    try:
-        res_arr = residual(y)
-    except SobcurveError:
-        return None
-    if not np.all(np.isfinite(res_arr)):
-        return None
-    _, res = _residual_norm(res_arr, precond)
     for _ in range(15):
         if res <= tol:
             return y
@@ -362,31 +358,20 @@ def _newton_polish(residual, y, precond, tol, opts, label, fd_step=1e-6):
         try:
             for i in range(n):
                 probe = flat.copy()
-                probe[i] += fd_step
-                jac[:, i] = (residual(probe.reshape(shape)) - res_arr).ravel() / fd_step
+                probe[i] += _FD_STEP
+                jac[:, i] = (residual(probe.reshape(shape)) - res_arr).ravel() / _FD_STEP
             if not np.all(np.isfinite(jac)):
                 return None
             delta = np.linalg.solve(jac, -res_arr.ravel()).reshape(shape)
         except (SobcurveError, np.linalg.LinAlgError):
             return None
-        accepted = False
-        for _ in range(10):
-            try:
-                cand_arr = residual(y + delta)
-            except SobcurveError:
-                delta = 0.5 * delta
-                continue
-            if not np.all(np.isfinite(cand_arr)):
-                delta = 0.5 * delta
-                continue
+        for y_new, cand_arr in _trial_steps(residual, y, delta, 10):
             _, cand_res = _residual_norm(cand_arr, precond)
             if cand_res < res:
-                y, res_arr, res = y + delta, cand_arr, cand_res
-                accepted = True
+                y, res_arr, res = y_new, cand_arr, cand_res
                 break
-            delta = 0.5 * delta
-        if not accepted:
-            return y if res <= tol else None
+        else:
+            return None
     return y if res <= tol else None
 
 
@@ -564,9 +549,7 @@ class _PathPreconditioner:
 
     def __init__(self, anchor, weights, kind, num_nodes, num_segments):
         k = num_segments
-        self._factor = scipy.linalg.cho_factor(
-            _hessian_block(anchor, weights, kind, num_nodes)
-        )
+        self._coeff = _Preconditioner(anchor, weights, kind, num_nodes)
         if k - 1 == 1:
             bands = np.array([[2.0]])
         else:
@@ -579,8 +562,8 @@ class _PathPreconditioner:
     def __call__(self, flat, shape):
         interior, rows, dim = shape
         q = flat.reshape(interior, rows, dim)
-        q = scipy.linalg.cho_solve(
-            self._factor, q.transpose(1, 0, 2).reshape(rows, interior * dim)
+        q = self._coeff.solve(
+            q.transpose(1, 0, 2).reshape(rows, interior * dim)
         ).reshape(rows, interior, dim).transpose(1, 0, 2)
         q = scipy.linalg.solveh_banded(
             self._bands, q.reshape(interior, rows * dim)

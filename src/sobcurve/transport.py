@@ -181,17 +181,18 @@ def transport_path(
 
 def transport_inner_products(
     path: DiscretePath,
-    w0: FourierCurve,
+    vectors,
     weights: MetricWeights,
     kind: EnergyKind,
     num_nodes: int,
-    opts: SolverOptions | None = None,
 ) -> np.ndarray:
     """Inner products 0.5 * W_{,11}[c_k, c_k](K (c_{k+1} - c_k), w_k) along a
-    transported family -- constant along exact parallel transport of a
-    geodesic's velocity, so their drift diagnoses transport quality."""
-    vectors = transport_path(path, w0, weights, kind, num_nodes, opts, return_all=True)
+    transported family w_0..w_K, e.g. ``transport_path(..., return_all=True)``
+    -- constant along exact parallel transport of a geodesic's velocity, so
+    their drift diagnoses transport quality."""
     k = path.num_segments
+    if len(vectors) != k + 1:
+        raise ValueError(f"expected {k + 1} transported vectors, got {len(vectors)}")
     out = np.empty(k)
     for i in range(k):
         u = (path[i + 1] - path[i]) * float(k)

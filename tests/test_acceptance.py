@@ -383,7 +383,8 @@ def test_10_transport_isometry_and_convergence(capsys):
     w0 = resolve_curve("normal5")
     ladder = bvp_ladder(c_a, c_b, [4, 16, 64, 256, 1024], WEIGHTED, EnergyKind.rat(), m)
 
-    alphas = transport_inner_products(ladder[256], w0, WEIGHTED, EnergyKind.rat(), m)
+    vectors = transport_path(ladder[256], w0, WEIGHTED, EnergyKind.rat(), m, return_all=True)
+    alphas = transport_inner_products(ladder[256], vectors, WEIGHTED, EnergyKind.rat(), m)
     drift = 256.0 * np.abs(np.diff(alphas))
     ratio = float(drift.max() / np.median(drift))
     half = len(drift) // 2

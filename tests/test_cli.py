@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from conftest import circle
+from sobcurve import transport
 from sobcurve.cli import (
     build_parser,
     fitted_slope,
@@ -157,6 +158,21 @@ class TestSingleCommands:
         assert lines[1] == "k,alpha"
         assert len(lines) == 2 + 4  # one row per rung
         assert "alpha_drift_max=" in capsys.readouterr().out
+
+    def test_transport_climbs_one_ladder(self, tmp_path, monkeypatch):
+        # the alphas reuse the transported family: K rungs, not 2K
+        real_step, rungs = transport.schild_step, []
+
+        def counted(*args, **kwargs):
+            rungs.append(None)
+            return real_step(*args, **kwargs)
+
+        monkeypatch.setattr(transport, "schild_step", counted)
+        assert main([
+            "transport", "--in-a", "circle", "--in-b", "circle:1.2",
+            "--in-v", "normal5", "-K", "4", "-N", "8", "--out", str(tmp_path),
+        ]) == 0
+        assert len(rungs) == 4
 
     def test_curvature_prints_kappa(self, tmp_path, capsys):
         rc = main([

@@ -20,6 +20,7 @@ from sobcurve.curve import (
     curve_to_dict,
 )
 from sobcurve.errors import InsufficientSamples
+from sobcurve.oracle import TrigPolynomial
 
 
 def test_grid_spacing():
@@ -48,6 +49,15 @@ class TestConstruction:
         again = FourierCurve.from_coeffs(c.coeffs)
         np.testing.assert_array_equal(again.cos_coeffs, c.cos_coeffs)
         np.testing.assert_array_equal(again.sin_coeffs, c.sin_coeffs)
+
+    @pytest.mark.parametrize("cls", [FourierCurve, TrigPolynomial])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("block", ["cos", "sin"])
+    def test_non_finite_coefficients_rejected(self, cls, bad, block):
+        coeffs = {"cos": np.ones((3, 2)), "sin": np.ones((2, 2))}
+        coeffs[block][-1, 1] = bad
+        with pytest.raises(ValueError, match="must be finite"):
+            cls(coeffs["cos"], coeffs["sin"])
 
     def test_coefficients_read_only(self):
         c = circle()

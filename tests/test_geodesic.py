@@ -500,6 +500,28 @@ class TestExpLog:
         for got, want in zip(recomputed, polished):
             np.testing.assert_array_equal(got.coeffs, want.coeffs)
 
+    def test_forced_polish_evaluates_no_point_twice(self, monkeypatch):
+        # one sweep leaves the step above tolerance, and the polish starts
+        # from the residual the fixed point already holds at its best iterate
+        c0, v = self._shot()
+        real_grad, real_polish = geodesic.w_grad, geodesic._newton_polish
+        points, polishes = [], []
+
+        def recorded(c_hat, c_check, *args, **kwargs):
+            points.append((c_hat.tobytes(), c_check.tobytes()))
+            return real_grad(c_hat, c_check, *args, **kwargs)
+
+        def counted(*args, **kwargs):
+            polishes.append(None)
+            return real_polish(*args, **kwargs)
+
+        monkeypatch.setattr(geodesic, "w_grad", recorded)
+        monkeypatch.setattr(geodesic, "_newton_polish", counted)
+        opts = SolverOptions(fixed_point_max_iters=1)
+        el_step(c0, c0 + v * (1.0 / 16), W, EnergyKind.rat(), M, opts)
+        assert len(polishes) == 1
+        assert len(set(points)) == len(points)
+
     @staticmethod
     def _shot():
         rng = np.random.default_rng(52)

@@ -213,16 +213,21 @@ class TestTransportPath:
 
     def test_inner_product_drift_is_tame(self):
         path = solve_bvp(circle(1.0), circle(1.2), 8, W, RAT, M)
-        alphas = transport_inner_products(path, W_UNIT, W, RAT, M)
+        vectors = transport_path(path, W_UNIT, W, RAT, M, return_all=True)
+        alphas = transport_inner_products(path, vectors, W, RAT, M)
         assert alphas.shape == (8,)
         drift = np.abs(np.diff(alphas)) * path.num_segments
         assert drift.max() <= 10.0 * np.median(drift)
 
-    def test_stall_reports_rung(self):
+    def test_inner_products_need_one_vector_per_curve(self):
         path = solve_bvp(circle(1.0), circle(1.2), 2, W, RAT, M)
-        opts = SolverOptions(
-            fixed_point_tol=1e-30, fixed_point_max_iters=1, newton_fallback=False
-        )
+        with pytest.raises(ValueError, match="expected 3 transported vectors, got 2"):
+            transport_inner_products(path, [W_UNIT, W_UNIT], W, RAT, M)
+
+    def test_stall_reports_rung(self, monkeypatch):
+        path = solve_bvp(circle(1.0), circle(1.2), 2, W, RAT, M)
+        opts = SolverOptions(fixed_point_tol=1e-30, fixed_point_max_iters=1)
+        monkeypatch.setattr(geodesic, "_newton_polish", lambda *args: None)
         with pytest.raises(NoConvergence, match="rung 1/2"):
             transport_path(path, W_UNIT, W, RAT, M, opts=opts)
 
