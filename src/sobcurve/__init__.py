@@ -14,24 +14,19 @@ from .curve import (
     load_curve,
     min_speed,
     pad,
-    project_samples,
     sample_jet,
     save_curve,
     truncate,
 )
 from .energy import (
     EnergyKind,
-    RationalCoefficients,
     hessian_at_diagonal,
     length_bounds,
-    rational_coefficients,
     rational_time_integrals,
     smooth_max_min,
     w_bar_oracle,
     w_eval,
     w_grad,
-    w_rat,
-    w_reg,
     w_value_and_grad,
 )
 from .errors import (
@@ -62,7 +57,6 @@ from .geodesic import (
 )
 from .metric import (
     MetricWeights,
-    gram_matrix,
     metric_eval,
     sobolev_norm,
     w_lin_oracle,

@@ -34,6 +34,7 @@ from .energy import EnergyKind
 from .errors import SobcurveError
 from .geodesic import (
     SolverOptions,
+    _default_nodes,
     bvp_ladder,
     exp_k,
     log2,
@@ -228,7 +229,7 @@ def _num_nodes(args, *curves) -> int:
                 f"need M > 2N quadrature nodes (M={args.M}, N={order})"
             )
         return args.M
-    return max(16, 4 * order)
+    return _default_nodes(order)
 
 
 def _parse_k_list(text: str):
@@ -240,12 +241,15 @@ def _parse_k_list(text: str):
     return ks
 
 
-def _parse_ref(text, default_k):
-    if text is None:
-        return "self", default_k
-    if text.startswith("self:"):
-        return "self", int(text[len("self:"):])
-    return "file", text
+def _parse_ref(text, default_k, ks):
+    """("file", path) or ("self", K) from --ref; a self reference must be
+    finer than every swept segment count in ``ks``."""
+    if text is not None and not text.startswith("self:"):
+        return "file", text
+    k_ref = default_k if text is None else int(text[len("self:"):])
+    if k_ref <= ks[-1]:
+        raise ValueError("reference segment count must exceed the sweep range")
+    return "self", k_ref
 
 
 def _require_unit_circle(curve, what):
@@ -271,6 +275,8 @@ class _Setup:
 def _setup(args, command) -> _Setup:
     if args.N is not None and args.N < 1:
         raise ValueError("need at least one Fourier mode")
+    if command.k is not None and args.K < 1:
+        raise ValueError("-K must be at least 1")
     curves = tuple(resolve_curve(getattr(args, f"in_{x}")) for x in command.inputs)
     if args.N is not None:
         curves = tuple(pad(truncate(c, args.N), args.N) for c in curves)
@@ -481,11 +487,9 @@ def _path_error(path, reference, order):
 
 def cmd_sweep_geodesic(args, s) -> int:
     c_a, c_b = s.curves
-    mode, k_ref = _parse_ref(args.ref, default_k=2048)
+    mode, k_ref = _parse_ref(args.ref, 2048, s.ks)
     if mode != "self":
         raise ValueError("sweep-geodesic supports only self:K references")
-    if k_ref <= s.ks[-1]:
-        raise ValueError("reference segment count must exceed the sweep range")
 
     # Warm-started ladders: one for the swept kind, one rational ladder
     # continued to the reference resolution.
@@ -504,7 +508,7 @@ def cmd_sweep_geodesic(args, s) -> int:
 
 def cmd_sweep_exp(args, s) -> int:
     c0, v = s.curves
-    mode, ref_spec = _parse_ref(args.ref, default_k=8192)
+    mode, ref_spec = _parse_ref(args.ref, 8192, s.ks)
     if mode == "file":
         reference = resolve_curve(ref_spec)
     else:
@@ -521,7 +525,7 @@ def cmd_sweep_exp(args, s) -> int:
 
 def cmd_sweep_transport(args, s) -> int:
     c_a, c_b, w0 = s.curves
-    mode, ref_spec = _parse_ref(args.ref, default_k=8192)
+    mode, ref_spec = _parse_ref(args.ref, 8192, s.ks)
 
     # One fixed rational geodesic supplies the transport path at every K;
     # rung counts are varied by resampling it in time.

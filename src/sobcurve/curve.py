@@ -31,7 +31,6 @@ from .errors import InsufficientSamples
 __all__ = [
     "FourierCurve",
     "sample_jet",
-    "project_samples",
     "truncate",
     "pad",
     "min_speed",
@@ -198,35 +197,6 @@ def sample_jet(curve: FourierCurve, num_nodes: int, max_order: int) -> np.ndarra
     vals = vals.reshape(max_order + 1, num_nodes, curve.dim)
     vals.setflags(write=False)
     return vals
-
-
-def project_samples(samples: np.ndarray, order: int) -> FourierCurve:
-    """Recover the first ``order`` Fourier modes of grid samples.
-
-    Parameters
-    ----------
-    samples : ndarray, shape (M, d)
-        Values on the uniform M-point grid.
-    order : int
-        Number of modes N to keep; requires M > 2N so that modes up to N are
-        alias-free (round trip with :func:`sample_jet` is then exact).
-
-    Raises
-    ------
-    InsufficientSamples
-        If ``M <= 2 * order``.
-    """
-    samples = np.atleast_2d(np.asarray(samples, dtype=float))
-    m = samples.shape[0]
-    if m <= 2 * order:
-        raise InsufficientSamples(
-            f"{m} samples cannot resolve {order} modes (need M > 2N)"
-        )
-    spec = np.fft.rfft(samples, axis=0)
-    cos = 2.0 / m * spec[: order + 1].real
-    cos[0] /= 2.0
-    sin = -2.0 / m * spec[1 : order + 1].imag
-    return FourierCurve(cos, sin)
 
 
 def truncate(curve: FourierCurve, order: int) -> FourierCurve:

@@ -2,43 +2,44 @@
 
 Two one-parameter families approximate the squared Riemannian distance
 ``dist(c_hat, c_check)^2`` of the order-m Sobolev metric to second order at
-the diagonal:
+the diagonal.  :class:`EnergyKind` selects one, and ``w_eval``, ``w_grad``
+and ``w_value_and_grad`` evaluate either:
 
-* ``w_reg`` (any m >= 2): the blended-metric integrand with the curve speed
-  replaced by smoothed upper/lower length bounds ``L^{+,eps}, L^{-,eps}``.
-  The remaining time integrand is polynomial in t, integrated exactly by
-  Gauss-Legendre.
+* ``EnergyKind.reg(eps)`` (any m >= 2): the blended-metric integrand with
+  the curve speed replaced by smoothed upper/lower length bounds
+  ``L^{+,eps}, L^{-,eps}``.  The remaining time integrand is polynomial in
+  t, integrated exactly by Gauss-Legendre.
 
-* ``w_rat`` (m = 2 only): fully closed-form rational/trigonometric
+* ``EnergyKind.rat()`` (m = 2 only): fully closed-form rational/trigonometric
   expression, finite exactly when the tangent correlation
   ``q = c_hat' . c_check'`` is positive at every node, +inf otherwise.
 
 ``w_bar_oracle`` is the sharp closed-form bound that keeps the exact
-inverse-sinc factor V; it sits between the blended-metric value and ``w_rat``
-and serves as a cross-check oracle.
+inverse-sinc factor V; it sits between the blended-metric value and the
+rational energy and serves as a cross-check oracle.
 
 All energies are evaluated by the trapezium rule on the uniform theta grid
 and are exact functions of the sampled jets; ``w_grad`` returns the exact
 gradient of the *discrete* value with respect to both curves' Fourier
 coefficients.  Both gradients are closed-form reverse sweeps in real
-arithmetic.  For ``w_rat`` one pass through the per-node integrand also
-yields its six partials in the scalar pairings (r, p, q, rho, sigma, tau),
-through every branch: the Taylor guards, the direct inverse-sinc forms and
-the tiny-v quadrature fallback.  Those partials are then chained to the
-sampled jets and pulled back to the coefficients.
+arithmetic.  For the rational energy one pass through the per-node
+integrand also yields its six partials in the scalar pairings
+(r, p, q, rho, sigma, tau), through every branch: the Taylor guards, the
+direct inverse-sinc forms and the tiny-v quadrature fallback.  Those
+partials are then chained to the sampled jets and pulled back to the
+coefficients.
 
-``w_eval``, ``w_grad`` and ``w_value_and_grad`` take two curves or two
-coefficient stacks of one shape (S, 2N+1, d), the S segments
-(c_hat[s], c_check[s]) of a discrete path, and then return S values and
-(S, 2N+1, d) gradients from one call.  The kernels work on stacks
-throughout: one matmul against the cached jet matrix samples every
-derivative order of a stack, the per-node formulas are elementwise with the
-segment as a trailing axis, and one matmul with its transpose pulls the
-cotangents back.  A pair of curves is the S = 1 call.  Long stacks are
-walked in blocks of at most 2048 grid nodes (2048 // M segments, at least
-one), which bounds the temporaries.  Each segment's value, +inf and error
-are those its own per-pair call would give, and a stack raises the error of
-its first failing segment.
+The three entry points take two curves or two coefficient stacks of one
+shape (S, 2N+1, d), the S segments (c_hat[s], c_check[s]) of a discrete
+path, and then return S values and (S, 2N+1, d) gradients from one call.
+The kernels work on stacks throughout: one matmul against the cached jet
+matrix samples every derivative order of a stack, the per-node formulas are
+elementwise with the segment as a trailing axis, and one matmul with its
+transpose pulls the cotangents back.  A pair of curves is the S = 1 call.
+Long stacks are walked in blocks of at most 2048 grid nodes (2048 // M
+segments, at least one), which bounds the temporaries.  Each segment's
+value, +inf and error are those its own per-pair call would give, and a
+stack raises the error of its first failing segment.
 """
 
 from __future__ import annotations
@@ -63,13 +64,9 @@ from .metric import (
 
 __all__ = [
     "EnergyKind",
-    "RationalCoefficients",
     "smooth_max_min",
     "length_bounds",
-    "rational_coefficients",
     "rational_time_integrals",
-    "w_reg",
-    "w_rat",
     "w_bar_oracle",
     "w_eval",
     "w_grad",
@@ -162,9 +159,11 @@ def length_bounds(
 ):
     """Smoothed upper/lower length bounds on the grid; returns (L_plus, L_minus).
 
-    Warns when epsilon is so large that the clipped minimum can kink
-    (epsilon >= 2 min speed).
+    Raises ValueError unless epsilon is finite and positive, as
+    ``EnergyKind.reg`` does, and warns when it is so large that the clipped
+    minimum can kink (epsilon >= 2 min speed).
     """
+    epsilon = EnergyKind.reg(epsilon).epsilon
     hp = sample_jet(c_hat, num_nodes, 1)[1]
     cp = sample_jet(c_check, num_nodes, 1)[1]
     r, p = _norm(hp), _norm(cp)
@@ -462,21 +461,6 @@ def _pull_back(bar, order, num_nodes):
     return out.reshape(-1, count, dim).transpose(1, 0, 2)
 
 
-def w_reg(
-    c_hat: FourierCurve,
-    c_check: FourierCurve,
-    weights: MetricWeights,
-    epsilon: float,
-    num_nodes: int,
-) -> float:
-    """Smoothed-bound squared-distance energy (defined for any order m >= 2).
-
-    Raises DegenerateCurve below the immersion floor and
-    NonPositiveLowerBound when the clipped lower bound vanishes.
-    """
-    return _evaluate(c_hat, c_check, weights, epsilon, num_nodes, False)
-
-
 # ---------------------------------------------------------------------------
 # Rational closed forms (order m = 2)
 # ---------------------------------------------------------------------------
@@ -591,42 +575,6 @@ def _phi_tails(xi, v, want_grad=False):
         np.where(small, 0.25, xi), np.where(small, np.sqrt(0.75), v), want_grad
     )
     return tuple(np.where(small, s, d) for s, d in zip(series, direct))
-
-
-@dataclass(frozen=True)
-class RationalCoefficients:
-    """Per-node scalar data feeding the closed-form energies.
-
-    Arrays over the grid: speeds ``r, p``, tangent correlation ``q``, the
-    curvature pairings ``rho, sigma, tau``, the normalized correlation ``v``
-    and the exact inverse-sinc factor ``V`` (no replacement applied here; this
-    carries the exact value for the sharp-bound oracle).
-    """
-
-    r: np.ndarray
-    p: np.ndarray
-    q: np.ndarray
-    rho: np.ndarray
-    sigma: np.ndarray
-    tau: np.ndarray
-    v: np.ndarray
-    V: np.ndarray
-
-
-def rational_coefficients(
-    c_hat: FourierCurve,
-    c_check: FourierCurve,
-    num_nodes: int,
-) -> RationalCoefficients:
-    """Sample the scalar abbreviations of the closed forms on the grid.
-
-    Raises NonPositiveQ when the tangent correlation fails to be positive at
-    some node.
-    """
-    _, _, (r, p, q, rho, sigma, tau) = _oracle_jets(c_hat, c_check, num_nodes)
-    v = q / (r * p)
-    xi = (1.0 - v) * (1.0 + v)
-    return RationalCoefficients(r, p, q, rho, sigma, tau, v, v * _asinc(xi))
 
 
 def _rat_jets(hat_c, chk_c, num_nodes):
@@ -912,9 +860,9 @@ def w_bar_oracle(
 ) -> float:
     """Sharp closed-form squared-distance bound keeping the exact factor V.
 
-    Sits between the blended-metric quadrature value and w_rat; requires a
-    positive tangent correlation (raises NonPositiveQ otherwise) and metric
-    order m = 2.
+    Sits between the blended-metric quadrature value and the rational
+    energy ``EnergyKind.rat()``; requires a positive tangent correlation
+    (raises NonPositiveQ otherwise) and metric order m = 2.
     """
     _require_m2(weights)
     a0, a1, a2 = weights.coefficients
@@ -932,7 +880,8 @@ def w_bar_oracle(
 
 
 def _rat_node_scalar(r, p, q, rho, sigma, tau, a, s0, s22, want_grad=False):
-    """Per-node w_rat integrand as a function of the six scalar pairings.
+    """Per-node rational-energy integrand as a function of the six scalar
+    pairings.
 
     s0 = |delta|^2 and s22 = |delta''|^2 enter as fixed parameters (their
     own dependence on the samples is handled by the caller); everything
@@ -975,20 +924,6 @@ def _rat_node_scalar(r, p, q, rho, sigma, tau, a, s0, s22, want_grad=False):
         g_sigma - i2b_2,
         g_tau + 2.0 * i2b_2,
     )
-
-
-def w_rat(
-    c_hat: FourierCurve,
-    c_check: FourierCurve,
-    weights: MetricWeights,
-    num_nodes: int,
-) -> float:
-    """Closed-form rational squared-distance energy (order m = 2).
-
-    Returns +inf (an explicit float, never an overflow) when the tangent
-    correlation q is nonpositive at any node.
-    """
-    return _evaluate(c_hat, c_check, weights, None, num_nodes, False)
 
 
 def _rat_core(hat_c, chk_c, weights, num_nodes, want_grad):
@@ -1065,19 +1000,19 @@ def _stacks(c_hat, c_check):
     return hat, chk, False
 
 
-def _evaluate(c_hat, c_check, weights, epsilon, num_nodes, want_grad):
-    """Rational (``epsilon`` None) or smoothed energies of two curves or two
-    stacks, walked in blocks of at most ``_BLOCK_NODES`` grid nodes.
+def _evaluate(c_hat, c_check, weights, kind, num_nodes, want_grad):
+    """Energies of the given kind between two curves or two stacks, walked
+    in blocks of at most ``_BLOCK_NODES`` grid nodes.
 
     Curves give the value (float), or (value, grad_hat, grad_check) as
     curves of their own orders; stacks give arrays (S,) and (S, 2N+1, d).
     """
     hat, chk, curves = _stacks(c_hat, c_check)
-    if epsilon is None:
+    if kind.is_rat:
         _require_m2(weights)
         core, args = _rat_core, (weights, num_nodes, want_grad)
     else:
-        core, args = _reg_core, (weights, epsilon, num_nodes, want_grad)
+        core, args = _reg_core, (weights, kind.epsilon, num_nodes, want_grad)
     step = max(1, _BLOCK_NODES // num_nodes)
     if len(hat) <= step:
         values, gh, gc = core(hat, chk, *args)
@@ -1103,7 +1038,7 @@ def w_eval(c_hat, c_check, weights: MetricWeights, kind: EnergyKind, num_nodes: 
     a path (returns the S values).  Each segment's value, +inf and errors
     are those of its own per-pair call.
     """
-    return _evaluate(c_hat, c_check, weights, kind.epsilon, num_nodes, False)
+    return _evaluate(c_hat, c_check, weights, kind, num_nodes, False)
 
 
 def w_value_and_grad(c_hat, c_check, weights: MetricWeights, kind: EnergyKind, num_nodes: int):
@@ -1115,7 +1050,7 @@ def w_value_and_grad(c_hat, c_check, weights: MetricWeights, kind: EnergyKind, n
     give (float, curve, curve); stacks (S, 2N+1, d) give arrays of shapes
     (S,), (S, 2N+1, d) and (S, 2N+1, d).
     """
-    return _evaluate(c_hat, c_check, weights, kind.epsilon, num_nodes, True)
+    return _evaluate(c_hat, c_check, weights, kind, num_nodes, True)
 
 
 def w_grad(c_hat, c_check, weights: MetricWeights, kind: EnergyKind, num_nodes: int):

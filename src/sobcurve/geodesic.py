@@ -61,8 +61,9 @@ __all__ = [
 ]
 
 
-def _check_nodes(order: int) -> int:
-    """Grid size used for immersion validation (matches the M = 4N default)."""
+def _default_nodes(order: int) -> int:
+    """Default grid size M = 4N (at least 16) for curves of order N: the
+    CLI's quadrature default and the immersion-check grid of paths."""
     return max(16, 4 * order)
 
 
@@ -95,7 +96,7 @@ class DiscretePath:
             if c.dim != first.dim or c.order != first.order:
                 raise ValueError("path curves must share dim and order")
         stack = np.stack([c.coeffs for c in curves])
-        k = _first_degenerate(stack, _check_nodes(first.order))
+        k = _first_degenerate(stack, _default_nodes(first.order))
         if k is not None:
             raise DegenerateCurve(f"path curve {k} is not immersed")
         object.__setattr__(self, "curves", curves)
@@ -132,15 +133,6 @@ class DiscretePath:
         _require_count(num_segments, "num_segments")
         ts = np.linspace(0.0, 1.0, num_segments + 1)
         return cls(tuple(c_a + (c_b - c_a) * float(t) for t in ts))
-
-    def refine(self) -> "DiscretePath":
-        """Insert coefficient midpoints, doubling the number of segments."""
-        out = []
-        for a, b in zip(self.curves[:-1], self.curves[1:]):
-            out.append(a)
-            out.append((a + b) * 0.5)
-        out.append(self.curves[-1])
-        return DiscretePath(tuple(out))
 
 
 def resample_path(path: DiscretePath, num_segments: int) -> DiscretePath:
@@ -611,7 +603,7 @@ def solve_bvp(
         raise ValueError("endpoints must share the ambient dimension")
     n = max(c_a.order, c_b.order, init_path.order if init_path is not None else 0)
     c_a, c_b = pad(c_a, n), pad(c_b, n)
-    check_m = max(_check_nodes(c_a.order), num_nodes)
+    check_m = max(_default_nodes(c_a.order), num_nodes)
     for label, c in (("c_a", c_a), ("c_b", c_b)):
         if min_speed(c, check_m) <= SPEED_FLOOR:
             raise DegenerateCurve(f"endpoint {label} is not immersed")

@@ -31,7 +31,6 @@ __all__ = [
     "SPEED_FLOOR",
     "MetricWeights",
     "metric_eval",
-    "gram_matrix",
     "w_lin_oracle",
     "sobolev_norm",
 ]
@@ -184,21 +183,6 @@ def gram_scalar(
     ops, speed = _scalar_arclength_ops(base, weights, order, num_nodes)
     node_weight = 2.0 * np.pi / num_nodes * speed
     return _weighted_gram(ops, weights.coefficients, [node_weight] * len(ops))
-
-
-def gram_matrix(
-    base: FourierCurve,
-    weights: MetricWeights,
-    order: int,
-    num_nodes: int,
-) -> np.ndarray:
-    """Gram matrix of g_base over the order-N basis of R^d-valued curves.
-
-    Coefficient layout: stacked [a_0..a_N, b_1..b_N] rows, each in R^d,
-    flattened row-major, so the matrix is kron(scalar Gram, I_d) with shape
-    ((2N+1) d, (2N+1) d).
-    """
-    return np.kron(gram_scalar(base, weights, order, num_nodes), np.eye(base.dim))
 
 
 def w_lin_oracle(

@@ -80,7 +80,9 @@ class CurvatureSchedule:
     @classmethod
     def central(cls, tau: float, scale: float = 1.0) -> "CurvatureSchedule":
         """Optimal central schedule: beta=3/2, eps_out=tau^2/scale,
-        eps_in=tau^3/scale."""
+        eps_in=tau^3/scale; ``scale`` must be finite and positive."""
+        if not 0.0 < scale < np.inf:
+            raise ValueError("curvature schedule scale must be finite and positive")
         return cls(beta=1.5, eps_out=tau**2 / scale, eps_in=tau**3 / scale, centered=True)
 
     def inner_step(self, tau: float) -> float:

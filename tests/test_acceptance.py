@@ -22,8 +22,6 @@ from sobcurve.energy import (
     rational_time_integrals,
     w_bar_oracle,
     w_eval,
-    w_rat,
-    w_reg,
     w_value_and_grad,
 )
 from sobcurve.geodesic import SolverOptions, bvp_ladder, exp2, exp_k, log2, resample_path
@@ -300,8 +298,8 @@ def test_08_energy_property_battery(capsys):
 
         lin = w_lin_oracle(a, b, UNIT, m)
         bar = w_bar_oracle(a, b, UNIT, m)
-        rat = w_rat(a, b, UNIT, m)
-        reg = w_reg(a, b, UNIT, 1e-3, m)
+        rat = w_eval(a, b, UNIT, EnergyKind.rat(), m)
+        reg = w_eval(a, b, UNIT, EnergyKind.reg(1e-3), m)
         slack = 1e-10 * max(lin, 1.0)
         violation = max(lin - bar, bar - rat, lin - reg)
         worst["order"] = max(worst["order"], violation / slack)

@@ -276,6 +276,18 @@ class TestErrorExits:
         err = capsys.readouterr().err
         assert "error[config]" in err and "finite" in err
 
+    @pytest.mark.parametrize("argv", [
+        ["covderiv", "-K", "0"],
+        ["curvature", "-K", "0"],
+        ["curvature", "--centered", "--curv-scale", "0"],
+    ], ids=["covderiv-K0", "curvature-K0", "curv-scale-zero"])
+    def test_zero_step_parameters_are_config_errors(self, argv, tmp_path, capsys):
+        # each of these once divided by zero: -K 0 in tau = 1/K, a zero
+        # --curv-scale in the central schedule's tau^2/C
+        argv = argv + ["--in-a", "circle", "--in-v", "cosx", "--in-w", "cosy"]
+        assert main(argv + ["--out", str(tmp_path)]) == 2
+        assert "error[config]" in capsys.readouterr().err
+
     def test_oracle_sweep_requires_unit_circle(self, tmp_path, capsys):
         rc = main(["sweep-covderiv", "--in-a", "circle:2", "--in-v", "mixv",
                    "--in-w", "mixw", "--K-list", "4,8", "--out", str(tmp_path)])
@@ -399,10 +411,19 @@ class TestSweeps:
         lines = (tmp_path / "sweep_geodesic.csv").read_text().splitlines()
         assert lines[1] == "K,err_L2,err_W1,err_W2"
 
-    def test_geodesic_sweep_rejects_low_reference(self, tmp_path):
-        rc = main(["sweep-geodesic", "--in-a", "circle", "--in-b", "circle:1.2",
-                   "--K-list", "2,4,8", "--ref", "self:8", "--out", str(tmp_path)])
+    @pytest.mark.parametrize("argv", [
+        ["sweep-geodesic", "--in-a", "circle", "--in-b", "circle:1.2", "--ref", "self:8"],
+        ["sweep-exp", "--in-a", "circle", "--in-v", "cosx", "-N", "4", "--ref", "self:4"],
+        ["sweep-transport", "--in-a", "circle", "--in-b", "circle:1.2", "--in-v", "cosx",
+         "-N", "4", "--ref", "self:2"],
+    ], ids=lambda argv: argv[0])
+    def test_sweep_rejects_low_reference(self, argv, tmp_path, capsys):
+        # a self reference no finer than the largest swept K is refused before
+        # any solve, so no CSV is written
+        rc = main(argv + ["--K-list", "2,4,8", "--out", str(tmp_path)])
         assert rc == 2
+        assert "exceed the sweep range" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_transport_sweep_runs(self, tmp_path):
         rc = main(["sweep-transport", "--in-a", "circle", "--in-b", "circle:1.2",

@@ -2,8 +2,6 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from conftest import circle, perturbed_circle
 from sobcurve.curve import (
@@ -12,14 +10,12 @@ from sobcurve.curve import (
     grid,
     load_curve,
     min_speed,
-    project_samples,
     sample_jet,
     save_curve,
     truncate,
     curve_from_dict,
     curve_to_dict,
 )
-from sobcurve.errors import InsufficientSamples
 from sobcurve.oracle import TrigPolynomial
 
 
@@ -100,23 +96,6 @@ def test_sample_jet_matches_eval():
     theta = grid(32)
     for j in range(4):
         np.testing.assert_allclose(jet[j], c.eval(theta, deriv=j), atol=1e-12)
-
-
-@settings(max_examples=25, deadline=None)
-@given(order=st.integers(0, 6), extra=st.integers(1, 9), seed=st.integers(0, 2**31))
-def test_projection_recovers_coefficients(order, extra, seed):
-    rng = np.random.default_rng(seed)
-    stacked = rng.normal(size=(2 * order + 1, 2))
-    c = FourierCurve.from_coeffs(stacked)
-    samples = c.eval(grid(2 * order + 1 + extra))
-    back = project_samples(samples, order)
-    np.testing.assert_allclose(back.coeffs, stacked, atol=1e-12)
-
-
-def test_projection_needs_enough_samples():
-    c = circle(order=4)
-    with pytest.raises(InsufficientSamples):
-        project_samples(c.eval(grid(8)), 4)  # 8 <= 2*4
 
 
 def test_truncate():

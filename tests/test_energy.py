@@ -16,20 +16,19 @@ from sobcurve.errors import (
 )
 from sobcurve.energy import (
     EnergyKind,
+    _asinc,
+    _oracle_jets,
     _rat_node_scalar,
     hessian_at_diagonal,
     length_bounds,
-    rational_coefficients,
     rational_time_integrals,
     smooth_max_min,
     w_bar_oracle,
     w_eval,
     w_grad,
-    w_rat,
-    w_reg,
     w_value_and_grad,
 )
-from sobcurve.metric import MetricWeights, gram_matrix, metric_eval, w_lin_oracle
+from sobcurve.metric import MetricWeights, gram_scalar, metric_eval, w_lin_oracle
 
 W2 = MetricWeights.of(1.0, 1.0, 1.0)
 M = 64
@@ -107,6 +106,14 @@ def test_length_bounds_warn_when_epsilon_dominates():
     c = circle()
     with pytest.warns(RuntimeWarning):
         length_bounds(c, c, 2.5, M)
+
+
+@pytest.mark.parametrize("eps", [-0.1, 0.0, np.nan, np.inf])
+def test_length_bounds_reject_bad_epsilon(eps):
+    # the smoothed energy's own check: -0.1 used to give the bounds of +0.1
+    c = circle()
+    with pytest.raises(ValueError, match="finite epsilon > 0"):
+        length_bounds(c, c, eps, M)
 
 
 # ---------------------------------------------------------------------------
@@ -190,10 +197,10 @@ def test_second_order_expansion_against_metric():
     u = tangent_field(rng, c.order, scale=0.5)
     g = metric_eval(c, u, u, W2, M)
     for s in (1e-3, 1e-4):
-        ratio = w_rat(c, c + u * s, W2, M) / s**2
+        ratio = w_eval(c, c + u * s, W2, EnergyKind.rat(), M) / s**2
         assert ratio == pytest.approx(g, rel=50 * s)
     eps = 1e-5
-    ratio = w_reg(c, c + u * 1e-4, W2, eps, M) / 1e-8
+    ratio = w_eval(c, c + u * 1e-4, W2, EnergyKind.reg(eps), M) / 1e-8
     assert ratio == pytest.approx(g, rel=1e-3)
 
 
@@ -203,8 +210,8 @@ def test_ordering_chain():
         a, b = nearby_pair(rng)
         lin = w_lin_oracle(a, b, W2, M)
         bar = w_bar_oracle(a, b, W2, M)
-        rat = w_rat(a, b, W2, M)
-        reg = w_reg(a, b, W2, 1e-3, M)
+        rat = w_eval(a, b, W2, EnergyKind.rat(), M)
+        reg = w_eval(a, b, W2, EnergyKind.reg(1e-3), M)
         slack = 1e-10 * max(lin, 1.0)
         assert lin <= bar + slack
         assert bar <= rat + slack
@@ -258,7 +265,7 @@ def test_w_reg_matches_monomial_expansion(pair):
     else:
         a, b = nearby_pair(np.random.default_rng(11))
     eps = 0.01
-    got = w_reg(a, b, W2, eps, M)
+    got = w_eval(a, b, W2, EnergyKind.reg(eps), M)
     ref = w_reg_monomial(a, b, W2, eps, M)
     assert got == pytest.approx(ref, rel=1e-10)
 
@@ -268,9 +275,10 @@ def test_w_reg_higher_order_runs():
     w3 = MetricWeights.of(1.0, 0.5, 0.25, 0.125)
     rng = np.random.default_rng(12)
     a, b = nearby_pair(rng)
-    val = w_reg(a, b, w3, 1e-3, M)
+    kind = EnergyKind.reg(1e-3)
+    val = w_eval(a, b, w3, kind, M)
     assert val > 0.0
-    assert val == pytest.approx(w_reg(b, a, w3, 1e-3, M), rel=1e-12)
+    assert val == pytest.approx(w_eval(b, a, w3, kind, M), rel=1e-12)
 
 
 def test_w_reg_epsilon_too_large_raises():
@@ -278,7 +286,7 @@ def test_w_reg_epsilon_too_large_raises():
     with pytest.raises(NonPositiveLowerBound):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            w_reg(a, b, W2, 3.0, M)
+            w_eval(a, b, W2, EnergyKind.reg(3.0), M)
 
 
 # ---------------------------------------------------------------------------
@@ -352,44 +360,47 @@ def test_closed_forms_small_correlation():
         np.testing.assert_allclose(got, ref, rtol=1e-8)
 
 
-def test_rational_coefficients_fields():
+def test_oracle_pairings_fields():
     rng = np.random.default_rng(15)
     a, b = nearby_pair(rng)
-    co = rational_coefficients(a, b, M)
+    _, _, (r, p, q, rho, sigma, tau) = _oracle_jets(a, b, M)
     hat = sample_jet(a, M, 2)
     chk = sample_jet(b, M, 2)
-    np.testing.assert_allclose(co.r, np.linalg.norm(hat[1], axis=1), atol=1e-14)
-    np.testing.assert_allclose(co.v, co.q / (co.r * co.p), atol=1e-14)
-    assert np.all(co.V <= 1.0 + 1e-14)
-    assert np.all(co.V >= co.v - 1e-14)
+    np.testing.assert_allclose(r, np.linalg.norm(hat[1], axis=1), atol=1e-14)
+    np.testing.assert_allclose(q, np.sum(hat[1] * chk[1], 1), atol=1e-14)
+    # the exact inverse-sinc factor V = v asinc(1 - v^2) lies in [v, 1]
+    v = q / (r * p)
+    V = v * _asinc((1.0 - v) * (1.0 + v))
+    assert np.all(V <= 1.0 + 1e-14)
+    assert np.all(V >= v - 1e-14)
     # blend identities: |c_t'|^2 and c_t'.c_t'' are the stated t-quadratics
     for t in (0.25, 0.7):
         blend_p = (1.0 - t) * hat[1] + t * chk[1]
         blend_pp = (1.0 - t) * hat[2] + t * chk[2]
-        dsq = (1 - t) ** 2 * co.r**2 + 2 * t * (1 - t) * co.q + t**2 * co.p**2
-        quad = (1 - t) ** 2 * co.rho + 2 * t * (1 - t) * co.tau + t**2 * co.sigma
+        dsq = (1 - t) ** 2 * r**2 + 2 * t * (1 - t) * q + t**2 * p**2
+        quad = (1 - t) ** 2 * rho + 2 * t * (1 - t) * tau + t**2 * sigma
         np.testing.assert_allclose(np.sum(blend_p * blend_p, 1), dsq, rtol=1e-13)
         np.testing.assert_allclose(np.sum(blend_p * blend_pp, 1), quad, rtol=1e-12)
 
 
-def test_rational_coefficients_reject_reversal():
+def test_oracle_pairings_reject_reversal():
     a = circle()
     b = FourierCurve(a.cos_coeffs.copy(), -a.sin_coeffs)  # reversed orientation
     with pytest.raises(NonPositiveQ):
-        rational_coefficients(a, b, M)
+        _oracle_jets(a, b, M)
 
 
 def test_w_rat_infinite_on_reversal():
     a = circle()
     b = FourierCurve(a.cos_coeffs.copy(), -a.sin_coeffs)
-    assert w_rat(a, b, W2, M) == np.inf
+    assert w_eval(a, b, W2, EnergyKind.rat(), M) == np.inf
 
 
 def test_w_rat_order_restriction():
     w3 = MetricWeights.of(1.0, 1.0, 1.0, 1.0)
     a, b = circle(1.0), circle(1.1)
     with pytest.raises(ValueError):
-        w_rat(a, b, w3, M)
+        w_eval(a, b, w3, EnergyKind.rat(), M)
 
 
 def test_w_bar_approaches_lin_near_diagonal():
@@ -416,7 +427,7 @@ def test_hessian_rat_is_twice_gram():
     rng = np.random.default_rng(17)
     c = perturbed_circle(rng, order=3)
     H = hessian_at_diagonal(c, W2, EnergyKind.rat(), M)
-    G = gram_matrix(c, W2, c.order, M)
+    G = np.kron(gram_scalar(c, W2, c.order, M), np.eye(c.dim))
     np.testing.assert_allclose(H, 2.0 * G, atol=1e-12)
 
 
@@ -425,7 +436,7 @@ def test_hessian_reg_sandwiched_by_gram():
     c = perturbed_circle(rng, order=3)
     eps = 0.05
     H = hessian_at_diagonal(c, W2, EnergyKind.reg(eps), M)
-    G2 = 2.0 * gram_matrix(c, W2, c.order, M)
+    G2 = 2.0 * np.kron(gram_scalar(c, W2, c.order, M), np.eye(c.dim))
     speed = np.linalg.norm(sample_jet(c, M, 1)[1], axis=1)
     upper = (1.0 - eps / (2.0 * np.min(speed))) ** (5 - 6 * 2)
     vals = scipy.linalg.eigh(H, G2, eigvals_only=True)
@@ -458,10 +469,10 @@ def test_hessian_matches_finite_differences(kind, weights):
 
 
 def _mp_rational_partials(node, a, s0, s22):
-    """d/d(r, p, q, rho, sigma, tau) of the per-node w_rat integrand at 30
-    digits: b_repl and c_repl written out, the two curvature-weighted time
-    integrals by mpmath.quad of the raw integrands, derivatives by
-    mpmath.diff.  Shares no code with the closed forms."""
+    """d/d(r, p, q, rho, sigma, tau) of the per-node rational-energy
+    integrand at 30 digits: b_repl and c_repl written out, the two
+    curvature-weighted time integrals by mpmath.quad of the raw integrands,
+    derivatives by mpmath.diff.  Shares no code with the closed forms."""
     mp = pytest.importorskip("mpmath")
 
     def integrand(r, p, q, rho, sigma, tau):
@@ -596,8 +607,8 @@ def test_gradients_cancel_along_translations_property(kind, order, seed):
 # ---------------------------------------------------------------------------
 
 GRID_ENTRY_POINTS = {
-    "w_rat": lambda a, b, m: w_rat(a, b, W2, m),
-    "w_reg": lambda a, b, m: w_reg(a, b, W2, 1e-3, m),
+    "w_eval-rat": lambda a, b, m: w_eval(a, b, W2, RAT, m),
+    "w_eval-reg": lambda a, b, m: w_eval(a, b, W2, EnergyKind.reg(1e-3), m),
     "w_value_and_grad": lambda a, b, m: w_value_and_grad(a, b, W2, RAT, m),
     "hessian_at_diagonal": lambda a, b, m: hessian_at_diagonal(a, W2, RAT, m),
     "metric_eval": lambda a, b, m: metric_eval(a, b - a, b - a, W2, m),
