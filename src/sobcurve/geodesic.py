@@ -16,7 +16,9 @@ solving it for the middle curve given the outer two inverts it (the discrete
 logarithm).  Both reduce to the same preconditioned fixed-point solver, with
 twice the diagonal energy Hessian as the preconditioner and a
 finite-difference Newton polish whenever the fixed point stalls above its
-tolerance.
+tolerance.  The solver takes a stack of independent problems and runs them
+in lockstep, one stacked energy call per sweep; ``el_step`` and
+``el_midpoint`` are its one-problem callers.
 """
 
 from __future__ import annotations
@@ -171,7 +173,11 @@ class SolverOptions:
     fewer sweeps to reach the same floor.  fixed_point_max_iters caps the
     sweeps of one solve; a solve that stalls or runs out of sweeps above
     its tolerance always hands its best iterate to a finite-difference
-    Newton polish, and raises NoConvergence only when that stalls too.
+    Newton polish, and raises NoConvergence only when that stalls too, or
+    when its initial guess is not admissible.  When several solves run as
+    one lockstep stack (the parallelograms of ``cov_deriv`` and
+    ``riemann_tensor``), every member of the stack stops, polishes and
+    fails by its own rule, as it would alone.
     """
 
     grad_tol: float = 1e-8
@@ -229,12 +235,14 @@ def discrete_path_energy(
 #
 # Both the forward step and the midpoint problem are root problems
 # R(y) = 0 for a coefficient-space residual assembled from energy gradients.
-# The solver below iterates y <- y + sign * P^{-1} R(y) with P a Cholesky
-# factorization of (a multiple of) the diagonal energy Hessian, monitoring
-# the preconditioned residual norm sqrt(R . P^{-1} R).  When the fixed point
-# stalls above its tolerance, it polishes its best iterate with damped Newton
-# on a finite-difference Jacobian.  Both halve a step until the trial point is
-# admissible and its residual finite.
+# The solver below runs a stack of independent problems in lockstep: one
+# stacked energy call per sweep evaluates every member still active, and each
+# member iterates y <- y + sign * P^{-1} R(y) with its own P, a Cholesky
+# factorization of (a multiple of) the diagonal energy Hessian, monitoring its
+# preconditioned residual norm sqrt(R . P^{-1} R).  A member whose fixed point
+# stalls above its tolerance is polished on its own with damped Newton on a
+# finite-difference Jacobian.  Both halve a member's step until the trial
+# point is admissible and its residual finite.
 
 
 class _Preconditioner:
@@ -259,6 +267,33 @@ def _residual_norm(res_arr, precond):
     return eta, float(np.sqrt(max(np.sum(res_arr * eta), 0.0)))
 
 
+def _member_residual(residual, i):
+    """Member ``i`` of a stacked residual on its own: one point (2N+1, d)
+    gives one residual, a stack of points (P, 2N+1, d) a stack of them."""
+
+    def member(y):
+        if y.ndim == 2:
+            return residual(y[None], np.array([i]))[0]
+        return residual(y, np.full(len(y), i))
+
+    return member
+
+
+def _residuals(residual, ys, idx):
+    """Residuals of the members ``idx`` at the points ``ys`` (one row each)
+    from one stacked call: per member its residual array, or a string that
+    says why its point is not admissible.  When the stacked call raises a
+    package error, a stack of several members is evaluated again one member
+    at a time, so that only the inadmissible members are rejected."""
+    try:
+        outs = residual(ys, idx)
+    except SobcurveError as err:
+        if len(idx) == 1:
+            return [str(err)]
+        return [_residuals(residual, ys[j : j + 1], idx[j : j + 1])[0] for j in range(len(idx))]
+    return [out if np.all(np.isfinite(out)) else "residual not finite" for out in outs]
+
+
 def _trial_steps(residual, y, step, tries):
     """Yield (y + step / 2^j, its residual) for j = 0 .. tries-1, skipping the
     trial points that leave the admissible set or give a non-finite residual."""
@@ -273,28 +308,70 @@ def _trial_steps(residual, y, step, tries):
         step = 0.5 * step
 
 
-def _solve_root(residual, y0, precond, sign, opts, label, stop_tol=None):
-    """Drive ``residual`` to zero starting from coefficient array ``y0``.
+class _Member:
+    """One root problem of a lockstep stack: its iterate, residual and stop
+    state.  ``tol`` is the member's own tolerance, relative to 1 + its
+    initial residual; with ``to_floor`` it keeps iterating past it while
+    each sweep still gains a digit."""
 
-    residual(y) -> array, may raise a package error when y leaves the
-    admissible set (the step is then damped).  Returns the solution array.
-    With ``stop_tol`` the solve stops as soon as the preconditioned residual
-    is at most stop_tol * (1 + initial residual); without it, it accepts at
-    opts.fixed_point_tol but polishes on towards the rounding floor.  A fixed
-    point that stalls above its tolerance hands its best iterate to
-    ``_newton_polish``; NoConvergence is raised when that stalls too.
+    def __init__(self, y, res_arr, precond, tol, to_floor):
+        self.precond, self.to_floor = precond, to_floor
+        self.y = y
+        self.eta, self.res = _residual_norm(res_arr, precond)
+        self.tol = tol * (1.0 + self.res)
+        self.best = y, res_arr, self.res
+        self.stall = 0
+        self.rapid = to_floor and self.res > 0.0
+        self.active = True
+
+    def wants_sweep(self) -> bool:
+        """Whether the member takes another sweep; clears ``active`` when not."""
+        self.active = self.active and (self.best[2] > self.tol or self.rapid)
+        return self.active
+
+    def accept(self, y, res_arr):
+        """Move to the admissible trial point ``y`` with residual ``res_arr``."""
+        prev = self.res
+        self.y = y
+        self.eta, self.res = _residual_norm(res_arr, self.precond)
+        self.rapid = self.to_floor and self.res <= 0.1 * prev
+        if self.res < self.best[2]:
+            self.stall = 0 if self.res < 0.9 * self.best[2] else self.stall + 1
+            self.best = y, res_arr, self.res
+        else:
+            self.stall += 1
+        self.active = self.stall < 2
+
+
+def _solve_roots(residual, ys0, preconds, sign, opts, label, stop_tol=None):
+    """Drive a stack of independent root problems to zero in lockstep.
+
+    ``residual(ys, idx)`` returns the residuals of the members ``idx`` (an
+    index array into the stack) at the points ``ys``, one row each, from one
+    stacked energy call; it may raise a package error when a point leaves
+    the admissible set.  ``ys0`` holds one initial guess per member and
+    ``preconds`` one preconditioner.  Returns the solutions, shaped like
+    ``ys0``.
+
+    Every member stops by its own rule, and only the active members enter
+    the next stacked call.  With ``stop_tol`` a member stops as soon as its
+    preconditioned residual is at most stop_tol * (1 + its initial
+    residual); without it, it accepts at opts.fixed_point_tol but polishes
+    on towards the rounding floor.  A member whose fixed point stalls above
+    its tolerance hands its best iterate to ``_newton_polish``.
+    NoConvergence, labelled ``label`` (plus "problem i/S" in a stack of
+    several), is raised when that stalls too, or when a member's initial
+    guess is not admissible.
     """
+    opts = opts or _DEFAULT_OPTIONS
+    count = len(ys0)
+
+    def name(i):
+        return f"{label} problem {i + 1}/{count}" if count > 1 else label
+
     # non-finite residuals are handled explicitly, so overflow in wildly
     # inadmissible trial steps is expected and silenced
     with np.errstate(over="ignore", invalid="ignore"):
-        y, res_arr = y0, residual(y0)
-        if not np.all(np.isfinite(res_arr)):
-            raise NoConvergence(f"{label}: residual not finite at the initial guess")
-        eta, res = _residual_norm(res_arr, precond)
-        to_floor = stop_tol is None
-        tol = (opts.fixed_point_tol if to_floor else stop_tol) * (1.0 + res)
-        best = y, res_arr, res
-        stall = 0
         # Without a stop tolerance, keep polishing past the tolerance down to
         # the rounding floor while consecutive sweeps gain a full digit (the
         # map is strongly contractive for nearby curves): exp2 / log2 and the
@@ -303,55 +380,75 @@ def _solve_root(residual, y0, precond, sign, opts, label, stop_tol=None):
         # comes this cheap.  transport_path saves sweeps by warm-starting its
         # rungs, not by stopping early.  exp_k passes
         # stop_tol = fixed_point_tol / K and stops at it instead.
-        rapid = to_floor and res > 0.0
+        to_floor = stop_tol is None
+        tol = opts.fixed_point_tol if to_floor else stop_tol
+        members = []
+        for i, out in enumerate(_residuals(residual, ys0, np.arange(count))):
+            if isinstance(out, str):
+                raise NoConvergence(f"{name(i)}: initial guess not admissible: {out}")
+            members.append(_Member(ys0[i], out, preconds[i], tol, to_floor))
         for _ in range(opts.fixed_point_max_iters):
-            if best[2] <= tol and not rapid:
+            active = [i for i, m in enumerate(members) if m.wants_sweep()]
+            if not active:
                 break
-            trial = next(_trial_steps(residual, y, sign * eta, 8), None)
-            if trial is None:
-                break  # hand over to the Newton polish from the best iterate
-            y, res_arr = trial
-            prev = res
-            eta, res = _residual_norm(res_arr, precond)
-            rapid = to_floor and res <= 0.1 * prev
-            if res < best[2]:
-                stall = 0 if res < 0.9 * best[2] else stall + 1
-                best = y, res_arr, res
-            else:
-                stall += 1
-            if stall >= 2:
-                break
+            steps = [sign * members[i].eta for i in active]
+            trials = np.stack([members[i].y + step for i, step in zip(active, steps)])
+            outs = _residuals(residual, trials, np.array(active))
+            for i, step, y_new, out in zip(active, steps, trials, outs):
+                m = members[i]
+                if isinstance(out, str):
+                    # damp this member alone, from half its step
+                    trial = next(
+                        _trial_steps(_member_residual(residual, i), m.y, 0.5 * step, 7), None
+                    )
+                    if trial is None:
+                        m.active = False  # hand over to the Newton polish
+                        continue
+                    y_new, out = trial
+                m.accept(y_new, out)
 
-        if best[2] <= tol:
-            return best[0]
-        polished = _newton_polish(residual, *best, precond, tol)
-        if polished is None:
-            raise NoConvergence(
-                f"{label}: preconditioned residual {best[2]:.3e} above tolerance {tol:.3e}"
-            )
-        return polished
+        sols = np.empty_like(ys0)
+        for i, m in enumerate(members):
+            y, res_arr, res = m.best
+            if res > m.tol:
+                y = _newton_polish(_member_residual(residual, i), y, res_arr, res, m.precond, m.tol)
+                if y is None:
+                    raise NoConvergence(
+                        f"{name(i)}: preconditioned residual {res:.3e} above "
+                        f"tolerance {m.tol:.3e}"
+                    )
+            sols[i] = y
+        return sols
 
 
 #: Coefficient increment of the finite-difference Jacobian in _newton_polish.
 _FD_STEP = 1e-6
 
+#: Finite-difference probes per stacked residual call in _newton_polish.
+_FD_BLOCK = 32
+
 
 def _newton_polish(residual, y, res_arr, res, precond, tol):
     """Damped Newton with a finite-difference Jacobian from the admissible
     iterate ``y``, whose residual ``res_arr`` and preconditioned residual
-    norm ``res`` are given; None when it stalls above ``tol``."""
+    norm ``res`` are given; None when it stalls above ``tol``.
+
+    ``residual`` takes one point or a stack of points; the Jacobian's
+    probes are evaluated in stacks of at most ``_FD_BLOCK``.
+    """
     shape = y.shape
     n = y.size
     for _ in range(15):
         if res <= tol:
             return y
         jac = np.empty((n, n))
-        flat = y.ravel()
         try:
-            for i in range(n):
-                probe = flat.copy()
-                probe[i] += _FD_STEP
-                jac[:, i] = (residual(probe.reshape(shape)) - res_arr).ravel() / _FD_STEP
+            for start in range(0, n, _FD_BLOCK):
+                cols = np.arange(start, min(start + _FD_BLOCK, n))
+                probes = np.repeat(y.reshape(1, n), len(cols), axis=0)
+                probes[np.arange(len(cols)), cols] += _FD_STEP
+                diffs = residual(probes.reshape(len(cols), *shape)) - res_arr
+                jac[:, cols] = diffs.reshape(len(cols), n).T / _FD_STEP
             if not np.all(np.isfinite(jac)):
                 return None
             delta = np.linalg.solve(jac, -res_arr.ravel()).reshape(shape)
@@ -365,6 +462,58 @@ def _newton_polish(residual, y, res_arr, res, precond, tol):
         else:
             return None
     return y if res <= tol else None
+
+
+def _el_steps(prev, cur, weights, kind, num_nodes, opts, init=None, label="el_step",
+              stop_tol=None, fixed=None):
+    """Forward Euler-Lagrange steps of a stack of independent problems,
+    solved in lockstep: for coefficient stacks ``prev`` and ``cur`` of shape
+    (S, 2N+1, d), the stack ``next`` with
+
+        W_{,2}[prev_i, cur_i] + W_{,1}[cur_i, next_i] = 0.
+
+    ``init`` is a stack of initial guesses (default 2 cur - prev), ``fixed``
+    the stack of partials W_{,2}[prev_i, cur_i] when already known.  Returns
+    (next, partials), where partials[i] is W_{,2}[cur_i, next_i] when the
+    last gradient call of member i was at its accepted next, else None.
+    """
+    if fixed is None:
+        fixed = w_grad(prev, cur, weights, kind, num_nodes)[1]
+    last = {}  # member -> its latest iterate and W_{,2}[cur, iterate]
+
+    def residual(ys, idx):
+        g_cur, g_next = w_grad(cur[idx], ys, weights, kind, num_nodes)
+        for row, i in enumerate(idx):
+            last[i] = ys[row], g_next[row]
+        return fixed[idx] + g_cur
+
+    preconds = [_Preconditioner(FourierCurve.from_coeffs(p), weights, kind, num_nodes)
+                for p in prev]
+    y0 = init if init is not None else 2.0 * cur - prev
+    sols = _solve_roots(residual, y0, preconds, +1.0, opts, label, stop_tol)
+    partials = [last[i][1] if np.array_equal(last[i][0], sol) else None
+                for i, sol in enumerate(sols)]
+    return sols, partials
+
+
+def _el_midpoints(c_a, c_b, weights, kind, num_nodes, opts, init=None, label="el_midpoint"):
+    """Middle curves x_i of the two-segment discrete geodesics from c_a[i] to
+    c_b[i] for coefficient stacks (S, 2N+1, d), solved in lockstep: the
+    solutions of W_{,2}[c_a_i, x_i] + W_{,1}[x_i, c_b_i] = 0, from ``init``
+    or the corner averages."""
+
+    def residual(xs, idx):
+        # both segments a -> x -> b of every member in one stacked call
+        gh, gc = w_grad(
+            np.concatenate((c_a[idx], xs)), np.concatenate((xs, c_b[idx])),
+            weights, kind, num_nodes,
+        )
+        return gc[: len(xs)] + gh[len(xs):]
+
+    preconds = [_Preconditioner(FourierCurve.from_coeffs(a), weights, kind, num_nodes, scale=2.0)
+                for a in c_a]
+    y0 = init if init is not None else 0.5 * (c_a + c_b)
+    return _solve_roots(residual, y0, preconds, -1.0, opts, label)
 
 
 def el_step(
@@ -387,31 +536,21 @@ def el_step(
     preconditioner is the diagonal Hessian at ``prev``.
 
     ``_stop_tol`` and ``_carry`` serve ``exp_k``: the first is the solver's
-    stop tolerance (see ``_solve_root``); the second is a one-element list
+    stop tolerance (see ``_solve_roots``); the second is a one-element list
     holding W_{,2}[prev, cur] or None on entry, and W_{,2}[cur, next] on
     exit when the solver's last gradient call was at the accepted ``next``
     (None otherwise), so consecutive steps share that partial.
     """
-    opts = opts or _DEFAULT_OPTIONS
     n = max(prev.order, cur.order, init.order if init is not None else 0)
-    prev, cur = pad(prev, n), pad(cur, n)
-    base = cur.coeffs
     fixed = _carry[0] if _carry is not None else None
-    if fixed is None:
-        fixed = w_grad(prev.coeffs[None], base[None], weights, kind, num_nodes)[1][0]
-    last = [None, None]  # the latest iterate and its W_{,2}[cur, iterate]
-
-    def residual(y):
-        g_cur, g_next = w_grad(base[None], y[None], weights, kind, num_nodes)
-        last[:] = y, g_next[0]
-        return fixed + g_cur[0]
-
-    precond = _Preconditioner(prev, weights, kind, num_nodes)
-    y0 = (pad(init, n).coeffs if init is not None else 2.0 * base - prev.coeffs).copy()
-    sol = _solve_root(residual, y0, precond, +1.0, opts, "el_step", _stop_tol)
+    sols, partials = _el_steps(
+        pad(prev, n).coeffs[None], pad(cur, n).coeffs[None], weights, kind, num_nodes, opts,
+        init=pad(init, n).coeffs[None] if init is not None else None,
+        stop_tol=_stop_tol, fixed=fixed[None] if fixed is not None else None,
+    )
     if _carry is not None:
-        _carry[0] = last[1] if np.array_equal(last[0], sol) else None
-    return FourierCurve.from_coeffs(sol)
+        _carry[0] = partials[0]
+    return FourierCurve.from_coeffs(sols[0])
 
 
 def el_midpoint(
@@ -425,22 +564,12 @@ def el_midpoint(
 ) -> FourierCurve:
     """The middle curve x of the two-segment discrete geodesic from c_a to
     c_b, i.e. the solution of W_{,2}[c_a, x] + W_{,1}[x, c_b] = 0."""
-    opts = opts or _DEFAULT_OPTIONS
     n = max(c_a.order, c_b.order, init.order if init is not None else 0)
-    c_a, c_b = pad(c_a, n), pad(c_b, n)
-    a_arr, b_arr = c_a.coeffs, c_b.coeffs
-
-    def residual(x_arr):
-        # both segments a -> x -> b in one stacked call
-        gh, gc = w_grad(
-            np.stack((a_arr, x_arr)), np.stack((x_arr, b_arr)), weights, kind, num_nodes
-        )
-        return gc[0] + gh[1]
-
-    precond = _Preconditioner(c_a, weights, kind, num_nodes, scale=2.0)
-    y0 = (pad(init, n).coeffs if init is not None else 0.5 * (c_a.coeffs + c_b.coeffs)).copy()
-    sol = _solve_root(residual, y0, precond, -1.0, opts, "el_midpoint")
-    return FourierCurve.from_coeffs(sol)
+    sols = _el_midpoints(
+        pad(c_a, n).coeffs[None], pad(c_b, n).coeffs[None], weights, kind, num_nodes, opts,
+        init=pad(init, n).coeffs[None] if init is not None else None,
+    )
+    return FourierCurve.from_coeffs(sols[0])
 
 
 def exp2(

@@ -24,6 +24,16 @@ polishes to the rounding floor: the warm start saves sweeps without
 stopping any solve earlier.  The other entry points solve each
 parallelogram from scratch.  Every entry point rejects a step size tau
 that is not finite and positive.
+
+The parallelograms of one covariant quotient are independent, and so are
+those of each level of a nested one.  ``cov_deriv`` and ``riemann_tensor``
+therefore solve them in lockstep through one inverse-transport core: first
+the stack of all midpoint solves, then the stack of all extension solves,
+each sweep of a stack one energy call.  ``cov_deriv`` stacks its one or
+two inverse transports; ``riemann_tensor`` runs its 24 solves (centered)
+or 12 (one-sided) as four stacks: the inner quotients' midpoints and
+extensions, then the outer ones' (8, 8, 4 and 4 solves centered, 4, 4, 2
+and 2 one-sided).  Every member of a stack still stops by its own rule.
 """
 
 from __future__ import annotations
@@ -35,7 +45,15 @@ import numpy as np
 from .curve import FourierCurve, pad
 from .energy import EnergyKind, hessian_at_diagonal
 from .errors import DegeneratePlane, NoConvergence
-from .geodesic import DiscretePath, SolverOptions, _extrapolate, el_midpoint, el_step
+from .geodesic import (
+    DiscretePath,
+    SolverOptions,
+    _el_midpoints,
+    _el_steps,
+    _extrapolate,
+    el_midpoint,
+    el_step,
+)
 from .metric import MetricWeights, metric_eval
 
 __all__ = [
@@ -206,6 +224,26 @@ def transport_inner_products(
     return out
 
 
+def _stack(curves, order):
+    """Coefficient stack (S, 2N+1, d) of curves padded to ``order``."""
+    return np.stack([pad(x, order).coeffs for x in curves])
+
+
+def _inverse_transports(c, v, w_end, tau, weights, kind, num_nodes, opts, phase):
+    """Inverse Schild rungs of a stack of independent problems, in lockstep.
+
+    ``c``, ``v`` and ``w_end`` are coefficient stacks (S, 2N+1, d); problem
+    i brings w_end[i], given at c[i] + tau*v[i], back to c[i].  The S
+    midpoint solves run as one lockstep stack, then the S extension solves
+    as another.  A member that stalls raises NoConvergence naming ``phase``,
+    the solver and the member.  Returns the stack of (z - c)/tau.
+    """
+    far = c + (v + w_end) * tau
+    s = _el_midpoints(c, far, weights, kind, num_nodes, opts, label=f"{phase}: el_midpoint")
+    z, _ = _el_steps(c + v * tau, s, weights, kind, num_nodes, opts, label=f"{phase}: el_step")
+    return (z - c) * (1.0 / tau)
+
+
 def inverse_transport(
     c: FourierCurve,
     v: FourierCurve,
@@ -225,10 +263,12 @@ def inverse_transport(
     reproduces w up to O(tau^2).
     """
     _require_step(tau)
-    far = c + (v + w_end) * tau
-    s = el_midpoint(c, far, weights, kind, num_nodes, opts)
-    z = el_step(c + v * tau, s, weights, kind, num_nodes, opts)
-    return (z - c) * (1.0 / tau)
+    n = max(c.order, v.order, w_end.order)
+    moved = _inverse_transports(
+        _stack([c], n), _stack([v], n), _stack([w_end], n), tau, weights, kind, num_nodes,
+        opts, "inverse_transport",
+    )
+    return FourierCurve.from_coeffs(moved[0])
 
 
 def _as_field(w_field):
@@ -252,20 +292,30 @@ def cov_deriv(
 
     ``w_field`` is either a callable curve -> tangent or a plain tangent
     (treated as a constant field, for which the quotient approximates the
-    Christoffel operator).  One-sided quotient by default; ``centered``
-    averages the +tau and -tau inverse transports for second-order accuracy.
+    Christoffel operator).  One-sided quotient by default,
+
+        (P^{-1} w(c + tau v) - w(c)) / tau;
+
+    ``centered`` averages the +tau and -tau inverse transports for
+    second-order accuracy.  The field is evaluated first; the one or two
+    inverse transports then run as one lockstep stack of midpoint solves
+    and one of extension solves.
     """
     _require_step(tau)
     field = _as_field(w_field)
-    plus = inverse_transport(
-        c, v, tau, field(c + v * tau), weights, kind, num_nodes, opts
+    dirs, ends = [v], [field(c + v * tau)]
+    if centered:
+        dirs.append(v * (-1.0))
+        ends.append(field(c - v * tau) * (-1.0))
+    n = max(x.order for x in (c, *dirs, *ends))
+    moved = _inverse_transports(
+        _stack([c] * len(dirs), n), _stack(dirs, n), _stack(ends, n), tau, weights, kind,
+        num_nodes, opts, "cov_deriv",
     )
+    plus = FourierCurve.from_coeffs(moved[0])
     if not centered:
         return (plus - field(c)) * (1.0 / tau)
-    minus = inverse_transport(
-        c, v * (-1.0), tau, field(c - v * tau) * (-1.0), weights, kind, num_nodes, opts
-    )
-    return (plus + minus) * (1.0 / (2.0 * tau))
+    return (plus + FourierCurve.from_coeffs(moved[1])) * (1.0 / (2.0 * tau))
 
 
 def riemann_tensor(
@@ -283,29 +333,66 @@ def riemann_tensor(
     """Discrete Riemann curvature tensor R(v, w)z at c via nested covariant
     difference quotients.
 
-    The inner quotient differentiates the constant field z along the second
-    direction with the smaller step tau**beta, evaluated at the displaced
-    curves the outer quotient visits; the outer quotient differentiates that
-    field along the first direction with step tau.  The two nested terms are
-    combined antisymmetrically, so swapping v and w flips the sign exactly.
+    R(v, w)z = D(v, w) - D(w, v), where the nested quotient D(first, second)
+    differentiates along ``first``, with step tau, the field x -> (inner
+    quotient of the constant field z along ``second`` at x, with the smaller
+    step tau**beta).  The inner quotients are needed at the displaced curves
+    c + tau*first and c - tau*first (centered) or c (one-sided).
+
+    All inverse transports run in four lockstep stacks: the midpoint solves
+    of every inner quotient, then their extension solves, then the outer
+    quotients' midpoint and extension solves -- 8, 8, 4 and 4 solves
+    centered, 4, 4, 2 and 2 one-sided.  The two nested halves are stacked
+    in the order of their directions' coefficient bytes and looked up by
+    them, so the stacks do not depend on the argument order: swapping v and
+    w flips the sign exactly, and R(v, v)z is exactly zero.
     """
     _require_step(tau)
     kind_out, kind_in = schedule.kinds(kind)
     sigma = schedule.inner_step(tau)
+    n = max(x.order for x in (c, v, w, z))
+    c_arr, v_arr, w_arr, z_arr = (pad(x, n).coeffs for x in (c, v, w, z))
+    key_vw, key_wv = (v_arr.tobytes(), w_arr.tobytes()), (w_arr.tobytes(), v_arr.tobytes())
+    halves = {key_vw: (v_arr, w_arr), key_wv: (w_arr, v_arr)}
+    keys = sorted(halves)
+    signs = (1.0, -1.0) if schedule.centered else (1.0,)
 
-    def nested(first, second):
-        def inner_field(x):
-            return cov_deriv(
-                x, second, z, sigma, weights, kind_in, num_nodes, opts,
-                centered=schedule.centered,
-            )
+    def quotients(moved, base, step):
+        # covariant quotients from the inverse transports of each sign
+        if schedule.centered:
+            return (moved[:, 0] + moved[:, 1]) * (1.0 / (2.0 * step))
+        return (moved[:, 0] - base) * (1.0 / step)
 
-        return cov_deriv(
-            c, first, inner_field, tau, weights, kind_out, num_nodes, opts,
-            centered=schedule.centered,
-        )
+    points, dirs, ends = [], [], []
+    for key in keys:
+        first, second = halves[key]
+        for x in (c_arr + first * tau, c_arr - first * tau if schedule.centered else c_arr):
+            for sign in signs:
+                points.append(x)
+                dirs.append(second * sign)
+                ends.append(z_arr * sign)
+    moved = _inverse_transports(
+        np.stack(points), np.stack(dirs), np.stack(ends), sigma, weights, kind_in, num_nodes,
+        opts, "riemann_tensor",
+    )
+    # inner[h] holds half h's inner quotients at its two points
+    inner = quotients(moved.reshape(-1, len(signs), *c_arr.shape), z_arr, sigma)
+    inner = inner.reshape(len(keys), 2, *c_arr.shape)
 
-    return nested(v, w) - nested(w, v)
+    dirs, ends = [], []
+    for key, fields in zip(keys, inner):
+        first = halves[key][0]
+        # centered: +tau at c + tau*first, -tau at c - tau*first; one-sided:
+        # +tau only, and the inner quotient at c enters as the base below
+        for sign, field in zip(signs, fields):
+            dirs.append(first * sign)
+            ends.append(field * sign)
+    moved = _inverse_transports(
+        np.stack([c_arr] * len(dirs)), np.stack(dirs), np.stack(ends), tau, weights, kind_out,
+        num_nodes, opts, "riemann_tensor",
+    )
+    nested = quotients(moved.reshape(len(keys), len(signs), *c_arr.shape), inner[:, 1], tau)
+    return FourierCurve.from_coeffs(nested[keys.index(key_vw)] - nested[keys.index(key_wv)])
 
 
 def sectional_curvature(

@@ -523,6 +523,30 @@ class TestExpLog:
         assert len(polishes) == 1
         assert len(set(points)) == len(points)
 
+    @pytest.mark.parametrize("solve", [el_step, el_midpoint], ids=["el_step", "el_midpoint"])
+    def test_inadmissible_initial_guess_is_no_convergence(self, solve):
+        c0 = circle(1.0)
+        with pytest.raises(
+            NoConvergence,
+            match=rf"^{solve.__name__}: initial guess not admissible: curve speed",
+        ):
+            solve(c0, c0 * 1.1, W, EnergyKind.rat(), M, init=FourierCurve.zeros(1, 2))
+
+    def test_exp_k_keeps_the_path_when_a_guess_is_not_admissible(self, monkeypatch):
+        c0 = circle()
+        v = tangent_field(np.random.default_rng(51), 1, scale=0.3)
+        full = exp_k(c0, v, 6, W, EnergyKind.rat(), M)
+        monkeypatch.setattr(geodesic, "_extrapolate", lambda samples: FourierCurve.zeros(1, 2))
+        with pytest.raises(
+            NoConvergence,
+            match=r"^exp_k stalled at step 3/6: el_step: initial guess not admissible",
+        ) as info:
+            exp_k(c0, v, 6, W, EnergyKind.rat(), M)
+        partial = info.value.partial
+        assert isinstance(partial, DiscretePath) and partial.num_segments == 2
+        for got, want in zip(partial, full):
+            np.testing.assert_array_equal(got.coeffs, want.coeffs)
+
     @staticmethod
     def _shot():
         rng = np.random.default_rng(52)

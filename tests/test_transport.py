@@ -5,7 +5,7 @@ from conftest import circle, perturbed_circle, tangent_field
 from sobcurve import geodesic, transport
 from sobcurve.curve import FourierCurve, pad
 from sobcurve.energy import EnergyKind
-from sobcurve.errors import DegeneratePlane, NoConvergence
+from sobcurve.errors import DegenerateCurve, DegeneratePlane, NoConvergence
 from sobcurve.geodesic import DiscretePath, SolverOptions, solve_bvp
 from sobcurve.metric import MetricWeights, metric_eval
 from sobcurve.oracle import christoffel_circle, sectional_curvature_circle
@@ -329,6 +329,36 @@ class TestCurvature:
         bwd = riemann_tensor(c, W_UNIT, V_UNIT, W_UNIT, 1.0 / 16, sch, UNIT, RAT, M)
         assert np.all((fwd + bwd).coeffs == 0.0)
 
+    def test_riemann_antisymmetry_is_exact_on_a_finer_grid(self):
+        # the stacked energy kernel rounds a member by its stack position
+        # here, so both argument orders must build the same stacks
+        c = pad(circle(), 12)
+        sch = CurvatureSchedule.central(1.0 / 16)
+        fwd = riemann_tensor(c, V_UNIT, W_UNIT, W_UNIT, 1.0 / 16, sch, UNIT, RAT, 48)
+        bwd = riemann_tensor(c, W_UNIT, V_UNIT, W_UNIT, 1.0 / 16, sch, UNIT, RAT, 48)
+        assert np.all((fwd + bwd).coeffs == 0.0)
+
+    @pytest.mark.parametrize("kind", [RAT, EnergyKind.reg(1.0)], ids=["rat", "reg"])
+    @pytest.mark.parametrize("schedule", [CurvatureSchedule.central, CurvatureSchedule.one_sided],
+                             ids=["central", "one_sided"])
+    def test_riemann_matches_nested_covariant_quotients(self, schedule, kind):
+        # the lockstep stacks against the definition: cov_deriv of the
+        # field x -> cov_deriv(x, second, z) along first, for both halves
+        c, tau = pad(circle(), 4), 1.0 / 8
+        sch = schedule(tau)
+        kind_out, kind_in = sch.kinds(kind)
+
+        def nested(first, second):
+            def inner(x):
+                return cov_deriv(x, second, W_UNIT, sch.inner_step(tau), UNIT, kind_in, M,
+                                 centered=sch.centered)
+
+            return cov_deriv(c, first, inner, tau, UNIT, kind_out, M, centered=sch.centered)
+
+        want = nested(V_UNIT, W_UNIT) - nested(W_UNIT, V_UNIT)
+        got = riemann_tensor(c, V_UNIT, W_UNIT, W_UNIT, tau, sch, UNIT, kind, M)
+        assert max_coeff_diff(got, want) <= 1e-9 * np.max(np.abs(want.coeffs))
+
     def test_sectional_curvature_circle(self):
         c = pad(circle(), 6)
         tau = 1.0 / 16
@@ -354,3 +384,98 @@ class TestCurvature:
             sectional_curvature(c, V_UNIT, V_UNIT, 0.1, sch, UNIT, RAT, M)
         with pytest.raises(DegeneratePlane):
             sectional_curvature(c, V_UNIT, V_UNIT * 2.0, 0.1, sch, UNIT, RAT, M)
+
+
+# ---------------------------------------------------------------------------
+# Lockstep solves
+# ---------------------------------------------------------------------------
+
+
+def lockstep_problems(count=4, order=6):
+    """Coefficient stacks (c, v, w_end) of independent inverse transports."""
+    rng = np.random.default_rng(60)
+    c = [perturbed_circle(rng, order=order) for _ in range(count)]
+    v = [tangent_field(rng, order, scale=0.6) for _ in range(count)]
+    w = [tangent_field(rng, order, scale=0.8) for _ in range(count)]
+    return tuple(np.stack([x.coeffs for x in xs]) for xs in (c, v, w))
+
+
+def solo_inverse_transports(c, v, w, tau, kind):
+    """The problems of lockstep_problems solved one at a time."""
+    return [
+        inverse_transport(
+            FourierCurve.from_coeffs(c[i]), FourierCurve.from_coeffs(v[i]), tau,
+            FourierCurve.from_coeffs(w[i]), W, kind, M,
+        ).coeffs
+        for i in range(len(c))
+    ]
+
+
+def assert_members_close(stacked, solos):
+    for got, want in zip(stacked, solos, strict=True):
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+class TestLockstep:
+    @pytest.mark.parametrize("kind", [RAT, EnergyKind.reg(1e-2)], ids=["rat", "reg"])
+    def test_stacked_inverse_transports_match_solo_solves(self, kind):
+        c, v, w = lockstep_problems()
+        moved = transport._inverse_transports(c, v, w, 0.1, W, kind, M, None, "stack")
+        assert_members_close(moved, solo_inverse_transports(c, v, w, 0.1, kind))
+
+    def test_inadmissible_trial_damps_only_its_member(self, monkeypatch):
+        c, v, w = lockstep_problems()
+        solos = solo_inverse_transports(c, v, w, 0.1, RAT)
+        real_grad, sizes = geodesic.w_grad, []
+
+        def rejects_first_trial_of_member_1(c_hat, c_check, *args):
+            # the midpoint residual stacks every member's corner c before
+            # the iterates; member 1's first trial is its second such call
+            if any(np.array_equal(row, c[1]) for row in c_hat):
+                sizes.append(len(c_hat))
+                if len(sizes) in (2, 3):
+                    raise DegenerateCurve("trial point rejected")
+            return real_grad(c_hat, c_check, *args)
+
+        monkeypatch.setattr(geodesic, "w_grad", rejects_first_trial_of_member_1)
+        moved = transport._inverse_transports(c, v, w, 0.1, W, RAT, M, None, "stack")
+        # initial guesses and first trials of all four members, then member 1
+        # alone: again at its full step, then at half of it
+        assert sizes[:4] == [8, 8, 2, 2]
+        others = [0, 2, 3]
+        assert_members_close(moved[others], [solos[i] for i in others])
+        # the damped member takes another path to the solver tolerance
+        assert max_coeff_diff(FourierCurve.from_coeffs(moved[1]),
+                              FourierCurve.from_coeffs(solos[1])) <= 1e-8
+
+    def test_stalled_member_names_phase_and_member(self, monkeypatch):
+        polishes = []
+
+        def third_stalls(residual, y, *args):
+            polishes.append(None)
+            return None if len(polishes) == 3 else y
+
+        monkeypatch.setattr(geodesic, "_newton_polish", third_stalls)
+        opts = SolverOptions(fixed_point_tol=1e-30, fixed_point_max_iters=1)
+        sch = CurvatureSchedule.central(1.0 / 16)
+        with pytest.raises(
+            NoConvergence, match=r"^riemann_tensor: el_midpoint problem 3/8: preconditioned"
+        ):
+            riemann_tensor(pad(circle(), 4), V_UNIT, W_UNIT, W_UNIT, 1.0 / 16, sch, UNIT, RAT,
+                           M, opts)
+
+    def test_centered_sectional_curvature_gradient_calls(self, monkeypatch):
+        # its 24 solves run as four lockstep stacks: 48 calls, where solving
+        # them one at a time took 232
+        real_grad, calls = geodesic.w_grad, []
+
+        def counted(*args, **kwargs):
+            calls.append(None)
+            return real_grad(*args, **kwargs)
+
+        monkeypatch.setattr(geodesic, "w_grad", counted)
+        tau = 1.0 / 16
+        sectional_curvature(
+            pad(circle(), 6), V_UNIT, W_UNIT, tau, CurvatureSchedule.central(tau), UNIT, RAT, M
+        )
+        assert len(calls) <= 64
