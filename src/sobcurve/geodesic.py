@@ -18,7 +18,10 @@ twice the diagonal energy Hessian as the preconditioner and a
 finite-difference Newton polish whenever the fixed point stalls above its
 tolerance.  The solver takes a stack of independent problems and runs them
 in lockstep, one stacked energy call per sweep; ``el_step`` and
-``el_midpoint`` are its one-problem callers.
+``el_midpoint`` are its one-problem callers.  The boundary value problem is
+solved by preconditioned L-BFGS with an Armijo line search.  One damped-trial
+loop, ``_trial_steps``, halves the steps of the fixed point, of the Newton
+polish and of that line search, and evaluates each trial point once.
 """
 
 from __future__ import annotations
@@ -245,25 +248,29 @@ def discrete_path_energy(
 # point is admissible and its residual finite.
 
 
-class _Preconditioner:
-    """Cholesky solve with the scalar block of the diagonal energy Hessian."""
-
-    def __init__(self, anchor, weights, kind, num_nodes, scale=1.0):
+def _preconditioners(anchors, weights, kind, num_nodes, scale=1.0, blocks=None):
+    """Cholesky factors of ``scale`` times the scalar block of the diagonal
+    energy Hessian at each anchor of a coefficient stack, one per distinct
+    anchor.  ``blocks`` maps (anchor bytes, kind) to the blocks that other
+    stacks of one computation already built, and gains the new ones."""
+    blocks = {} if blocks is None else blocks
+    keys = [(a.tobytes(), kind) for a in anchors]
+    for key, a in zip(keys, anchors):
+        if key in blocks:
+            continue
+        anchor = FourierCurve.from_coeffs(a)
         try:
-            block = hessian_scalar_at_diagonal(anchor, weights, kind, num_nodes)
+            blocks[key] = hessian_scalar_at_diagonal(anchor, weights, kind, num_nodes)
         except SobcurveError:
             # epsilon too large for the kind-specific form; the metric Gram
             # block is an equivalent preconditioner
-            block = 2.0 * gram_scalar(anchor, weights, anchor.order, num_nodes)
-        self._factor = scipy.linalg.cho_factor(scale * block)
-
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """Apply to coefficient columns, an array of shape (2N+1, ...)."""
-        return scipy.linalg.cho_solve(self._factor, rhs)
+            blocks[key] = 2.0 * gram_scalar(anchor, weights, anchor.order, num_nodes)
+    factors = {key: scipy.linalg.cho_factor(scale * blocks[key]) for key in dict.fromkeys(keys)}
+    return [factors[key] for key in keys]
 
 
 def _residual_norm(res_arr, precond):
-    eta = precond.solve(res_arr)
+    eta = scipy.linalg.cho_solve(precond, res_arr)
     return eta, float(np.sqrt(max(np.sum(res_arr * eta), 0.0)))
 
 
@@ -295,8 +302,13 @@ def _residuals(residual, ys, idx):
 
 
 def _trial_steps(residual, y, step, tries):
-    """Yield (y + step / 2^j, its residual) for j = 0 .. tries-1, skipping the
-    trial points that leave the admissible set or give a non-finite residual."""
+    """Yield (alpha, y + alpha step, its residual) for alpha = 1, 1/2, ...,
+    2^(1 - tries), skipping the trial points that leave the admissible set
+    or give a non-finite residual.  The module's one damped-trial loop: the
+    fixed point of ``_solve_roots`` takes its first yield, ``_newton_polish``
+    the first that lowers the preconditioned residual, and ``solve_bvp`` the
+    first that passes its Armijo test (its residual ends in the energy)."""
+    alpha = 1.0
     for _ in range(tries):
         y_new = y + step
         try:
@@ -304,8 +316,8 @@ def _trial_steps(residual, y, step, tries):
         except SobcurveError:
             res_arr = None
         if res_arr is not None and np.all(np.isfinite(res_arr)):
-            yield y_new, res_arr
-        step = 0.5 * step
+            yield alpha, y_new, res_arr
+        step, alpha = 0.5 * step, 0.5 * alpha
 
 
 class _Member:
@@ -404,7 +416,7 @@ def _solve_roots(residual, ys0, preconds, sign, opts, label, stop_tol=None):
                     if trial is None:
                         m.active = False  # hand over to the Newton polish
                         continue
-                    y_new, out = trial
+                    _, y_new, out = trial
                 m.accept(y_new, out)
 
         sols = np.empty_like(ys0)
@@ -454,7 +466,7 @@ def _newton_polish(residual, y, res_arr, res, precond, tol):
             delta = np.linalg.solve(jac, -res_arr.ravel()).reshape(shape)
         except (SobcurveError, np.linalg.LinAlgError):
             return None
-        for y_new, cand_arr in _trial_steps(residual, y, delta, 10):
+        for _, y_new, cand_arr in _trial_steps(residual, y, delta, 10):
             _, cand_res = _residual_norm(cand_arr, precond)
             if cand_res < res:
                 y, res_arr, res = y_new, cand_arr, cand_res
@@ -465,7 +477,7 @@ def _newton_polish(residual, y, res_arr, res, precond, tol):
 
 
 def _el_steps(prev, cur, weights, kind, num_nodes, opts, init=None, label="el_step",
-              stop_tol=None, fixed=None):
+              stop_tol=None, fixed=None, blocks=None):
     """Forward Euler-Lagrange steps of a stack of independent problems,
     solved in lockstep: for coefficient stacks ``prev`` and ``cur`` of shape
     (S, 2N+1, d), the stack ``next`` with
@@ -473,9 +485,10 @@ def _el_steps(prev, cur, weights, kind, num_nodes, opts, init=None, label="el_st
         W_{,2}[prev_i, cur_i] + W_{,1}[cur_i, next_i] = 0.
 
     ``init`` is a stack of initial guesses (default 2 cur - prev), ``fixed``
-    the stack of partials W_{,2}[prev_i, cur_i] when already known.  Returns
-    (next, partials), where partials[i] is W_{,2}[cur_i, next_i] when the
-    last gradient call of member i was at its accepted next, else None.
+    the stack of partials W_{,2}[prev_i, cur_i] when already known, ``blocks``
+    as in ``_preconditioners``.  Returns (next, partials), where partials[i]
+    is W_{,2}[cur_i, next_i] when the last gradient call of member i was at
+    its accepted next, else None.
     """
     if fixed is None:
         fixed = w_grad(prev, cur, weights, kind, num_nodes)[1]
@@ -487,8 +500,7 @@ def _el_steps(prev, cur, weights, kind, num_nodes, opts, init=None, label="el_st
             last[i] = ys[row], g_next[row]
         return fixed[idx] + g_cur
 
-    preconds = [_Preconditioner(FourierCurve.from_coeffs(p), weights, kind, num_nodes)
-                for p in prev]
+    preconds = _preconditioners(prev, weights, kind, num_nodes, blocks=blocks)
     y0 = init if init is not None else 2.0 * cur - prev
     sols = _solve_roots(residual, y0, preconds, +1.0, opts, label, stop_tol)
     partials = [last[i][1] if np.array_equal(last[i][0], sol) else None
@@ -496,11 +508,12 @@ def _el_steps(prev, cur, weights, kind, num_nodes, opts, init=None, label="el_st
     return sols, partials
 
 
-def _el_midpoints(c_a, c_b, weights, kind, num_nodes, opts, init=None, label="el_midpoint"):
+def _el_midpoints(c_a, c_b, weights, kind, num_nodes, opts, init=None, label="el_midpoint",
+                  blocks=None):
     """Middle curves x_i of the two-segment discrete geodesics from c_a[i] to
     c_b[i] for coefficient stacks (S, 2N+1, d), solved in lockstep: the
     solutions of W_{,2}[c_a_i, x_i] + W_{,1}[x_i, c_b_i] = 0, from ``init``
-    or the corner averages."""
+    or the corner averages; ``blocks`` as in ``_preconditioners``."""
 
     def residual(xs, idx):
         # both segments a -> x -> b of every member in one stacked call
@@ -510,8 +523,7 @@ def _el_midpoints(c_a, c_b, weights, kind, num_nodes, opts, init=None, label="el
         )
         return gc[: len(xs)] + gh[len(xs):]
 
-    preconds = [_Preconditioner(FourierCurve.from_coeffs(a), weights, kind, num_nodes, scale=2.0)
-                for a in c_a]
+    preconds = _preconditioners(c_a, weights, kind, num_nodes, scale=2.0, blocks=blocks)
     y0 = init if init is not None else 0.5 * (c_a + c_b)
     return _solve_roots(residual, y0, preconds, -1.0, opts, label)
 
@@ -669,22 +681,16 @@ class _PathPreconditioner:
     """
 
     def __init__(self, anchor, weights, kind, num_nodes, num_segments):
-        k = num_segments
-        self._coeff = _Preconditioner(anchor, weights, kind, num_nodes)
-        if k - 1 == 1:
-            bands = np.array([[2.0]])
-        else:
-            bands = np.zeros((2, k - 1))
-            bands[0, 1:] = -1.0
-            bands[1, :] = 2.0
-        self._bands = bands
-        self._k = k
+        k = self._k = num_segments
+        self._coeff = _preconditioners(anchor[None], weights, kind, num_nodes)[0]
+        # T in upper band form (one row at K = 2)
+        self._bands = np.array([[2.0]] if k == 2 else [[0.0] + [-1.0] * (k - 2), [2.0] * (k - 1)])
 
     def __call__(self, flat, shape):
         interior, rows, dim = shape
         q = flat.reshape(interior, rows, dim)
-        q = self._coeff.solve(
-            q.transpose(1, 0, 2).reshape(rows, interior * dim)
+        q = scipy.linalg.cho_solve(
+            self._coeff, q.transpose(1, 0, 2).reshape(rows, interior * dim)
         ).reshape(rows, interior, dim).transpose(1, 0, 2)
         q = scipy.linalg.solveh_banded(
             self._bands, q.reshape(interior, rows * dim)
@@ -721,15 +727,19 @@ def solve_bvp(
     energy over the interior curves with limited-memory quasi-Newton descent.
 
     The initialization is the coefficient-linear path unless ``init_path``
-    supplies a warm start (its endpoints are replaced by c_a, c_b).  Steps
-    that leave the immersed set or hit an infinite energy are rejected by the
-    backtracking line search, so the returned energy never exceeds the
-    initial one.  With ``return_info`` the result is (path, info dict with
-    iterations / energy / grad_norm).
+    supplies a warm start (its endpoints are replaced by c_a, c_b).  The
+    Armijo line search halves the step through ``_trial_steps``: each trial
+    point gets one value+grad pass, and an accepted step keeps its gradient.
+    Steps that leave the immersed set or hit an infinite energy are
+    rejected, so the returned energy never exceeds the initial one.  With
+    ``return_info`` the result is (path, info dict with iterations / energy /
+    grad_norm).
     """
     opts = opts or _DEFAULT_OPTIONS
     if c_a.dim != c_b.dim:
         raise ValueError("endpoints must share the ambient dimension")
+    if init_path is not None and init_path.dim != c_a.dim:
+        raise ValueError("init_path must share the endpoints' ambient dimension")
     n = max(c_a.order, c_b.order, init_path.order if init_path is not None else 0)
     c_a, c_b = pad(c_a, n), pad(c_b, n)
     check_m = max(_default_nodes(c_a.order), num_nodes)
@@ -747,44 +757,40 @@ def solve_bvp(
     else:
         ts = np.linspace(0.0, 1.0, k + 1)[1:-1]
         interior = np.array([a_arr + (b_arr - a_arr) * t for t in ts])
-    if k > 1:
-        j = _first_degenerate(interior, check_m)
-        if j is not None:
-            raise DegenerateInit(f"initial interior curve {j + 1} is not immersed")
-
     if k == 1:
         path = DiscretePath((c_a, c_b))
         if return_info:
             energy = discrete_path_energy(path, weights, kind, num_nodes)
             return path, {"iterations": 0, "energy": energy, "grad_norm": 0.0}
         return path
+    j = _first_degenerate(interior, check_m)
+    if j is not None:
+        raise DegenerateInit(f"initial interior curve {j + 1} is not immersed")
 
     shape = interior.shape
 
     def stack_of(flat):
         return np.concatenate((a_arr[None], flat.reshape(shape), b_arr[None]))
 
-    def energy_of(flat):
-        stack = stack_of(flat)
-        return k * float(np.sum(w_eval(stack[:-1], stack[1:], weights, kind, num_nodes)))
-
     def energy_and_grad(flat):
+        # one vector: the gradient over the interior curves, then the energy
         stack = stack_of(flat)
         val, gh, gc = w_value_and_grad(stack[:-1], stack[1:], weights, kind, num_nodes)
         # interior curve j ends segment j-1 and starts segment j
-        return k * float(np.sum(val)), (k * (gh[1:] + gc[:-1])).ravel()
+        return np.append(k * (gh[1:] + gc[:-1]), k * float(np.sum(val)))
 
     x = interior.ravel()
-    f0 = energy_of(x)  # package errors (degenerate init data) propagate
+    stack = stack_of(x)  # the one value pass; it reads q <= 0 as +inf
+    f0 = k * float(np.sum(w_eval(stack[:-1], stack[1:], weights, kind, num_nodes)))
     if not np.isfinite(f0):
         raise InfiniteEnergy(
             "initial path has infinite energy (tangent correlation q <= 0)"
         )
-    f, g = energy_and_grad(x)
+    fg = energy_and_grad(x)
+    f, g = float(fg[-1]), fg[:-1]
     gnorm = float(np.linalg.norm(g))
     tol = opts.grad_tol * (1.0 + gnorm)
-    anchor = FourierCurve.from_coeffs(interior[len(interior) // 2])
-    h0 = _PathPreconditioner(anchor, weights, kind, num_nodes, k)
+    h0 = _PathPreconditioner(interior[len(interior) // 2], weights, kind, num_nodes, k)
     memory = []
     iters = 0
 
@@ -806,50 +812,36 @@ def solve_bvp(
         # than that is invisible to the Armijo test even though the gradient
         # (whose noise does not grow with the energy scale) still resolves it.
         noise = 64.0 * np.finfo(float).eps * (1.0 + abs(f)) * k**1.5
-        x_new = None
-        if -slope > noise:
-            alpha, accepted = 1.0, False
-            for _ in range(30):
-                try:
-                    f_trial = energy_of(x + alpha * direction)
-                except SobcurveError:
-                    f_trial = np.inf
-                if np.isfinite(f_trial) and f_trial <= f + 1e-4 * alpha * slope:
-                    accepted = True
-                    break
-                alpha *= 0.5
-            if accepted:
-                x_new = x + alpha * direction
-                f_new, g_new = energy_and_grad(x_new)
-            elif memory:
-                memory.clear()  # retry from the preconditioned gradient
-                iters += 1
-                continue
-        if x_new is None:
-            # the energy cannot resolve the remaining descent; take the full
-            # step if it still contracts the gradient (the preconditioned
-            # fixed-point map is contractive near the minimizer)
-            try:
-                f_cand, g_cand = energy_and_grad(x + direction)
-            except SobcurveError:
-                f_cand, g_cand = np.inf, None
-            if g_cand is None or float(np.linalg.norm(g_cand)) >= gnorm:
-                if memory:
-                    memory.clear()
-                    iters += 1
-                    continue
+        resolved = -slope > noise
+        full = step = None
+        for alpha, x_new, fg in _trial_steps(energy_and_grad, x, direction, 30 if resolved else 1):
+            full = (x_new, fg) if alpha == 1.0 else full
+            if resolved and fg[-1] <= f + 1e-4 * alpha * slope:
+                step = x_new, fg
+                break
+        if step is None and full and not (resolved and memory):
+            # the energy cannot resolve the descent, or no trial passed and
+            # there is no memory to drop; take the full step if it still
+            # contracts the gradient (the preconditioned fixed-point map is
+            # contractive near the minimizer)
+            step = full if np.linalg.norm(full[1][:-1]) < gnorm else None
+        if step is None:
+            if not memory:
                 raise MaxIters(
                     f"boundary value solver: stalled at gradient norm "
                     f"{gnorm:.3e} above tolerance {tol:.3e}"
                 )
-            x_new, f_new, g_new = x + direction, f_cand, g_cand
-        s, yv = x_new - x, g_new - g
+            memory.clear()  # retry from the preconditioned gradient
+            iters += 1
+            continue
+        x_new, fg = step
+        s, yv = x_new - x, fg[:-1] - g
         sy = float(s @ yv)
         if sy > 1e-12 * float(np.linalg.norm(s)) * float(np.linalg.norm(yv)):
             memory.append((s, yv, 1.0 / sy))
             if len(memory) > 10:
                 memory.pop(0)
-        x, f, g = x_new, f_new, g_new
+        x, f, g = x_new, float(fg[-1]), fg[:-1]
         gnorm = float(np.linalg.norm(g))
         iters += 1
 

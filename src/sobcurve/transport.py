@@ -229,18 +229,20 @@ def _stack(curves, order):
     return np.stack([pad(x, order).coeffs for x in curves])
 
 
-def _inverse_transports(c, v, w_end, tau, weights, kind, num_nodes, opts, phase):
+def _inverse_transports(c, v, w_end, tau, weights, kind, num_nodes, opts, phase, blocks=None):
     """Inverse Schild rungs of a stack of independent problems, in lockstep.
 
     ``c``, ``v`` and ``w_end`` are coefficient stacks (S, 2N+1, d); problem
     i brings w_end[i], given at c[i] + tau*v[i], back to c[i].  The S
     midpoint solves run as one lockstep stack, then the S extension solves
     as another.  A member that stalls raises NoConvergence naming ``phase``,
-    the solver and the member.  Returns the stack of (z - c)/tau.
+    the solver and the member; ``blocks`` is as in ``geodesic._preconditioners``.
+    Returns the stack of (z - c)/tau.
     """
     far = c + (v + w_end) * tau
-    s = _el_midpoints(c, far, weights, kind, num_nodes, opts, label=f"{phase}: el_midpoint")
-    z, _ = _el_steps(c + v * tau, s, weights, kind, num_nodes, opts, label=f"{phase}: el_step")
+    args = weights, kind, num_nodes, opts
+    s = _el_midpoints(c, far, *args, label=f"{phase}: el_midpoint", blocks=blocks)
+    z, _ = _el_steps(c + v * tau, s, *args, label=f"{phase}: el_step", blocks=blocks)
     return (z - c) * (1.0 / tau)
 
 
@@ -345,7 +347,9 @@ def riemann_tensor(
     centered, 4, 4, 2 and 2 one-sided.  The two nested halves are stacked
     in the order of their directions' coefficient bytes and looked up by
     them, so the stacks do not depend on the argument order: swapping v and
-    w flips the sign exactly, and R(v, v)z is exactly zero.
+    w flips the sign exactly, and R(v, v)z is exactly zero.  The stacks share
+    their preconditioners' Hessian blocks (13 for the 24 solves of a centered
+    tensor on the rational energy).
     """
     _require_step(tau)
     kind_out, kind_in = schedule.kinds(kind)
@@ -364,6 +368,7 @@ def riemann_tensor(
         return (moved[:, 0] - base) * (1.0 / step)
 
     points, dirs, ends = [], [], []
+    blocks = {}  # the outer extensions start where the inner midpoints do
     for key in keys:
         first, second = halves[key]
         for x in (c_arr + first * tau, c_arr - first * tau if schedule.centered else c_arr):
@@ -373,7 +378,7 @@ def riemann_tensor(
                 ends.append(z_arr * sign)
     moved = _inverse_transports(
         np.stack(points), np.stack(dirs), np.stack(ends), sigma, weights, kind_in, num_nodes,
-        opts, "riemann_tensor",
+        opts, "riemann_tensor", blocks,
     )
     # inner[h] holds half h's inner quotients at its two points
     inner = quotients(moved.reshape(-1, len(signs), *c_arr.shape), z_arr, sigma)
@@ -389,7 +394,7 @@ def riemann_tensor(
             ends.append(field * sign)
     moved = _inverse_transports(
         np.stack([c_arr] * len(dirs)), np.stack(dirs), np.stack(ends), tau, weights, kind_out,
-        num_nodes, opts, "riemann_tensor",
+        num_nodes, opts, "riemann_tensor", blocks,
     )
     nested = quotients(moved.reshape(len(keys), len(signs), *c_arr.shape), inner[:, 1], tau)
     return FourierCurve.from_coeffs(nested[keys.index(key_vw)] - nested[keys.index(key_wv)])

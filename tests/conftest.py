@@ -52,3 +52,30 @@ def translate(curve, offset):
     cos = curve.cos_coeffs.copy()
     cos[0] += np.asarray(offset, dtype=float)
     return FourierCurve(cos, curve.sin_coeffs)
+
+
+def drop_order(record):
+    del record["order"]
+
+
+def short_cos(record):
+    record["cos"] = record["cos"][:-1]
+
+
+def long_sin(record):
+    record["sin"] = record["sin"] + [[0.0, 0.0]]
+
+
+def short_row(record):
+    record["cos"][1] = record["cos"][1][:1]
+
+
+#: Malformed curve records: a mutation of the record of an order-2 planar
+#: curve, and the message that loading it raises.
+MALFORMED = [
+    (drop_order, "malformed curve record: 'order'"),
+    (short_cos, "cos coefficient count 2 does not match order 2"),
+    (long_sin, "sin coefficient count 3 does not match order 2"),
+    (short_row, "coefficient row of length 1 != dim 2"),
+]
+

@@ -4,14 +4,15 @@ Everything goes through cli.main with an argv list (no subprocesses), writing
 into pytest tmp_path directories.
 """
 
+import dataclasses
 import json
 import math
 
 import numpy as np
 import pytest
 
-from conftest import circle
-from sobcurve import transport
+from conftest import MALFORMED, circle
+from sobcurve import cli, transport
 from sobcurve.cli import (
     build_parser,
     fitted_slope,
@@ -21,7 +22,8 @@ from sobcurve.cli import (
     resolve_curve,
 )
 from sobcurve.curve import curve_to_dict, load_curve, pad, save_curve
-from sobcurve.metric import sobolev_norm
+from sobcurve.energy import EnergyKind
+from sobcurve.metric import MetricWeights, sobolev_norm
 
 
 class TestResolveCurve:
@@ -186,6 +188,26 @@ class TestSingleCommands:
         assert result["kappa"] == pytest.approx(-31.0 / (117.0 * math.pi), rel=0.03)
         assert "kappa=" in capsys.readouterr().out
 
+    def test_curvature_schedule_flags(self, tmp_path):
+        # --beta and --eps-in replace the one-sided schedule's inner exponent
+        # and inner epsilon; the smoothed kind reads both
+        rc = main([
+            "curvature", "--in-a", "circle", "--in-v", "cosx", "--in-w", "cosy",
+            "--weights", "1,1,1", "-N", "4", "-K", "8", "--kind", "reg",
+            "--beta", "1.75", "--eps-in", "tau^3", "--out", str(tmp_path),
+        ])
+        assert rc == 0
+        tau = 1.0 / 8
+        eps_in = parse_tau_rule("tau^3")(tau)
+        schedule = dataclasses.replace(
+            transport.CurvatureSchedule.one_sided(tau), beta=1.75, eps_in=eps_in
+        )
+        c, v, w = (pad(resolve_curve(name), 4) for name in ("circle", "cosx", "cosy"))
+        expected = transport.sectional_curvature(
+            c, v, w, tau, schedule, MetricWeights.of(1.0, 1.0, 1.0), EnergyKind.reg(1.0), 16
+        )
+        assert json.loads((tmp_path / "curvature_result.json").read_text())["kappa"] == expected
+
     def test_covderiv_runs_both_quotients(self, tmp_path):
         base = ["covderiv", "--in-a", "circle", "--in-v", "mixv",
                 "--in-w", "mixw", "-K", "50", "--out", str(tmp_path)]
@@ -287,6 +309,16 @@ class TestErrorExits:
         argv = argv + ["--in-a", "circle", "--in-v", "cosx", "--in-w", "cosy"]
         assert main(argv + ["--out", str(tmp_path)]) == 2
         assert "error[config]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mutate, message", MALFORMED, ids=[m.__name__ for m, _ in MALFORMED])
+    def test_malformed_curve_files_are_config_errors(self, mutate, message, tmp_path, capsys):
+        record = curve_to_dict(circle(radius=1.2, order=2))
+        mutate(record)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(record))
+        rc = main(["log", "--in-a", "circle", "--in-b", str(path), "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert capsys.readouterr().err == f"sobcurve: error[config]: {message}\n"
 
     def test_oracle_sweep_requires_unit_circle(self, tmp_path, capsys):
         rc = main(["sweep-covderiv", "--in-a", "circle:2", "--in-v", "mixv",
@@ -399,6 +431,40 @@ class TestSweeps:
         assert [int(r[0]) for r in rows] == [2, 4, 8]
         errs = [float(r[1]) for r in rows]
         assert errs == sorted(errs, reverse=True)
+
+    def test_exp_sweep_against_a_reference_file(self, tmp_path):
+        # the endpoint that exp writes, given as --ref, yields the rows of the
+        # self reference at the same K
+        assert main(["exp", "--in-a", "circle", "--in-v", "mixv", "-K", "256", "-N", "4",
+                     "--out", str(tmp_path / "exp")]) == 0
+        sweep = ["sweep-exp", "--in-a", "circle", "--in-v", "mixv", "--K-list", "4,8,16",
+                 "-N", "4"]
+        refs = {"file": str(tmp_path / "exp" / "exp_result.json"), "self": "self:256"}
+        for out, ref in refs.items():
+            assert main(sweep + ["--ref", ref, "--out", str(tmp_path / out)]) == 0
+        file_rows, self_rows = (
+            (tmp_path / out / "sweep_exp.csv").read_text().splitlines()[1:] for out in refs
+        )
+        assert file_rows == self_rows
+        assert len(file_rows) == 1 + 3 + 1  # header, rows, slope
+
+    def test_transport_sweep_against_a_reference_file(self, tmp_path, monkeypatch):
+        ref = tmp_path / "w_ref.json"
+        save_curve(pad(resolve_curve("cosx"), 4) * 0.9, str(ref))
+        real_transport, moved = cli.transport_path, {}
+
+        def recorded(path, *args, **kwargs):
+            moved[path.num_segments] = out = real_transport(path, *args, **kwargs)
+            return out
+
+        monkeypatch.setattr(cli, "transport_path", recorded)
+        assert main(["sweep-transport", "--in-a", "circle", "--in-b", "circle:1.2",
+                     "--in-v", "cosx", "-N", "4", "--K-list", "2,4,8", "--ref", str(ref),
+                     "--out", str(tmp_path)]) == 0
+        assert sorted(moved) == [2, 4, 8]  # the file replaces the reference transport
+        reference = load_curve(str(ref))
+        rows = (tmp_path / "sweep_transport.csv").read_text().splitlines()[2:5]
+        assert rows == [f"{k},{sobolev_norm(moved[k] - reference, 2)!r}" for k in (2, 4, 8)]
 
     def test_geodesic_sweep_second_order(self, tmp_path, capsys):
         rc = main(["sweep-geodesic", "--in-a", "circle", "--in-b", "circle:1.2",

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from conftest import circle, perturbed_circle
+from conftest import MALFORMED, circle, perturbed_circle
 from sobcurve.curve import (
     FourierCurve,
     _min_speeds,
@@ -147,3 +147,13 @@ class TestSerialization:
         bad["sin"] = bad["sin"][:-1]
         with pytest.raises(ValueError):
             curve_from_dict(bad)
+
+
+@pytest.mark.parametrize("mutate, message", MALFORMED, ids=[m.__name__ for m, _ in MALFORMED])
+def test_load_curve_rejects_malformed_records(mutate, message, tmp_path):
+    record = curve_to_dict(circle(order=2))
+    mutate(record)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(record))
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        load_curve(str(path))

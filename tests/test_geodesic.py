@@ -1,16 +1,18 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from conftest import circle, perturbed_circle, rotate, tangent_field
 from sobcurve import geodesic
 from sobcurve.curve import FourierCurve
-from sobcurve.energy import EnergyKind, w_eval, w_value_and_grad
+from sobcurve.energy import EnergyKind, hessian_scalar_at_diagonal, w_eval, w_value_and_grad
 from sobcurve.errors import (
     DegenerateCurve,
     DegenerateInit,
     InfiniteEnergy,
     MaxIters,
     NoConvergence,
+    NonPositiveLowerBound,
 )
 from sobcurve.geodesic import (
     DiscretePath,
@@ -26,7 +28,7 @@ from sobcurve.geodesic import (
     segment_energies,
     solve_bvp,
 )
-from sobcurve.metric import MetricWeights, sobolev_norm
+from sobcurve.metric import MetricWeights, gram_scalar, sobolev_norm
 
 W = MetricWeights.of(1e-4, 1.0, 1e-2)
 M = 64
@@ -263,6 +265,11 @@ class TestSolveBvp:
         with pytest.raises(ValueError):
             solve_bvp(circle(), circle3d(), 4, W, EnergyKind.rat(), M)
 
+    def test_init_path_dim_mismatch_rejected(self):
+        init = DiscretePath.linear(circle3d(1.0), circle3d(1.2), 4)
+        with pytest.raises(ValueError, match="init_path"):
+            solve_bvp(circle(1.0), circle(1.2), 4, W, EnergyKind.rat(), M, init_path=init)
+
     def test_degenerate_endpoint_rejected(self):
         with pytest.raises(DegenerateCurve):
             solve_bvp(circle(), FourierCurve.zeros(1, 2), 4, W, EnergyKind.rat(), M)
@@ -292,6 +299,15 @@ class TestSolveBvp:
         bare = solve_bvp(circle(1.0), circle(1.2), 4, W, EnergyKind.rat(), M)
         assert isinstance(bare, DiscretePath)
 
+    def test_single_segment_return_info(self):
+        c_a, c_b = circle(1.0), circle(1.2)
+        path, info = solve_bvp(c_a, c_b, 1, W, EnergyKind.rat(), M, return_info=True)
+        assert [c.coeffs.tobytes() for c in path] == [c_a.coeffs.tobytes(), c_b.coeffs.tobytes()]
+        energy = discrete_path_energy(path, W, EnergyKind.rat(), M)
+        assert info == {"iterations": 0, "energy": energy, "grad_norm": 0.0}
+        bare = solve_bvp(c_a, c_b, 1, W, EnergyKind.rat(), M)
+        assert [c.coeffs.tobytes() for c in bare] == [c.coeffs.tobytes() for c in path]
+
     def test_warm_start_is_already_converged(self):
         kind = EnergyKind.rat()
         c_a, c_b = circle(1.0), circle(1.2)
@@ -302,6 +318,59 @@ class TestSolveBvp:
         assert info["iterations"] <= 2
         for j in range(9):
             assert np.allclose(repath[j].coeffs, path[j].coeffs, atol=1e-7)
+
+
+def fail_value_and_grad(monkeypatch, fails):
+    """Make geodesic.w_value_and_grad raise DegenerateCurve on the calls
+    whose 1-based number ``fails`` accepts; returns the points evaluated."""
+    real, points = geodesic.w_value_and_grad, []
+
+    def failing(c_hat, c_check, *args):
+        points.append(c_check[:-1].copy())  # the interior curves
+        if fails(len(points)):
+            raise DegenerateCurve("trial point rejected")
+        return real(c_hat, c_check, *args)
+
+    monkeypatch.setattr(geodesic, "w_value_and_grad", failing)
+    return points
+
+
+class TestBvpLineSearch:
+    """Each value+grad call of solve_bvp is one trial point: the first
+    evaluates the initial path, and here every iteration but a forced one
+    takes its full step, so call i + 1 is the full step of iteration i."""
+
+    @staticmethod
+    def solve():
+        return solve_bvp(circle(1.0), circle(1.2), 8, W, EnergyKind.rat(), M, return_info=True)
+
+    def test_inadmissible_full_step_is_halved(self, monkeypatch):
+        free, _ = self.solve()
+        points = fail_value_and_grad(monkeypatch, lambda n: n == 2)
+        path, _ = self.solve()
+        start, full, half = points[:3]
+        np.testing.assert_allclose(half - start, 0.5 * (full - start), rtol=1e-12, atol=1e-15)
+        for got, want in zip(path, free):
+            assert np.max(np.abs(got.coeffs - want.coeffs)) <= 1e-8
+
+    def test_failed_line_search_drops_the_memory_and_retries(self, monkeypatch):
+        # iteration 3 has two curvature pairs in memory; all 30 of its trial
+        # points are rejected, so it restarts from the preconditioned gradient
+        free, _ = self.solve()
+        points = fail_value_and_grad(monkeypatch, lambda n: 4 <= n <= 33)
+        path, _ = self.solve()
+        x = points[2]  # where iteration 2's full step ended
+        for j, trial in enumerate(points[3:33]):
+            np.testing.assert_allclose(trial - x, (points[3] - x) / 2**j, rtol=1e-12, atol=1e-15)
+        assert len(points) > 34
+        for got, want in zip(path, free):
+            assert np.max(np.abs(got.coeffs - want.coeffs)) <= 1e-8
+
+    def test_stall_without_memory_raises(self, monkeypatch):
+        points = fail_value_and_grad(monkeypatch, lambda n: n >= 2)
+        with pytest.raises(MaxIters, match="stalled at gradient norm"):
+            self.solve()
+        assert len(points) == 1 + 30  # the initial path, then each trial once
 
 
 # ---------------------------------------------------------------------------
@@ -340,6 +409,67 @@ def test_stacked_solve_matches_a_per_segment_solve(kind, monkeypatch):
     assert info["iterations"] == ref_info["iterations"]
     for got, want in zip(stacked, reference):
         np.testing.assert_allclose(got.coeffs, want.coeffs, rtol=0.0, atol=1e-12)
+
+
+
+class TestDampedTrials:
+    """The Euler-Lagrange solver's damped trials on a scalar root problem
+    whose admissible set is y <= 1.2: outside it the residual raises."""
+
+    @staticmethod
+    def solve(func, sign, points):
+        def residual(ys, idx):
+            points.extend(ys.ravel().tolist())
+            if np.any(ys > 1.2):
+                raise DegenerateCurve("outside the admissible set")
+            return func(ys)
+
+        precond = scipy.linalg.cho_factor(np.eye(1))
+        sols = geodesic._solve_roots(
+            residual, np.zeros((1, 1, 1)), [precond], sign, None, "toy", stop_tol=1e-12
+        )
+        return float(sols[0, 0, 0])
+
+    def test_step_halved_twice(self):
+        # y <- y + 4 (1 - y) from 0 overshoots to 4; 2 is still outside, 1 is the root
+        points = []
+        assert self.solve(lambda ys: 4.0 * (1.0 - ys), 1.0, points) == 1.0
+        assert points == [0.0, 4.0, 2.0, 1.0]
+
+    def test_no_admissible_trial_hands_over_to_the_polish(self, monkeypatch):
+        # the fixed-point step 1e4 (1 - y) leaves the admissible set even
+        # halved six times; Newton's step is the root
+        real_polish, polishes = geodesic._newton_polish, []
+
+        def counted(*args, **kwargs):
+            polishes.append(None)
+            return real_polish(*args, **kwargs)
+
+        monkeypatch.setattr(geodesic, "_newton_polish", counted)
+        points = []
+        assert self.solve(lambda ys: 1e4 * (1.0 - ys), 1.0, points) == pytest.approx(1.0, abs=1e-10)
+        assert points[:9] == [0.0, 1e4] + [1e4 / 2**j for j in range(1, 8)]
+        assert len(polishes) == 1
+
+    @pytest.mark.parametrize("func, sign", [
+        (lambda ys: np.ones_like(ys), 1.0),  # no root: a singular Jacobian
+        (lambda ys: 1.0 + ys**2, -1.0),  # no root: no Newton trial lowers the residual
+        (lambda ys: np.where(ys > 0.0, np.inf, 1.0), -1.0),  # probes beyond 0 are infinite
+    ], ids=["singular-jacobian", "no-descent", "non-finite-jacobian"])
+    def test_failed_polish_is_no_convergence(self, func, sign):
+        with pytest.raises(NoConvergence, match=r"^toy: preconditioned residual 1\.000e\+00"):
+            self.solve(func, sign, [])
+
+
+def test_preconditioner_falls_back_to_twice_the_gram_block():
+    # epsilon / 2 exceeds the unit circle's speed, so the smoothed Hessian
+    # block does not exist; the metric Gram block stands in for it
+    c, kind = circle(order=3), EnergyKind.reg(2.5)
+    with pytest.raises(NonPositiveLowerBound):
+        hessian_scalar_at_diagonal(c, W, kind, M)
+    (factor,) = geodesic._preconditioners(c.coeffs[None], W, kind, M)
+    expected = scipy.linalg.cho_factor(2.0 * gram_scalar(c, W, c.order, M))
+    np.testing.assert_array_equal(factor[0], expected[0])
 
 
 class TestExpLog:
@@ -459,6 +589,21 @@ class TestExpLog:
         monkeypatch.setattr(geodesic, "w_grad", counted)
         exp_k(c0, v, 64, W, EnergyKind.rat(), M)
         assert len(calls) / 63 <= 5.5
+
+    def test_solve_bvp_energy_calls_per_iteration(self, monkeypatch):
+        # one value pass per solve, and one value+grad pass per iteration
+        # (each trial point is evaluated once; an accepted step keeps its
+        # gradient); a value pass per trial and again per step made 5
+        calls = {"w_eval": 0, "w_value_and_grad": 0}
+        for name in calls:
+            def counted(*args, _real=getattr(geodesic, name), _name=name):
+                calls[_name] += 1
+                return _real(*args)
+
+            monkeypatch.setattr(geodesic, name, counted)
+        _, info = solve_bvp(circle(1.0), circle(1.2), 8, W, EnergyKind.rat(), M, return_info=True)
+        assert info["iterations"] == 6
+        assert calls == {"w_eval": 1, "w_value_and_grad": 7}
 
     def test_exp_k_carried_partial_equals_a_recomputed_one(self, monkeypatch):
         c0, v = self._shot()

@@ -479,3 +479,22 @@ class TestLockstep:
             pad(circle(), 6), V_UNIT, W_UNIT, tau, CurvatureSchedule.central(tau), UNIT, RAT, M
         )
         assert len(calls) <= 64
+
+    @pytest.mark.parametrize("kind, builds", [(RAT, 13), (EnergyKind.reg(1.0), 17)],
+                             ids=["rat", "reg"])
+    def test_centered_sectional_curvature_builds_each_block_once(self, kind, builds, monkeypatch):
+        # 24 solves, 13 distinct anchors: the four outer midpoint solves
+        # start at c, and the outer extensions at the inner midpoints' anchors
+        # c +- tau v, c +- tau w, which share a block only where the inner
+        # and outer energies agree (the smoothed ones have two epsilons)
+        real_block, blocks = geodesic.hessian_scalar_at_diagonal, []
+
+        def counted(*args, **kwargs):
+            blocks.append(None)
+            return real_block(*args, **kwargs)
+
+        monkeypatch.setattr(geodesic, "hessian_scalar_at_diagonal", counted)
+        tau = 1.0 / 16
+        sectional_curvature(pad(circle(), 20), V_UNIT, W_UNIT, tau,
+                            CurvatureSchedule.central(tau), UNIT, kind, 80)
+        assert len(blocks) == builds
