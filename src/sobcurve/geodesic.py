@@ -22,6 +22,13 @@ in lockstep, one stacked energy call per sweep; ``el_step`` and
 solved by preconditioned L-BFGS with an Armijo line search.  One damped-trial
 loop, ``_trial_steps``, halves the steps of the fixed point, of the Newton
 polish and of that line search, and evaluates each trial point once.
+
+The L-BFGS iteration applies its preconditioner one interior curve at a
+time and reduces path vectors with numpy's own loops.  Its vectors reach
+OpenBLAS's threading thresholds at sizes the solver meets (10 206 entries
+at N = 40, K = 64), and on a host with few cores the workers that a
+threaded call leaves spinning -- numpy and scipy each load their own
+OpenBLAS -- take more of the solver's time than the split call saves.
 """
 
 from __future__ import annotations
@@ -674,40 +681,57 @@ class _PathPreconditioner:
     """Initial inverse Hessian for the interior-point optimization.
 
     Near the linear path the energy Hessian is approximately
-    K * (T kron H) with T the second-difference matrix over interior time
-    indices and H the diagonal energy Hessian at a representative curve, so
-    its inverse factorizes into a banded time solve and a Cholesky
-    coefficient solve.
+    K * (T kron H kron I_d) with T the second-difference matrix over interior
+    time indices and H the scalar block of the diagonal energy Hessian at a
+    representative curve, so its inverse factorizes into a banded time solve
+    and a coefficient solve.  The coefficient solve applies H^{-1}, formed
+    once per solve from the Cholesky factor, to every interior curve in one
+    batched matmul of (2N+1) x d blocks.  One triangular solve with all
+    (K-1) d right-hand sides would go to OpenBLAS's thread pool (at N = 40
+    from K of about 8 on), and on a small host the workers it leaves
+    spinning slow the solver's own thread more than the solve gains.
     """
 
     def __init__(self, anchor, weights, kind, num_nodes, num_segments):
         k = self._k = num_segments
-        self._coeff = _preconditioners(anchor[None], weights, kind, num_nodes)[0]
+        factor = _preconditioners(anchor[None], weights, kind, num_nodes)[0]
+        # one column at a time: a solve with all columns at once threads too
+        self._inv = np.column_stack(
+            [scipy.linalg.cho_solve(factor, e) for e in np.eye(len(anchor))]
+        )
         # T in upper band form (one row at K = 2)
         self._bands = np.array([[2.0]] if k == 2 else [[0.0] + [-1.0] * (k - 2), [2.0] * (k - 1)])
 
     def __call__(self, flat, shape):
         interior, rows, dim = shape
-        q = flat.reshape(interior, rows, dim)
-        q = scipy.linalg.cho_solve(
-            self._coeff, q.transpose(1, 0, 2).reshape(rows, interior * dim)
-        ).reshape(rows, interior, dim).transpose(1, 0, 2)
+        q = np.matmul(self._inv, flat.reshape(shape))
         q = scipy.linalg.solveh_banded(
             self._bands, q.reshape(interior, rows * dim)
         ).reshape(interior, rows, dim)
         return (q / self._k).ravel()
 
 
+def _dot(a, b):
+    """Inner product of two path vectors in numpy's own loop: OpenBLAS's
+    ddot splits vectors above 10 000 entries over its thread pool, which
+    the boundary value solver's path vectors reach at N = 40, K = 64."""
+    return float(np.einsum("i,i->", a, b))
+
+
+def _norm(a):
+    return float(np.sqrt(_dot(a, a)))
+
+
 def _two_loop(memory, h0_apply, g):
     q = g.copy()
     alphas = []
     for s, yv, rho in reversed(memory):
-        a = rho * float(s @ q)
+        a = rho * _dot(s, q)
         alphas.append(a)
         q -= a * yv
     r = h0_apply(q)
     for (s, yv, rho), a in zip(memory, reversed(alphas)):
-        b = rho * float(yv @ r)
+        b = rho * _dot(yv, r)
         r += (a - b) * s
     return r
 
@@ -731,7 +755,8 @@ def solve_bvp(
     Armijo line search halves the step through ``_trial_steps``: each trial
     point gets one value+grad pass, and an accepted step keeps its gradient.
     Steps that leave the immersed set or hit an infinite energy are
-    rejected, so the returned energy never exceeds the initial one.  With
+    rejected, so the returned energy never exceeds the initial one.  An
+    initial path of infinite energy raises InfiniteEnergy, at K = 1 too.  With
     ``return_info`` the result is (path, info dict with iterations / energy /
     grad_norm).
     """
@@ -753,16 +778,11 @@ def solve_bvp(
     if init_path is not None:
         if init_path.num_segments != k:
             raise ValueError("init_path has the wrong number of segments")
-        interior = np.array([pad(init_path[j], n).coeffs for j in range(1, k)])
+        interior = [pad(init_path[j], n).coeffs for j in range(1, k)]
     else:
         ts = np.linspace(0.0, 1.0, k + 1)[1:-1]
-        interior = np.array([a_arr + (b_arr - a_arr) * t for t in ts])
-    if k == 1:
-        path = DiscretePath((c_a, c_b))
-        if return_info:
-            energy = discrete_path_energy(path, weights, kind, num_nodes)
-            return path, {"iterations": 0, "energy": energy, "grad_norm": 0.0}
-        return path
+        interior = [a_arr + (b_arr - a_arr) * t for t in ts]
+    interior = np.array(interior).reshape(k - 1, *a_arr.shape)  # (0, 2N+1, d) at K = 1
     j = _first_degenerate(interior, check_m)
     if j is not None:
         raise DegenerateInit(f"initial interior curve {j + 1} is not immersed")
@@ -786,9 +806,12 @@ def solve_bvp(
         raise InfiniteEnergy(
             "initial path has infinite energy (tangent correlation q <= 0)"
         )
+    if k == 1:
+        path = DiscretePath((c_a, c_b))
+        return (path, {"iterations": 0, "energy": f0, "grad_norm": 0.0}) if return_info else path
     fg = energy_and_grad(x)
     f, g = float(fg[-1]), fg[:-1]
-    gnorm = float(np.linalg.norm(g))
+    gnorm = _norm(g)
     tol = opts.grad_tol * (1.0 + gnorm)
     h0 = _PathPreconditioner(interior[len(interior) // 2], weights, kind, num_nodes, k)
     memory = []
@@ -801,11 +824,11 @@ def solve_bvp(
                 f"tolerance {tol:.3e} after {iters} iterations"
             )
         direction = -_two_loop(memory, lambda q: h0(q, shape), g)
-        slope = float(g @ direction)
+        slope = _dot(g, direction)
         if slope >= 0.0:
             memory.clear()
             direction = -h0(g, shape)
-            slope = float(g @ direction)
+            slope = _dot(g, direction)
         # Each segment energy is assembled from O(1)-magnitude integrands
         # that cancel down to O(1/K^2), so the total energy carries an
         # absolute rounding noise of roughly eps * K^(3/2); descent smaller
@@ -824,7 +847,7 @@ def solve_bvp(
             # there is no memory to drop; take the full step if it still
             # contracts the gradient (the preconditioned fixed-point map is
             # contractive near the minimizer)
-            step = full if np.linalg.norm(full[1][:-1]) < gnorm else None
+            step = full if _norm(full[1][:-1]) < gnorm else None
         if step is None:
             if not memory:
                 raise MaxIters(
@@ -836,13 +859,13 @@ def solve_bvp(
             continue
         x_new, fg = step
         s, yv = x_new - x, fg[:-1] - g
-        sy = float(s @ yv)
-        if sy > 1e-12 * float(np.linalg.norm(s)) * float(np.linalg.norm(yv)):
+        sy = _dot(s, yv)
+        if sy > 1e-12 * _norm(s) * _norm(yv):
             memory.append((s, yv, 1.0 / sy))
             if len(memory) > 10:
                 memory.pop(0)
         x, f, g = x_new, float(fg[-1]), fg[:-1]
-        gnorm = float(np.linalg.norm(g))
+        gnorm = _norm(g)
         iters += 1
 
     inner = x.reshape(shape)
@@ -865,8 +888,13 @@ def bvp_ladder(
     warm-starting every solve from the previous solution resampled in time.
 
     ``kind_for`` is either a fixed EnergyKind or a callable K -> EnergyKind
-    (for epsilon rules tied to the time step).  Returns {K: DiscretePath}.
+    (for epsilon rules tied to the time step).  Every K must be an integer
+    >= 1; a bad one raises ValueError before the first solve.  Returns
+    {K: DiscretePath}.
     """
+    k_values = list(k_values)
+    for k in k_values:
+        _require_count(k, "each K of k_values")
     ks = sorted(set(int(k) for k in k_values))
     pick = kind_for if callable(kind_for) else (lambda _k: kind_for)
     out = {}

@@ -4,7 +4,7 @@ import scipy.linalg
 
 from conftest import circle, perturbed_circle, rotate, tangent_field
 from sobcurve import geodesic
-from sobcurve.curve import FourierCurve
+from sobcurve.curve import FourierCurve, pad
 from sobcurve.energy import EnergyKind, hessian_scalar_at_diagonal, w_eval, w_value_and_grad
 from sobcurve.errors import (
     DegenerateCurve,
@@ -282,9 +282,11 @@ class TestSolveBvp:
 
     def test_infinite_initial_energy_rejected(self):
         # with an odd segment count the linear init between orientations stays
-        # immersed, but a middle segment has q <= 0 and infinite rational energy
-        with pytest.raises(InfiniteEnergy):
-            solve_bvp(circle(), reversed_circle(), 3, W, EnergyKind.rat(), M)
+        # immersed, but a middle segment has q <= 0 and infinite rational
+        # energy; at K = 1 that segment is the whole path
+        for k in (1, 3):
+            with pytest.raises(InfiniteEnergy):
+                solve_bvp(circle(), reversed_circle(), k, W, EnergyKind.rat(), M)
 
     def test_max_iters_raises(self):
         opts = SolverOptions(max_iters=1)
@@ -307,6 +309,24 @@ class TestSolveBvp:
         assert info == {"iterations": 0, "energy": energy, "grad_norm": 0.0}
         bare = solve_bvp(c_a, c_b, 1, W, EnergyKind.rat(), M)
         assert [c.coeffs.tobytes() for c in bare] == [c.coeffs.tobytes() for c in path]
+
+    def test_path_vector_above_the_blas_threading_size(self):
+        # N = 40, K = 64: the path vector has 63 * 81 * 2 = 10206 entries,
+        # above the 10000 from which OpenBLAS splits a dot product over
+        # threads; the solve took 10 iterations with BLAS reductions too
+        kind, k, m = EnergyKind.rat(), 64, 160
+        c_a = pad(circle(), 40)
+        c_b = pad(perturbed_circle(np.random.default_rng(7), order=6, scale=0.3), 40)
+        linear = DiscretePath.linear(c_a, c_b, k)
+        stack = np.stack([c.coeffs for c in linear])
+        _, gh, gc = w_value_and_grad(stack[:-1], stack[1:], W, kind, m)
+        g0 = np.linalg.norm(k * (gh[1:] + gc[:-1]))
+        assert (k - 1) * c_a.coeffs.size > 10_000
+        path, info = solve_bvp(c_a, c_b, k, W, kind, m, return_info=True)
+        assert info["iterations"] == 10
+        assert info["grad_norm"] <= SolverOptions().grad_tol * (1.0 + g0)
+        assert info["energy"] < discrete_path_energy(linear, W, kind, m)
+        assert info["energy"] == pytest.approx(discrete_path_energy(path, W, kind, m), rel=1e-12)
 
     def test_warm_start_is_already_converged(self):
         kind = EnergyKind.rat()
@@ -470,6 +490,22 @@ def test_preconditioner_falls_back_to_twice_the_gram_block():
     (factor,) = geodesic._preconditioners(c.coeffs[None], W, kind, M)
     expected = scipy.linalg.cho_factor(2.0 * gram_scalar(c, W, c.order, M))
     np.testing.assert_array_equal(factor[0], expected[0])
+
+
+@pytest.mark.parametrize("k", [2, 3, 8])
+def test_path_preconditioner_inverts_the_kronecker_hessian(k):
+    # K (T kron H kron I_d) with T the interior second-difference matrix
+    # (the single entry 2 at K = 2) and H the diagonal Hessian's scalar block
+    kind, anchor = EnergyKind.rat(), perturbed_circle(np.random.default_rng(3), order=6)
+    h0 = geodesic._PathPreconditioner(anchor.coeffs, W, kind, M, k)
+    block = hessian_scalar_at_diagonal(anchor, W, kind, M)
+    t = 2.0 * np.eye(k - 1) - np.eye(k - 1, k=1) - np.eye(k - 1, k=-1)
+    dense = k * np.kron(t, np.kron(block, np.eye(2)))
+    shape = (k - 1, *anchor.coeffs.shape)
+    vec = np.random.default_rng(k).normal(size=dense.shape[0])
+    expected = np.linalg.solve(dense, vec)
+    got = h0(vec, shape)
+    assert np.linalg.norm(got - expected) <= 1e-10 * np.linalg.norm(expected)
 
 
 class TestExpLog:
@@ -735,6 +771,14 @@ class TestBvpLadder:
         e_ladder = discrete_path_energy(ladder[8], W, kind, M)
         e_direct = discrete_path_energy(direct, W, kind, M)
         assert e_ladder == pytest.approx(e_direct, abs=1e-9)
+
+    @pytest.mark.parametrize("bad", [2.7, True, 0])
+    def test_bad_segment_counts_rejected_before_any_solve(self, bad, monkeypatch):
+        solves = []
+        monkeypatch.setattr(geodesic, "solve_bvp", lambda *a, **kw: solves.append(a))
+        with pytest.raises(ValueError, match="k_values"):
+            bvp_ladder(circle(1.0), circle(1.2), [4, bad], W, EnergyKind.rat(), M)
+        assert solves == []
 
     def test_callable_kind_per_level(self):
         seen = []
