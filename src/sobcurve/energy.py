@@ -8,7 +8,9 @@ and ``w_value_and_grad`` evaluate either:
 * ``EnergyKind.reg(eps)`` (any m >= 2): the blended-metric integrand with
   the curve speed replaced by smoothed upper/lower length bounds
   ``L^{+,eps}, L^{-,eps}``.  The remaining time integrand is polynomial in
-  t, integrated exactly by Gauss-Legendre.
+  t, integrated exactly by Gauss-Legendre at 2m-1 nodes.  The kernel's jets
+  carry those time nodes as one array axis, so a call runs the P_j
+  recursion and its reverse sweep once for all nodes.
 
 * ``EnergyKind.rat()`` (m = 2 only): fully closed-form rational/trigonometric
   expression, finite exactly when the tangent correlation
@@ -124,6 +126,12 @@ def _norm(a):
     return np.sqrt(_inner(a, a))
 
 
+def _dot(a, b):
+    """Inner products over the leading (ambient) axis, the layout of the
+    smoothed kernel's vectors (d, ...); broadcasts the other axes."""
+    return np.einsum("i...,i...->...", a, b)
+
+
 def smooth_max_min(alpha, beta, epsilon):
     """Smooth approximations of max/min:
 
@@ -132,23 +140,52 @@ def smooth_max_min(alpha, beta, epsilon):
 
     satisfying max_eps(a, a) = a + eps/2 and min_eps(a, a) = a - eps/2.
     """
+    return _smooth_max_min(alpha, beta, epsilon)[:2]
+
+
+def _smooth_max_min(alpha, beta, epsilon):
+    """:func:`smooth_max_min` and the slope (beta-alpha)/hyp, which gives
+    d max_eps/d beta = d min_eps/d alpha = (1 + slope)/2 and
+    d max_eps/d alpha = d min_eps/d beta = (1 - slope)/2."""
     diff = beta - alpha
     hyp = np.sqrt(diff * diff + epsilon * epsilon)
-    return alpha + 0.5 * (diff + hyp), alpha + 0.5 * (diff - hyp)
+    return alpha + 0.5 * (diff + hyp), alpha + 0.5 * (diff - hyp), diff / hyp
 
 
 def _length_bound_arrays(hat_prime, check_prime, r, p, epsilon):
-    """L^{+,eps} and L^{-,eps} from tangent samples (..., d) and their speeds
-    r, p (...), for one segment (M,) or a stack (M, S).
+    """L^{+,eps} and L^{-,eps} from tangent samples (d, ...), ambient axis
+    first, and their speeds r, p (...), for one segment (M,) or a stack
+    (M, S); the third result is the tape :func:`_length_bound_grads` reads.
 
     L^+ is the smoothed maximum of the two speeds.  L^- multiplies the
     clipped smoothed minimum by the mean-direction factor |u/|u| + v/|v||/2,
     which vanishes on tangent reversal.
     """
-    lplus, smin = smooth_max_min(r, p, epsilon)
+    lplus, smin, slope = _smooth_max_min(r, p, epsilon)
+    units = (hat_prime / r, check_prime / p)
+    wsum = units[0] + units[1]
+    mean_dir = 0.5 * np.sqrt(_dot(wsum, wsum))
     clipped = np.maximum(smin, 0.0)
-    mean_dir = 0.5 * _norm(hat_prime / r[..., None] + check_prime / p[..., None])
-    return lplus, mean_dir * clipped
+    return lplus, mean_dir * clipped, (units, wsum, mean_dir, clipped, slope)
+
+
+def _length_bound_grads(tape, r, p, bar_lplus, bar_lminus):
+    """Propagate cotangents of (L^+, L^-) back to the two tangent samples,
+    from the tape of :func:`_length_bound_arrays`.
+
+    Valid where L^- > 0 at every node, which the energy requires: there the
+    clip is inactive and w = u/|u| + v/|v| is nonzero, with
+    |w| = 2 mean_dir and <u/|u|, w> = <v/|v|, w> = |w|^2 / 2.
+    """
+    (uhat, vhat), wsum, mean_dir, clipped, slope = tape
+    lo, hi = 0.5 * (1.0 - slope), 0.5 * (1.0 + slope)
+    lm_dir = bar_lminus * mean_dir
+    half_clip = 0.5 * clipped
+    # d mean_dir / d hat' = (I - uhat uhat^T) w / (2 |w| r), likewise for check'
+    w_coef = bar_lminus * clipped / (4.0 * mean_dir)
+    bh = (bar_lplus * lo + lm_dir * (hi - half_clip / r)) * uhat + (w_coef / r) * wsum
+    bc = (bar_lplus * hi + lm_dir * (lo - half_clip / p)) * vhat + (w_coef / p) * wsum
+    return bh, bc
 
 
 def length_bounds(
@@ -168,7 +205,7 @@ def length_bounds(
     cp = sample_jet(c_check, num_nodes, 1)[1]
     r, p = _norm(hp), _norm(cp)
     _check_epsilon(epsilon, _require_immersed(r, p))
-    return _length_bound_arrays(hp, cp, r, p, epsilon)
+    return _length_bound_arrays(hp.T, cp.T, r, p, epsilon)[:2]
 
 
 # ---------------------------------------------------------------------------
@@ -226,89 +263,121 @@ def _first_failure(bad):
 #     P_{j+1} = |c_t'|^2 (P_j)' - (3j-2) (c_t' . c_t'') P_j,
 #
 # with all primes in theta, so P_j is polynomial in the jets of both curves.
-# A "jet" below is the array of theta-derivative orders 0..R of a quantity on
-# the grid: scalar jets have shape (R+1, M, S), vector jets (R+1, M, S, d)
-# for a stack of S segments.  The recursion consumes one derivative order per
+# A "jet" below is the sequence over theta-derivative orders 0..R of a
+# quantity on the grid, carried at all Gauss-Legendre time nodes at once:
+# vectors have shape (d, T, M, S), ambient axis first, and scalars
+# (T, M, S), so a scalar times a vector broadcasts over d with the grid
+# axes contiguous.  delta' does not depend on t; its jet keeps a size-1 node
+# axis, (d, 1, M, S).  The recursion consumes one derivative order per
 # level, which is why leaves are carried to order m-1.
+#
+# With s2 = |c_t'|^2 and c_t'.c_t'' = s2'/2, the Leibniz rule gives one sum
+#
+#     P_{j+1}[r] = sum_k kappa_j(r, k) s2[k] P_j[r+1-k],
+#     kappa_j(r, k) = C(r, k) - (3j-2)/2 C(r, k-1),
+#
+# and the jet of s2 is formed from its symmetric half, D[0] = s2[0] and
+# D[k] = s2[k]/2 for k >= 1, so each pair <c_l, c_{k-l}> = <c_{k-l}, c_l>
+# is formed once.
 
 
-def _dot_jet(a, b):
-    """Scalar jet of <a, b> from two vector jets (Leibniz rule)."""
-    r_out = min(a.shape[0], b.shape[0]) - 1
-    out = np.empty((r_out + 1,) + a.shape[1:-1])
-    for r in range(r_out + 1):
-        acc = 0.0
-        for l in range(r + 1):
-            acc = acc + math.comb(r, l) * _inner(a[l], b[r - l])
-        out[r] = acc
+def _sum(terms):
+    """Sum of an iterable of freshly computed arrays, started from the first."""
+    terms = iter(terms)
+    out = next(terms)
+    for term in terms:
+        out += term
     return out
 
 
-def _scale_jet(s, b):
-    """Vector jet of s * b from a scalar jet s and vector jet b."""
-    r_out = min(s.shape[0], b.shape[0]) - 1
-    out = np.empty((r_out + 1,) + b.shape[1:])
-    for r in range(r_out + 1):
-        acc = 0.0
-        for l in range(r + 1):
-            acc = acc + math.comb(r, l) * s[l][..., None] * b[r - l]
-        out[r] = acc
-    return out
+def _scaled(c, x):
+    """c * x, skipping the multiplication by one."""
+    return x if c == 1.0 else c * x
+
+
+@lru_cache(maxsize=None)
+def _pjet_table(m):
+    """Terms of the P_j recursion up to order m, with scalar factors folded.
+
+    Entry j-1 lists, for each order r of P_{j+1}, the nonzero terms
+    (c, k, 2 kappa) of P_{j+1}[r] = sum c D[k] P_j[r+1-k], where c = kappa
+    times the factor (1 or 2) that makes s2[k] of D[k].
+    """
+    table = []
+    for j in range(1, m):
+        rows = []
+        for r in range(m - j):
+            row = []
+            for k in range(r + 2):
+                kappa = math.comb(r, k) - (1.5 * j - 1.0) * (math.comb(r, k - 1) if k else 0)
+                if kappa:
+                    row.append((kappa * (2.0 if k else 1.0), k, 2.0 * kappa))
+            rows.append(tuple(row))
+        table.append(tuple(rows))
+    return tuple(table)
+
+
+def _half_square_jet(cp):
+    """The symmetric half D of the jet of |c_t'|^2 from the jet cp of c_t'."""
+    return [
+        _sum(
+            _scaled(math.comb(k, l) / (2.0 if 0 < k == 2 * l else 1.0), _dot(cp[l], cp[k - l]))
+            for l in range(k // 2 + 1)
+        )
+        for k in range(len(cp))
+    ]
 
 
 def _pjet_forward(cp, up, m):
     """P_j jets for j = 1..m from the leaves.
 
-    cp, up: vector jets of c_t' and delta' carried to order m-1.
-    Returns (pjets, s2, g2): pjets[j] has orders 0..m-j; s2 is the jet of
-    |c_t'|^2 (orders 0..m-1); g2 = jet of c_t'.c_t'' (orders 0..m-2).
+    cp, up: vector jets of c_t' and delta' carried to order m-1.  Returns
+    (pjets, scaled): pjets[j-1] is the jet of P_j (orders 0..m-j) and
+    ``scaled`` maps each (c, k) of :func:`_pjet_table` to c D[k], which the
+    reverse sweep reuses.
     """
-    s2 = _dot_jet(cp, cp)
-    g2 = 0.5 * s2[1:]
-    pjets = {1: up}
-    for j in range(1, m):
-        prev = pjets[j]
-        shifted = prev[1:]
-        lead = _scale_jet(s2, shifted)
-        corr = _scale_jet(g2, prev)[: lead.shape[0]]
-        pjets[j + 1] = lead - (3 * j - 2) * corr
-    return pjets, s2, g2
+    half = _half_square_jet(cp)
+    table = _pjet_table(m)
+    scaled = {(c, k): _scaled(c, half[k]) for rows in table for row in rows for c, k, _ in row}
+    pjets = [up]
+    for rows in table:
+        prev = pjets[-1]
+        pjets.append(
+            [_sum(scaled[c, k] * prev[r + 1 - k] for c, k, _ in row) for r, row in enumerate(rows)]
+        )
+    return pjets, scaled
 
 
-def _pjet_reverse(cp, up, m, pjets, s2, g2, seeds):
+def _pjet_reverse(cp, m, pjets, scaled, seeds):
     """Adjoint of :func:`_pjet_forward`.
 
-    seeds[j] is the cotangent of the order-0 entry of P_j (shape (M, S, d));
-    returns cotangents (bar_cp, bar_up) of the two leaf jets.
+    seeds[j-2] is the cotangent of the order-0 entry of P_j for j = 2..m,
+    shape (d, T, M, S); P_1's own seed does not depend on the node and is
+    the caller's.  Returns the cotangent jets of c_t' (with the node axis)
+    and of P_1 = delta' (summed over the nodes).
     """
-    bar_p = {j: np.zeros_like(pjets[j]) for j in pjets}
-    for j, seed in seeds.items():
-        bar_p[j][0] += seed
-    bar_s2 = np.zeros_like(s2)
-    bar_g2 = np.zeros_like(g2)
-    for j in range(m, 1, -1):
+    table = _pjet_table(m)
+    half_terms = [[] for _ in range(m)]  # terms of 2 * cotangent of s2[k]
+    bar = [seeds[-1]]
+    for j in range(m - 1, 0, -1):
         prev = pjets[j - 1]
-        shifted = prev[1:]
-        coef = 3 * (j - 1) - 2
-        bp = bar_p[j]
-        r_out = bp.shape[0] - 1
-        for r in range(r_out + 1):
-            for l in range(r + 1):
-                cb = math.comb(r, l)
-                # term s2 * shift(prev)
-                bar_s2[l] += cb * _inner(bp[r], shifted[r - l])
-                bar_p[j - 1][1 + (r - l)] += cb * s2[l][..., None] * bp[r]
-                # term -(3j-5) g2 * prev
-                bar_g2[l] -= coef * cb * _inner(bp[r], prev[r - l])
-                bar_p[j - 1][r - l] -= coef * cb * g2[l][..., None] * bp[r]
-    bar_up = bar_p[1]
-    bar_s2[1:] += 0.5 * bar_g2
-    bar_cp = np.zeros_like(cp)
-    r_max = s2.shape[0] - 1
-    for r in range(r_max + 1):
-        for l in range(r + 1):
-            bar_cp[l] += 2.0 * math.comb(r, l) * bar_s2[r][..., None] * cp[r - l]
-    return bar_cp, bar_up
+        terms = [[] for _ in range(m - j + 1)]
+        if j > 1:
+            terms[0].append(seeds[j - 2])
+        for r, row in enumerate(table[j - 1]):
+            for c, k, twice_kappa in row:
+                if j > 1:
+                    terms[r + 1 - k].append(scaled[c, k] * bar[r])
+                else:  # the t-free leaf takes the node sum at once
+                    terms[r + 1 - k].append(np.einsum("t...,it...->i...", scaled[c, k], bar[r]))
+                half_terms[k].append(_scaled(twice_kappa, _dot(bar[r], prev[r + 1 - k])))
+        bar = [_sum(t) for t in terms]
+    bar_half = [_sum(t) for t in half_terms]
+    bar_cp = [
+        _sum(_scaled(math.comb(k, l), bar_half[k]) * cp[k - l] for k in range(l, m))
+        for l in range(m)
+    ]
+    return bar_cp, bar
 
 
 @lru_cache(maxsize=None)
@@ -319,6 +388,18 @@ def _gauss01(n: int):
     w = 0.5 * w
     w.setflags(write=False)
     return t, w
+
+
+@lru_cache(maxsize=None)
+def _time_nodes(n: int):
+    """The n Gauss-Legendre nodes t and weights on [0, 1] as (n, 1, 1)
+    columns ahead of the grid axes (M, S), and the blend weights
+    (1 - t, t) as rows of shape (2, n); cached read-only."""
+    t, w = _gauss01(n)
+    out = (t[:, None, None], w[:, None, None], np.stack((1.0 - t, t)))
+    for x in out:
+        x.setflags(write=False)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -332,12 +413,14 @@ def _reg_core(hat_c, chk_c, weights, epsilon, num_nodes, want_grad):
     ``want_grad``."""
     m = weights.order
     a = weights.coefficients
-    hat, chk = _sample(hat_c, num_nodes, m), _sample(chk_c, num_nodes, m)
-    r, p = _norm(hat[1]), _norm(chk[1])
+    # jets with the ambient axis first, (m+1, d, M, S)
+    hat = np.ascontiguousarray(_sample(hat_c, num_nodes, m).transpose(0, 3, 1, 2))
+    chk = np.ascontiguousarray(_sample(chk_c, num_nodes, m).transpose(0, 3, 1, 2))
+    r, p = np.sqrt(_dot(hat[1], hat[1])), np.sqrt(_dot(chk[1], chk[1]))
     least = _require_immersed(
         r, p, lambda i: _reg_core(hat_c[:i], chk_c[:i], weights, epsilon, num_nodes, want_grad)
     )
-    lplus, lminus = _length_bound_arrays(hat[1], chk[1], r, p, epsilon)
+    lplus, lminus, bounds = _length_bound_arrays(hat[1], chk[1], r, p, epsilon)
     first = _first_failure(lminus.min(axis=0) <= 0.0)
     # the per-pair calls up to the failing one would each have warned
     _check_epsilon(epsilon, least if first is None else least[: first + 1])
@@ -346,90 +429,50 @@ def _reg_core(hat_c, chk_c, weights, epsilon, num_nodes, want_grad):
             "lower length bound hit zero (epsilon too large or tangents reversed)"
         )
     tw = 2.0 * np.pi / num_nodes
-    tnodes, tweights = _gauss01(2 * m - 1)
+    t, tweights, blend = _time_nodes(2 * m - 1)
 
     delta0 = chk[0] - hat[0]
-    value = a[0] * tw * np.sum(lplus * _inner(delta0, delta0), axis=0)
-
-    lm_pow = {j: lminus ** (5 - 6 * j) for j in range(1, m + 1)}
-    qsum = {j: np.zeros(lminus.shape) for j in range(1, m + 1)}
-    tapes = []
-    up = chk[1:] - hat[1:]
-    for ti, wi in zip(tnodes, tweights):
-        cp = (1.0 - ti) * hat[1:] + ti * chk[1:]
-        pjets, s2, g2 = _pjet_forward(cp, up, m)
-        for j in range(1, m + 1):
-            qsum[j] += wi * _inner(pjets[j][0], pjets[j][0])
-        if want_grad:
-            tapes.append((ti, wi, cp, pjets, s2, g2))
-    for j in range(1, m + 1):
-        value += a[j] * tw * np.sum(lm_pow[j] * qsum[j], axis=0)
+    sq0 = _dot(delta0, delta0)
+    up = (chk[1:] - hat[1:])[:, :, None]
+    cp = hat[1:, :, None] + t * up
+    pjets, scaled = _pjet_forward(cp, up, m)
+    # Gauss-Legendre time integrals of |P_j|^2; P_1 = delta' is t-free
+    qint = [_dot(up[0, :, 0], up[0, :, 0])]
+    qint += [np.einsum("t...,it...,it...->...", tweights, pj[0], pj[0]) for pj in pjets[1:]]
+    lm_pow = [lminus ** (5 - 6 * j) for j in range(1, m + 1)]
+    terms = [a[j] * lm_pow[j - 1] * qint[j - 1] for j in range(1, m + 1)]
+    value = tw * np.sum(_sum([a[0] * lplus * sq0] + terms), axis=0)
 
     if not want_grad:
         return value, None, None
 
-    # cotangents of the sampled jets, orders 0..m
-    bar_hat, bar_chk = np.zeros_like(hat), np.zeros_like(chk)
-    bar_hat[0] = -2.0 * a[0] * tw * lplus[..., None] * delta0
-    bar_chk[0] = 2.0 * a[0] * tw * lplus[..., None] * delta0
+    bar_lplus = (a[0] * tw) * sq0
+    bar_lminus = (tw / lminus) * _sum((5.0 - 6.0 * j) * e for j, e in enumerate(terms, 1))
+    bar_h1, bar_c1 = _length_bound_grads(bounds, r, p, bar_lplus, bar_lminus)
 
-    bar_lplus = a[0] * tw * _inner(delta0, delta0)
-    bar_lminus = np.zeros(lminus.shape)
-    for j in range(1, m + 1):
-        bar_lminus += a[j] * tw * (5 - 6 * j) * lminus ** (4 - 6 * j) * qsum[j]
-    bh1, bc1 = _length_bound_grads(hat[1], chk[1], r, p, epsilon, bar_lplus, bar_lminus)
-    bar_hat[1] += bh1
-    bar_chk[1] += bc1
-
-    for ti, wi, cp, pjets, s2, g2 in tapes:
-        seeds = {
-            j: (2.0 * a[j] * tw * wi) * lm_pow[j][..., None] * pjets[j][0]
-            for j in range(1, m + 1)
-        }
-        bar_cp, bar_up = _pjet_reverse(cp, up, m, pjets, s2, g2, seeds)
-        bar_hat[1:] += (1.0 - ti) * bar_cp - bar_up
-        bar_chk[1:] += ti * bar_cp + bar_up
+    seeds = [
+        ((2.0 * a[j] * tw) * lm_pow[j - 1] * tweights) * pjets[j - 1][0]
+        for j in range(2, m + 1)
+    ]
+    bar_cp, bar_up = _pjet_reverse(cp, m, pjets, scaled, seeds)
+    bar_up[0] += ((2.0 * a[1] * tw) * lm_pow[0]) * up[0, :, 0]  # P_1's t-free seed
+    # c_t' = (1-t) hat' + t check' and P_1 = check' - hat'
+    bar_hat, bar_chk = np.empty_like(hat), np.empty_like(chk)
+    bar_chk[0] = ((2.0 * a[0] * tw) * lplus) * delta0
+    bar_hat[0] = -bar_chk[0]
+    for l in range(m):
+        sides = np.einsum("qt,it...->qi...", blend, bar_cp[l])
+        bar_hat[l + 1] = sides[0] - bar_up[l]
+        bar_chk[l + 1] = sides[1] + bar_up[l]
+    bar_hat[1] += bar_h1
+    bar_chk[1] += bar_c1
 
     order = hat_c.shape[1] // 2
-    return value, _pull_back(bar_hat, order, num_nodes), _pull_back(bar_chk, order, num_nodes)
-
-
-def _length_bound_grads(hat_prime, check_prime, r, p, epsilon, bar_lplus, bar_lminus):
-    """Propagate cotangents of (L^+, L^-) back to the two tangent samples,
-    whose speeds are r and p (shapes as in :func:`_length_bound_arrays`)."""
-    uhat = hat_prime / r[..., None]
-    vhat = check_prime / p[..., None]
-    diff = p - r
-    hyp = np.sqrt(diff * diff + epsilon * epsilon)
-    ratio = diff / hyp
-    # L^+ = smooth max
-    dlp_dr = 0.5 * (1.0 - ratio)
-    dlp_dp = 0.5 * (1.0 + ratio)
-    # smooth min and its clip
-    smin = r + 0.5 * (diff - hyp)
-    gate = (smin > 0.0).astype(float)
-    dsm_dr = 0.5 * (1.0 + ratio)
-    dsm_dp = 0.5 * (1.0 - ratio)
-    w = uhat + vhat
-    wnorm = _norm(w)
-    mean_dir = 0.5 * wnorm
-    clipped = np.maximum(smin, 0.0)
-    # d mean_dir / d hat' = (I - uhat uhat^T) w / (2 |w| r); zero where |w| = 0
-    safe = np.where(wnorm > 0.0, wnorm, 1.0)
-    proj_hat = (w - uhat * _inner(uhat, w)[..., None]) / (2.0 * safe * r)[..., None]
-    proj_chk = (w - vhat * _inner(vhat, w)[..., None]) / (2.0 * safe * p)[..., None]
-    proj_hat = np.where(wnorm[..., None] > 0.0, proj_hat, 0.0)
-    proj_chk = np.where(wnorm[..., None] > 0.0, proj_chk, 0.0)
-
-    bh = (bar_lplus * dlp_dr)[..., None] * uhat
-    bc = (bar_lplus * dlp_dp)[..., None] * vhat
-    bh += bar_lminus[..., None] * (
-        clipped[..., None] * proj_hat + (mean_dir * gate * dsm_dr)[..., None] * uhat
+    return (
+        value,
+        _pull_back(bar_hat.transpose(0, 2, 3, 1), order, num_nodes),
+        _pull_back(bar_chk.transpose(0, 2, 3, 1), order, num_nodes),
     )
-    bc += bar_lminus[..., None] * (
-        clipped[..., None] * proj_chk + (mean_dir * gate * dsm_dp)[..., None] * vhat
-    )
-    return bh, bc
 
 
 # ---------------------------------------------------------------------------
@@ -440,7 +483,9 @@ def _length_bound_grads(hat_prime, check_prime, r, p, epsilon, bar_lplus, bar_lm
 # of shape (S, 2N+1, d).  One matmul against the cached jet matrix samples
 # all jet orders of a stack, and per-node quantities carry the segment as
 # their last scalar axis: jets (m+1, M, S, d), vectors (M, S, d), scalars
-# (M, S).  Segment values sum over the node axis 0.
+# (M, S).  Segment values sum over the node axis 0.  The smoothed kernel
+# moves the ambient axis first, jets (m+1, d, M, S), and back before the
+# pull-back.
 
 
 def _sample(stack, num_nodes, max_order):
@@ -1013,7 +1058,9 @@ def _evaluate(c_hat, c_check, weights, kind, num_nodes, want_grad):
         core, args = _rat_core, (weights, num_nodes, want_grad)
     else:
         core, args = _reg_core, (weights, kind.epsilon, num_nodes, want_grad)
-    step = max(1, _BLOCK_NODES // num_nodes)
+    # a grid of M <= 2N nodes, M <= 0 included, raises InsufficientSamples
+    # when the first block is sampled
+    step = max(1, _BLOCK_NODES // max(num_nodes, 1))
     if len(hat) <= step:
         values, gh, gc = core(hat, chk, *args)
     else:

@@ -211,7 +211,12 @@ def w_lin_oracle(
 
 def sobolev_norm(curve: FourierCurve, order: int) -> float:
     """W^r norm in theta of a coefficient curve: sum of L^2 norms of
-    derivatives 0..r, computed exactly from the coefficients (Parseval)."""
+    derivatives 0..r, computed exactly from the coefficients (Parseval).
+
+    Raises ValueError unless the order r is an integer >= 0.
+    """
+    if isinstance(order, bool) or not isinstance(order, (int, np.integer)) or order < 0:
+        raise ValueError(f"Sobolev order must be an integer >= 0, got {order!r}")
     sq = 0.0
     a, b = curve.cos_coeffs, curve.sin_coeffs
     sq += 2.0 * np.pi * float(np.sum(a[0] ** 2))

@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import circle, nearby_pair, perturbed_circle, rotate, tangent_field, translate
-from sobcurve.curve import FourierCurve, sample_jet
+from sobcurve.cli import resolve_curve
+from sobcurve.curve import FourierCurve, pad, sample_jet
 from sobcurve.errors import (
     DegenerateCurve,
     InsufficientSamples,
@@ -279,6 +280,41 @@ def test_w_reg_higher_order_runs():
     val = w_eval(a, b, w3, kind, M)
     assert val > 0.0
     assert val == pytest.approx(w_eval(b, a, w3, kind, M), rel=1e-12)
+
+
+HIGHER_ORDERS = [
+    pytest.param(MetricWeights.of(1.0, 0.0, 0.5, 0.25), id="m3"),
+    pytest.param(MetricWeights.of(1.0, 0.5, 0.25, 0.0, 0.125), id="m4"),
+]
+
+
+@pytest.mark.parametrize("weights", HIGHER_ORDERS)
+def test_w_reg_gradient_at_higher_order(weights):
+    # the generic-m reverse sweep: central differences on one pair, and a
+    # 3-segment stack against its per-pair calls; a zero coefficient drops
+    # one P_j term from the value but not from the recursion
+    kind = EnergyKind.reg(1 / 64)
+    rng = np.random.default_rng(14)
+    a, b = nearby_pair(rng)
+    _, gh, gc = w_value_and_grad(a, b, weights, kind, M)
+    w = lambda x, y: w_eval(x, y, weights, kind, M)
+    h = 1e-6
+    for _ in range(3):
+        d = tangent_field(rng, a.order, scale=0.3)
+        fd_hat = (w(a + d * h, b) - w(a + d * (-h), b)) / (2 * h)
+        fd_chk = (w(a, b + d * h) - w(a, b + d * (-h))) / (2 * h)
+        assert float(np.sum(gh.coeffs * d.coeffs)) == pytest.approx(fd_hat, rel=1e-5, abs=1e-10)
+        assert float(np.sum(gc.coeffs * d.coeffs)) == pytest.approx(fd_chk, rel=1e-5, abs=1e-10)
+
+    path = curve_stack(rng, 4)
+    hat, chk = path[:-1], path[1:]
+    values, sh, sc = w_value_and_grad(hat, chk, weights, kind, STACK_M)
+    pairs = per_pair(w_value_and_grad, hat, chk, weights, kind, STACK_M)
+    for s, (value, ph, pc) in enumerate(pairs):
+        assert values[s] == pytest.approx(value, rel=1e-14)
+        scale = max(np.abs(ph.coeffs).max(), np.abs(pc.coeffs).max())
+        np.testing.assert_allclose(sh[s], ph.coeffs, rtol=0.0, atol=1e-13 * scale)
+        np.testing.assert_allclose(sc[s], pc.coeffs, rtol=0.0, atol=1e-13 * scale)
 
 
 def test_w_reg_epsilon_too_large_raises():
@@ -624,6 +660,43 @@ def test_aliasing_grid_rejected(entry):
         with pytest.raises(InsufficientSamples):
             call(a, b, m)
     call(a, b, 61)
+
+
+@pytest.mark.parametrize("kind", [RAT, EnergyKind.reg(1e-3)], ids=kind_id)
+def test_empty_and_negative_grids_rejected(kind):
+    a, b = nearby_pair(np.random.default_rng(23))
+    stacks = (np.stack([a.coeffs] * 3), np.stack([b.coeffs] * 3))
+    for fn in (w_eval, w_grad, w_value_and_grad):
+        for m in (0, -3):
+            for pair in ((a, b), stacks):
+                with pytest.raises(InsufficientSamples):
+                    fn(*pair, W2, kind, m)
+
+
+# ---------------------------------------------------------------------------
+# Rounding floor of the gradients
+# ---------------------------------------------------------------------------
+
+FLOOR_ANGLES = np.linspace(0.0, 2.5, 6)
+
+
+@pytest.mark.parametrize("kind", [RAT, EnergyKind.reg(1 / 64)], ids=kind_id)
+def test_gradient_rounding_floor_under_rotation(kind):
+    # A rigid rotation of both curves rotates the exact gradient, so what
+    # R^T g(R c) - g(c) measures is the gradient's absolute rounding error.
+    # The nested covariant quotients amplify it (acceptance 04 sits on that
+    # floor), so a summation-order change that raises it fails here first.
+    n = 30
+    star = pad(resolve_curve("star"), n)
+    hat, chk = star, star + pad(resolve_curve("normal5"), n) * 1e-6
+    weights = MetricWeights.of(1e-4, 1.0, 1e-2)
+    _, gh, gc = w_value_and_grad(hat, chk, weights, kind, 120)
+    worst = 0.0
+    for angle in FLOOR_ANGLES:
+        _, rh, rc = w_value_and_grad(rotate(hat, angle), rotate(chk, angle), weights, kind, 120)
+        for turned, ref in ((rh, gh), (rc, gc)):
+            worst = max(worst, np.abs(rotate(turned, -angle).coeffs - ref.coeffs).max())
+    assert worst <= 1e-13, f"gradient rounding floor {worst:.2e} > 1e-13"
 
 
 # ---------------------------------------------------------------------------

@@ -142,6 +142,13 @@ def test_sobolev_norm_circle():
     assert sobolev_norm(circle(), 1) == pytest.approx(np.sqrt(4.0 * np.pi), rel=1e-14)
 
 
+@pytest.mark.parametrize("order", [-1, -2, 1.5, 2.0, True, "2"])
+def test_sobolev_norm_rejects_bad_orders(order):
+    # -1 used to return the norm of the mean alone, 1.5 a bare TypeError
+    with pytest.raises(ValueError, match="integer >= 0"):
+        sobolev_norm(circle(), order)
+
+
 class TestWLin:
     def test_zero_on_diagonal(self):
         rng = np.random.default_rng(4)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import circle, perturbed_circle, tangent_field
+from conftest import circle, perturbed_circle, rotate, tangent_field
 from sobcurve import geodesic, transport
 from sobcurve.curve import FourierCurve, pad
 from sobcurve.energy import EnergyKind
@@ -368,6 +368,25 @@ class TestCurvature:
         exact = sectional_curvature_circle(V_UNIT, W_UNIT, UNIT)
         assert exact == pytest.approx(-31.0 / (117.0 * np.pi), abs=1e-15)
         assert abs(kappa - exact) <= 3e-3
+
+    def test_sectional_curvature_rounding_floor_under_rotation(self):
+        # A rigid rotation of (c, v, w) leaves kappa exact and changes only
+        # its rounding, so the spread over angles reads the floor that
+        # acceptance 04's K = 64..512 slope sits on.
+        c = pad(circle(), 20)
+        tau = 1.0 / 256
+        sch = CurvatureSchedule.central(tau)
+        kappas = [
+            sectional_curvature(
+                rotate(c, a), rotate(V_UNIT, a), rotate(W_UNIT, a), tau, sch, UNIT, RAT, 80
+            )
+            for a in np.linspace(0.0, 2.5, 6)
+        ]
+        spread = max(kappas) - min(kappas)
+        assert spread <= 5e-7, (
+            f"kappa rotation spread {spread:.2e} at K = 256 exceeds 5e-7: the rounding "
+            "floor rose, and acceptance 04's K = 64..512 slope fits on that floor"
+        )
 
     def test_sectional_curvature_symmetric_in_arguments(self):
         c = pad(circle(), 6)
