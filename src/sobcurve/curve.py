@@ -5,11 +5,13 @@ coefficients,
 
     c(theta) = a_0 + sum_{k=1..N} a_k cos(k theta) + b_k sin(k theta),
 
-with vector coefficients ``a_k, b_k in R^d``.  Differentiation in theta is
-performed in coefficient space (multiply mode ``k`` by the exact factors), so
-the jets :func:`sample_jet` returns, plain read-only arrays of shape
-(m+1, M, d), carry no differentiation error beyond round-off.  Grids are
-always the uniform nodes ``theta_i = 2 pi i / M``.
+with vector coefficients ``a_k, b_k in R^d``.  A curve is one read-only
+array, the stack [a_0..a_N, b_1..b_N] of shape (2N+1, d) that the solvers
+compute on, with read-only views of its two blocks.  Differentiation in
+theta is performed in coefficient space (multiply mode ``k`` by the exact
+factors), so the jets :func:`sample_jet` returns, plain read-only arrays of
+shape (m+1, M, d), carry no differentiation error beyond round-off.  Grids
+are always the uniform nodes ``theta_i = 2 pi i / M``, M an integer.
 
 Curves are immutable value objects; the arithmetic operators return new
 curves and are used pervasively by the solvers.  Tangent vectors share the
@@ -21,7 +23,7 @@ the type of its left operand.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+import numbers
 from functools import lru_cache
 
 import numpy as np
@@ -60,13 +62,18 @@ def _basis(theta: np.ndarray, order: int, deriv: int) -> np.ndarray:
     return np.hstack([cos_block, sin_block])
 
 
-@lru_cache(maxsize=None)
+# The grid-matrix caches are typed: as plain cache keys 120.0 == 120 and
+# True == 1, and the grid-size check in _eval_matrix would not see them.
+@lru_cache(maxsize=None, typed=True)
 def _eval_matrix(order: int, num_nodes: int, deriv: int) -> np.ndarray:
     """:func:`_basis` on the uniform M-point grid, cached read-only.
 
-    Raises InsufficientSamples unless M > 2N: coarser grids alias the top
-    modes, and every sampled quantity built on them would be quietly wrong.
+    Raises ValueError unless M is an integer, and InsufficientSamples
+    unless M > 2N: coarser grids alias the top modes, and every sampled
+    quantity built on them would be quietly wrong.
     """
+    if isinstance(num_nodes, bool) or not isinstance(num_nodes, numbers.Integral):
+        raise ValueError(f"the grid size M must be an integer, got {num_nodes!r}")
     if num_nodes <= 2 * order:
         raise InsufficientSamples(
             f"{num_nodes} grid nodes cannot resolve {order} modes (need M > 2N)"
@@ -76,7 +83,7 @@ def _eval_matrix(order: int, num_nodes: int, deriv: int) -> np.ndarray:
     return mat
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def _jet_matrix(order: int, num_nodes: int, max_order: int) -> np.ndarray:
     """The :func:`_eval_matrix` blocks of derivative orders 0..max_order
     stacked row-wise, shape ((max_order+1) M, 2N+1), cached read-only: one
@@ -86,34 +93,25 @@ def _jet_matrix(order: int, num_nodes: int, max_order: int) -> np.ndarray:
     return mat
 
 
-def _as_readonly(arr: np.ndarray) -> np.ndarray:
-    out = np.array(arr, dtype=float)
-    out.setflags(write=False)
-    return out
-
-
-@dataclass(frozen=True)
 class FourierCurve:
     """Closed curve (or tangent field along one) in Fourier coefficients.
 
-    Attributes
-    ----------
-    cos_coeffs : ndarray, shape (N+1, d)
-        Vector coefficients a_0 .. a_N.
-    sin_coeffs : ndarray, shape (N, d)
-        Vector coefficients b_1 .. b_N.
+    ``FourierCurve(cos_coeffs, sin_coeffs)`` takes the blocks a_0 .. a_N,
+    shape (N+1, d), and b_1 .. b_N, shape (N, d); :meth:`from_coeffs` takes
+    their stack.  Either way the curve keeps one read-only copy of the
+    stack, :attr:`coeffs`, and :attr:`cos_coeffs` / :attr:`sin_coeffs` are
+    views of its two blocks.
     """
 
-    cos_coeffs: np.ndarray
-    sin_coeffs: np.ndarray
+    __slots__ = ("_coeffs",)
     min_dim = 2  # curves live in R^d with d >= 2
 
-    def __post_init__(self):
-        cos = _as_readonly(np.atleast_2d(self.cos_coeffs))
-        sin = np.asarray(self.sin_coeffs, dtype=float)
+    def __init__(self, cos_coeffs, sin_coeffs):
+        cos = np.atleast_2d(np.asarray(cos_coeffs, dtype=float))
+        sin = np.asarray(sin_coeffs, dtype=float)
         if sin.size == 0:
             sin = np.zeros((0, cos.shape[1]))
-        sin = _as_readonly(np.atleast_2d(sin))
+        sin = np.atleast_2d(sin)
         if cos.ndim != 2 or sin.ndim != 2:
             raise ValueError("coefficient arrays must be 2-d (modes x dim)")
         if sin.shape[0] != cos.shape[0] - 1:
@@ -123,66 +121,94 @@ class FourierCurve:
             )
         if sin.shape[0] > 0 and sin.shape[1] != cos.shape[1]:
             raise ValueError("cos/sin coefficient dimensions disagree")
-        if cos.shape[1] < self.min_dim:
-            raise ValueError(f"expected dimension d >= {self.min_dim}, got {cos.shape[1]}")
-        if not (np.isfinite(cos).all() and np.isfinite(sin).all()):
+        self._set(np.concatenate((cos, sin)))
+
+    @classmethod
+    def _of(cls, stacked: np.ndarray) -> "FourierCurve":
+        """The curve that stores ``stacked``, a new float array (2N+1, d)."""
+        return cls.__new__(cls)._set(stacked)
+
+    def _set(self, stacked: np.ndarray) -> "FourierCurve":
+        """Check ``stacked`` and keep it, made read-only and not copied."""
+        if stacked.ndim != 2 or stacked.shape[0] % 2 == 0:
+            raise ValueError("stacked coefficient array must have 2N+1 rows (modes x dim)")
+        if stacked.shape[1] < self.min_dim:
+            raise ValueError(f"expected dimension d >= {self.min_dim}, got {stacked.shape[1]}")
+        if not np.isfinite(stacked).all():
             raise ValueError("curve coefficients must be finite (got NaN or infinity)")
-        object.__setattr__(self, "cos_coeffs", cos)
-        object.__setattr__(self, "sin_coeffs", sin)
+        stacked.setflags(write=False)
+        self._coeffs = stacked
+        return self
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self.cos_coeffs!r}, {self.sin_coeffs!r})"
 
     # -- basic descriptors -------------------------------------------------
 
     @property
+    def coeffs(self) -> np.ndarray:
+        """Stacked coefficients [a_0..a_N, b_1..b_N], shape (2N+1, d), not copied."""
+        return self._coeffs
+
+    @property
+    def cos_coeffs(self) -> np.ndarray:
+        """Read-only view of a_0 .. a_N, shape (N+1, d)."""
+        return self._coeffs[: self.order + 1]
+
+    @property
+    def sin_coeffs(self) -> np.ndarray:
+        """Read-only view of b_1 .. b_N, shape (N, d)."""
+        return self._coeffs[self.order + 1 :]
+
+    @property
     def dim(self) -> int:
-        return self.cos_coeffs.shape[1]
+        return self._coeffs.shape[1]
 
     @property
     def order(self) -> int:
-        return self.cos_coeffs.shape[0] - 1
-
-    @property
-    def coeffs(self) -> np.ndarray:
-        """Stacked coefficients [a_0..a_N, b_1..b_N], shape (2N+1, d)."""
-        return np.vstack([self.cos_coeffs, self.sin_coeffs])
+        return self._coeffs.shape[0] // 2
 
     @classmethod
     def from_coeffs(cls, stacked: np.ndarray) -> "FourierCurve":
-        """Inverse of :attr:`coeffs`; stacked has shape (2N+1, d)."""
-        stacked = np.asarray(stacked, dtype=float)
-        n = (stacked.shape[0] - 1) // 2
-        if stacked.shape[0] != 2 * n + 1:
-            raise ValueError("stacked coefficient array must have 2N+1 rows")
-        return cls(stacked[: n + 1], stacked[n + 1 :])
+        """Inverse of :attr:`coeffs`; stacked has shape (2N+1, d) and is copied."""
+        return cls._of(np.array(stacked, dtype=float))
 
     @classmethod
     def zeros(cls, order: int, dim: int) -> "FourierCurve":
-        return cls(np.zeros((order + 1, dim)), np.zeros((order, dim)))
+        return cls._of(np.zeros((2 * order + 1, dim)))
 
     # -- evaluation --------------------------------------------------------
 
     def eval(self, theta: np.ndarray, deriv: int = 0) -> np.ndarray:
         """Evaluate the ``deriv``-th theta-derivative at angles ``theta``."""
         theta = np.atleast_1d(np.asarray(theta, dtype=float))
-        return _basis(theta, self.order, deriv) @ self.coeffs
+        return _basis(theta, self.order, deriv) @ self._coeffs
 
     # -- arithmetic (pads to the larger order, keeps the left operand's type)
 
     def __add__(self, other: "FourierCurve") -> "FourierCurve":
-        if self.dim != other.dim:
-            raise ValueError("dimension mismatch")
-        n = max(self.order, other.order)
-        return type(self).from_coeffs(pad(self, n).coeffs + pad(other, n).coeffs)
+        return type(self)._of(np.add(*_stack([self, other])))
 
     def __sub__(self, other: "FourierCurve") -> "FourierCurve":
-        return self + (-1.0) * other
+        return type(self)._of(np.subtract(*_stack([self, other])))
 
     def __mul__(self, scalar: float) -> "FourierCurve":
-        return type(self)(self.cos_coeffs * scalar, self.sin_coeffs * scalar)
+        return type(self)._of(self._coeffs * scalar)
 
     __rmul__ = __mul__
 
     def __neg__(self) -> "FourierCurve":
         return self * (-1.0)
+
+
+def _stack(curves, order: int = 0) -> np.ndarray:
+    """Coefficient stack (S, 2N+1, d) of a sequence of curves, each
+    zero-padded to N, the larger of ``order`` and their highest order; a
+    new writable array.  Raises ValueError if their dimensions differ."""
+    n = max(order, *(c.order for c in curves))
+    if any(c.dim != curves[0].dim for c in curves):
+        raise ValueError("dimension mismatch")
+    return np.array([pad(c, n).coeffs for c in curves])
 
 
 def sample_jet(curve: FourierCurve, num_nodes: int, max_order: int) -> np.ndarray:
@@ -203,18 +229,18 @@ def truncate(curve: FourierCurve, order: int) -> FourierCurve:
     """Drop modes above ``order``; idempotent, no-op when already short enough."""
     if order >= curve.order:
         return curve
-    return type(curve)(curve.cos_coeffs[: order + 1], curve.sin_coeffs[:order])
+    a, n = curve.coeffs, curve.order
+    return type(curve)._of(np.concatenate((a[: order + 1], a[n + 1 : n + 1 + order])))
 
 
 def pad(curve: FourierCurve, order: int) -> FourierCurve:
     """Zero-extend to ``order`` modes; no-op when already long enough."""
     if order <= curve.order:
         return curve
-    cos = np.zeros((order + 1, curve.dim))
-    sin = np.zeros((order, curve.dim))
-    cos[: curve.order + 1] = curve.cos_coeffs
-    sin[: curve.order] = curve.sin_coeffs
-    return type(curve)(cos, sin)
+    out = np.zeros((2 * order + 1, curve.dim))
+    out[: curve.order + 1] = curve.cos_coeffs
+    out[order + 1 : order + 1 + curve.order] = curve.sin_coeffs
+    return type(curve)._of(out)
 
 
 def min_speed(curve: FourierCurve, num_nodes: int) -> float:

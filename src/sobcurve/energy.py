@@ -53,7 +53,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .curve import FourierCurve, _jet_matrix, pad, sample_jet, truncate
+from .curve import FourierCurve, _jet_matrix, _stack, sample_jet, truncate
 from .errors import DegenerateCurve, NonPositiveLowerBound, NonPositiveQ
 from .metric import (
     SPEED_FLOOR,
@@ -1033,8 +1033,8 @@ def _stacks(c_hat, c_check):
     """The two energy arguments as coefficient stacks (S, 2N+1, d), and
     whether they came as curves (then S = 1, padded to a common order)."""
     if isinstance(c_hat, FourierCurve) and isinstance(c_check, FourierCurve):
-        n = max(c_hat.order, c_check.order)
-        return pad(c_hat, n).coeffs[None], pad(c_check, n).coeffs[None], True
+        hat, chk = _stack([c_hat, c_check])[:, None]
+        return hat, chk, True
     hat = np.asarray(c_hat, dtype=float)
     chk = np.asarray(c_check, dtype=float)
     if hat.ndim != 3 or hat.shape != chk.shape or len(hat) == 0 or hat.shape[1] % 2 == 0:
@@ -1059,8 +1059,8 @@ def _evaluate(c_hat, c_check, weights, kind, num_nodes, want_grad):
     else:
         core, args = _reg_core, (weights, kind.epsilon, num_nodes, want_grad)
     # a grid of M <= 2N nodes, M <= 0 included, raises InsufficientSamples
-    # when the first block is sampled
-    step = max(1, _BLOCK_NODES // max(num_nodes, 1))
+    # when the first block is sampled, and a non-integer M a ValueError
+    step = max(1, int(_BLOCK_NODES // max(num_nodes, 1)))
     if len(hat) <= step:
         values, gh, gc = core(hat, chk, *args)
     else:

@@ -39,7 +39,7 @@ import numbers
 import numpy as np
 import scipy.linalg
 
-from .curve import FourierCurve, _min_speeds, min_speed, pad
+from .curve import FourierCurve, _min_speeds, _stack, min_speed, pad
 from .energy import (
     EnergyKind,
     hessian_scalar_at_diagonal,
@@ -107,8 +107,7 @@ class DiscretePath:
                 raise ValueError("path members must be FourierCurve instances")
             if c.dim != first.dim or c.order != first.order:
                 raise ValueError("path curves must share dim and order")
-        stack = np.stack([c.coeffs for c in curves])
-        k = _first_degenerate(stack, _default_nodes(first.order))
+        k = _first_degenerate(_stack(curves), _default_nodes(first.order))
         if k is not None:
             raise DegenerateCurve(f"path curve {k} is not immersed")
         object.__setattr__(self, "curves", curves)
@@ -225,7 +224,7 @@ def segment_energies(
 ) -> np.ndarray:
     """Per-segment contributions K*W[c_{k-1}, c_k] (a diagnostic: they are
     equal along a converged discrete geodesic)."""
-    stack = np.stack([c.coeffs for c in path.curves])
+    stack = _stack(path.curves)
     return path.num_segments * w_eval(stack[:-1], stack[1:], weights, kind, num_nodes)
 
 
@@ -560,11 +559,11 @@ def el_step(
     exit when the solver's last gradient call was at the accepted ``next``
     (None otherwise), so consecutive steps share that partial.
     """
-    n = max(prev.order, cur.order, init.order if init is not None else 0)
+    arrs = _stack((prev, cur) if init is None else (prev, cur, init))[:, None]
     fixed = _carry[0] if _carry is not None else None
     sols, partials = _el_steps(
-        pad(prev, n).coeffs[None], pad(cur, n).coeffs[None], weights, kind, num_nodes, opts,
-        init=pad(init, n).coeffs[None] if init is not None else None,
+        arrs[0], arrs[1], weights, kind, num_nodes, opts,
+        init=arrs[2] if init is not None else None,
         stop_tol=_stop_tol, fixed=fixed[None] if fixed is not None else None,
     )
     if _carry is not None:
@@ -583,10 +582,10 @@ def el_midpoint(
 ) -> FourierCurve:
     """The middle curve x of the two-segment discrete geodesic from c_a to
     c_b, i.e. the solution of W_{,2}[c_a, x] + W_{,1}[x, c_b] = 0."""
-    n = max(c_a.order, c_b.order, init.order if init is not None else 0)
+    arrs = _stack((c_a, c_b) if init is None else (c_a, c_b, init))[:, None]
     sols = _el_midpoints(
-        pad(c_a, n).coeffs[None], pad(c_b, n).coeffs[None], weights, kind, num_nodes, opts,
-        init=pad(init, n).coeffs[None] if init is not None else None,
+        arrs[0], arrs[1], weights, kind, num_nodes, opts,
+        init=arrs[2] if init is not None else None,
     )
     return FourierCurve.from_coeffs(sols[0])
 
@@ -778,7 +777,7 @@ def solve_bvp(
     if init_path is not None:
         if init_path.num_segments != k:
             raise ValueError("init_path has the wrong number of segments")
-        interior = [pad(init_path[j], n).coeffs for j in range(1, k)]
+        interior = _stack(init_path.curves, n)[1:-1]
     else:
         ts = np.linspace(0.0, 1.0, k + 1)[1:-1]
         interior = [a_arr + (b_arr - a_arr) * t for t in ts]

@@ -190,15 +190,14 @@ def w_lin_oracle(
     c_check: FourierCurve,
     weights: MetricWeights,
     num_nodes: int,
-    num_t_nodes: int = 16,
 ) -> float:
     """Quadrature of the blended-metric energy int_0^1 g_{c_t}(delta, delta) dt.
 
     Here c_t = (1-t) c_hat + t c_check and delta = c_check - c_hat; the time
-    integral uses Gauss-Legendre nodes.  This is the reference value the
+    integral uses 16 Gauss-Legendre nodes.  This is the reference value the
     closed-form energies are bounded below by.
     """
-    nodes, glw = np.polynomial.legendre.leggauss(num_t_nodes)
+    nodes, glw = np.polynomial.legendre.leggauss(16)
     t = 0.5 * (nodes + 1.0)
     glw = 0.5 * glw
     delta = c_check - c_hat

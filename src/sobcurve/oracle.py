@@ -56,6 +56,7 @@ class TrigPolynomial(FourierCurve):
     grow the order instead of aliasing.
     """
 
+    __slots__ = ()
     min_dim = 1
 
     # -- complex exponential representation --------------------------------
@@ -65,37 +66,33 @@ class TrigPolynomial(FourierCurve):
     # array of shape (2N+1, d) indexed by k = -N .. N.
 
     def _spectrum(self) -> np.ndarray:
-        n, d = self.order, self.dim
-        spec = np.zeros((2 * n + 1, d), dtype=complex)
-        spec[n] = self.cos_coeffs[0]
-        if n:
-            pos = (self.cos_coeffs[1:] - 1j * self.sin_coeffs) / 2.0
-            spec[n + 1 :] = pos
-            spec[:n] = np.conj(pos[::-1])
+        n, a = self.order, self.coeffs
+        spec = np.zeros(a.shape, dtype=complex)
+        spec[n] = a[0]
+        pos = (a[1 : n + 1] - 1j * a[n + 1 :]) / 2.0
+        spec[n + 1 :] = pos
+        spec[:n] = np.conj(pos[::-1])
         return spec
 
     @classmethod
     def _from_spectrum(cls, spec: np.ndarray) -> "TrigPolynomial":
         n = (spec.shape[0] - 1) // 2
-        cos = np.empty((n + 1, spec.shape[1]))
-        cos[0] = spec[n].real
-        if n:
-            pos, neg = spec[n + 1 :], spec[:n][::-1]
-            cos[1:] = (pos + neg).real
-            sin = (neg - pos).imag
-        else:
-            sin = np.zeros((0, spec.shape[1]))
-        return cls(cos, sin)
+        out = np.empty(spec.shape)
+        pos, neg = spec[n + 1 :], spec[:n][::-1]
+        out[0] = spec[n].real
+        out[1 : n + 1] = (pos + neg).real
+        out[n + 1 :] = (neg - pos).imag
+        return cls._of(out)
 
     # -- calculus -----------------------------------------------------------
 
     def derivative(self, order: int = 1) -> "TrigPolynomial":
         """Theta-derivative, applied ``order`` times (exact, mode by mode)."""
-        cos, sin = self.cos_coeffs, self.sin_coeffs
+        a, n = self.coeffs, self.order
+        k = np.arange(1.0, n + 1)[:, None]
         for _ in range(order):
-            k = np.arange(1.0, cos.shape[0])[:, None]
-            cos, sin = np.vstack([np.zeros((1, self.dim)), k * sin]), -k * cos[1:]
-        return TrigPolynomial(cos, sin)
+            a = np.concatenate((np.zeros_like(a[:1]), k * a[n + 1 :], -k * a[1 : n + 1]))
+        return TrigPolynomial._of(a)
 
     def integral(self) -> np.ndarray:
         """Integral over S^1, one value per component: 2*pi*a_0."""
@@ -125,10 +122,7 @@ class TrigPolynomial(FourierCurve):
 
 def _trig(*fields: FourierCurve):
     """The fields as :class:`TrigPolynomial` (same coefficients)."""
-    return tuple(
-        f if isinstance(f, TrigPolynomial) else TrigPolynomial(f.cos_coeffs, f.sin_coeffs)
-        for f in fields
-    )
+    return tuple(TrigPolynomial._of(f.coeffs) for f in fields)
 
 
 def circle_tangent() -> TrigPolynomial:

@@ -42,7 +42,7 @@ import dataclasses
 
 import numpy as np
 
-from .curve import FourierCurve, pad
+from .curve import FourierCurve, _stack, pad
 from .energy import EnergyKind, hessian_at_diagonal
 from .errors import DegeneratePlane, NoConvergence
 from .geodesic import (
@@ -215,18 +215,10 @@ def transport_inner_products(
         raise ValueError(f"expected {k + 1} transported vectors, got {len(vectors)}")
     out = np.empty(k)
     for i in range(k):
-        u = (path[i + 1] - path[i]) * float(k)
-        n = max(path.order, u.order, vectors[i].order)
-        hess = hessian_at_diagonal(pad(path[i], n), weights, kind, num_nodes)
-        out[i] = 0.5 * float(
-            pad(u, n).coeffs.ravel() @ hess @ pad(vectors[i], n).coeffs.ravel()
-        )
+        u, w = _stack([(path[i + 1] - path[i]) * float(k), vectors[i]])
+        hess = hessian_at_diagonal(pad(path[i], len(u) // 2), weights, kind, num_nodes)
+        out[i] = 0.5 * float(u.ravel() @ hess @ w.ravel())
     return out
-
-
-def _stack(curves, order):
-    """Coefficient stack (S, 2N+1, d) of curves padded to ``order``."""
-    return np.stack([pad(x, order).coeffs for x in curves])
 
 
 def _inverse_transports(c, v, w_end, tau, weights, kind, num_nodes, opts, phase, blocks=None):
@@ -265,10 +257,9 @@ def inverse_transport(
     reproduces w up to O(tau^2).
     """
     _require_step(tau)
-    n = max(c.order, v.order, w_end.order)
     moved = _inverse_transports(
-        _stack([c], n), _stack([v], n), _stack([w_end], n), tau, weights, kind, num_nodes,
-        opts, "inverse_transport",
+        *np.split(_stack([c, v, w_end]), 3), tau, weights, kind, num_nodes, opts,
+        "inverse_transport",
     )
     return FourierCurve.from_coeffs(moved[0])
 
@@ -309,10 +300,9 @@ def cov_deriv(
     if centered:
         dirs.append(v * (-1.0))
         ends.append(field(c - v * tau) * (-1.0))
-    n = max(x.order for x in (c, *dirs, *ends))
     moved = _inverse_transports(
-        _stack([c] * len(dirs), n), _stack(dirs, n), _stack(ends, n), tau, weights, kind,
-        num_nodes, opts, "cov_deriv",
+        *np.split(_stack([c] * len(dirs) + dirs + ends), 3), tau, weights, kind, num_nodes,
+        opts, "cov_deriv",
     )
     plus = FourierCurve.from_coeffs(moved[0])
     if not centered:
@@ -354,8 +344,7 @@ def riemann_tensor(
     _require_step(tau)
     kind_out, kind_in = schedule.kinds(kind)
     sigma = schedule.inner_step(tau)
-    n = max(x.order for x in (c, v, w, z))
-    c_arr, v_arr, w_arr, z_arr = (pad(x, n).coeffs for x in (c, v, w, z))
+    c_arr, v_arr, w_arr, z_arr = _stack([c, v, w, z])
     key_vw, key_wv = (v_arr.tobytes(), w_arr.tobytes()), (w_arr.tobytes(), v_arr.tobytes())
     halves = {key_vw: (v_arr, w_arr), key_wv: (w_arr, v_arr)}
     keys = sorted(halves)

@@ -16,6 +16,8 @@ from sobcurve.curve import (
     curve_from_dict,
     curve_to_dict,
 )
+from sobcurve.energy import EnergyKind, w_eval, w_value_and_grad
+from sobcurve.metric import MetricWeights, metric_eval
 from sobcurve.oracle import TrigPolynomial
 
 
@@ -45,6 +47,11 @@ class TestConstruction:
         again = FourierCurve.from_coeffs(c.coeffs)
         np.testing.assert_array_equal(again.cos_coeffs, c.cos_coeffs)
         np.testing.assert_array_equal(again.sin_coeffs, c.sin_coeffs)
+        # from_coeffs keeps its own copy of the stack it is given
+        stacked = c.coeffs.copy()
+        kept = FourierCurve.from_coeffs(stacked)
+        stacked[0, 0] = 7.0
+        np.testing.assert_array_equal(kept.coeffs, c.coeffs)
 
     @pytest.mark.parametrize("cls", [FourierCurve, TrigPolynomial])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -56,9 +63,17 @@ class TestConstruction:
             cls(coeffs["cos"], coeffs["sin"])
 
     def test_coefficients_read_only(self):
-        c = circle()
-        with pytest.raises(ValueError):
-            c.cos_coeffs[0, 0] = 1.0
+        # one stored stack, returned without a copy; the blocks are views of it
+        for cls in (FourierCurve, TrigPolynomial):
+            c = cls(circle(order=3).cos_coeffs, circle(order=3).sin_coeffs)
+            assert c.coeffs is c.coeffs
+            for block in (c.coeffs, c.cos_coeffs, c.sin_coeffs):
+                assert not block.flags.writeable
+                assert np.shares_memory(block, c.coeffs)
+                with pytest.raises(ValueError):
+                    block[0, 0] = 1.0
+            with pytest.raises(AttributeError):
+                c.coeffs = np.zeros((7, 2))
 
 
 def test_eval_circle_derivatives():
@@ -86,6 +101,12 @@ def test_arithmetic_matches_pointwise():
         (a - b * 0.5).eval(theta), a.eval(theta) - 0.5 * b.eval(theta), atol=1e-14
     )
     np.testing.assert_allclose((-a).eval(theta), -a.eval(theta), atol=1e-15)
+    # arithmetic keeps the left operand's type, also between the two types
+    for cls, other_cls in [(TrigPolynomial, FourierCurve), (FourierCurve, TrigPolynomial)]:
+        x, y = cls(a.cos_coeffs, a.sin_coeffs), other_cls(b.cos_coeffs, b.sin_coeffs)
+        for result in (x + y, x - y * 0.5, -x, 2.0 * x):
+            assert type(result) is cls
+        np.testing.assert_array_equal((x + y).coeffs, (a + b).coeffs)
 
 
 def test_sample_jet_matches_eval():
@@ -121,6 +142,30 @@ def test_min_speeds_of_a_stack_match_each_curve():
     speeds = _min_speeds(np.stack([c.coeffs for c in curves]), 32)
     np.testing.assert_allclose(speeds, [min_speed(c, 32) for c in curves], rtol=1e-15, atol=0.0)
     assert speeds[-1] == 0.0
+
+
+_C, _W, _RAT = circle(order=3), MetricWeights.of(1.0, 1.0, 1.0), EnergyKind.rat()
+_PATH = np.stack([_C.coeffs] * 20)  # more segments than one block of 120-node grids
+GRID_CALLS = {
+    "w_eval": lambda m: w_eval(_C, _C * 1.1, _W, _RAT, m),
+    "w_eval_stack": lambda m: w_eval(_PATH, _PATH * 1.1, _W, _RAT, m),
+    "w_value_and_grad": lambda m: w_value_and_grad(_C, _C * 1.1, _W, _RAT, m)[1].coeffs,
+    "sample_jet": lambda m: sample_jet(_C, m, 2),
+    "min_speed": lambda m: min_speed(_C, m),
+    "metric_eval": lambda m: metric_eval(_C, _C, _C, _W, m),
+}
+
+
+@pytest.mark.parametrize("name", GRID_CALLS)
+@pytest.mark.parametrize("bad", [120.0, True])
+def test_grid_size_must_be_an_integer(name, bad):
+    # as plain cache keys 120.0 == 120 and True == 1: the bad size must be
+    # rejected also after call(120) has filled the grid-matrix caches
+    call = GRID_CALLS[name]
+    expected = call(120)
+    with pytest.raises(ValueError, match="grid size M must be an integer"):
+        call(bad)
+    np.testing.assert_array_equal(call(np.int64(120)), expected)
 
 
 class TestSerialization:

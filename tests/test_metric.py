@@ -170,8 +170,14 @@ class TestWLin:
         assert moved == pytest.approx(ref, rel=1e-13)
 
     def test_circle_pair_self_convergence(self):
-        # doubling both quadrature knobs changes the value below 1e-8
+        # doubling both quadrature knobs, M and the 16 Gauss-Legendre time
+        # nodes, changes the value below 1e-8; the fine value is summed here
         a, b = circle(1.0), circle(1.1)
-        coarse = w_lin_oracle(a, b, W2, 32, num_t_nodes=16)
-        fine = w_lin_oracle(a, b, W2, 64, num_t_nodes=32)
+        coarse = w_lin_oracle(a, b, W2, 32)
+        delta = b - a
+        nodes, node_weights = np.polynomial.legendre.leggauss(32)
+        fine = sum(
+            0.5 * wt * metric_eval(a + delta * (0.5 * (x + 1.0)), delta, delta, W2, 64)
+            for x, wt in zip(nodes, node_weights)
+        )
         assert coarse == pytest.approx(fine, abs=1e-8)
