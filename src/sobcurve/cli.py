@@ -234,6 +234,8 @@ def _num_nodes(args, *curves) -> int:
 
 def _parse_k_list(text: str):
     ks = [int(p) for p in text.split(",")]
+    if len(ks) < 2:
+        raise ValueError("--K-list needs at least two segment counts to fit a slope")
     if any(k < 1 for k in ks):
         raise ValueError("segment counts must be at least 1")
     if any(b <= a for a, b in zip(ks, ks[1:])):
@@ -687,7 +689,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("-K", type=int, **command.k)
         if command.sweep:
             p.add_argument("--K-list", required=True, dest="K_list",
-                           help="strictly increasing segment counts, e.g. 4,8,16")
+                           help="two or more strictly increasing segment counts, e.g. 4,8,16")
         if command.ref is not None:
             p.add_argument("--ref", default=None, help=command.ref)
         _add_common(p)

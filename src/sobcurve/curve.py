@@ -49,9 +49,16 @@ def grid(num_nodes: int) -> np.ndarray:
     return 2.0 * np.pi * np.arange(num_nodes) / num_nodes
 
 
+def _require_order(order, what: str) -> None:
+    """Raise ValueError unless a derivative order is a nonnegative integer."""
+    if isinstance(order, bool) or not isinstance(order, numbers.Integral) or order < 0:
+        raise ValueError(f"the {what} must be a nonnegative integer, got {order!r}")
+
+
 def _basis(theta: np.ndarray, order: int, deriv: int) -> np.ndarray:
     """Matrix taking stacked coefficients [a_0..a_N, b_1..b_N] to samples of
     the ``deriv``-th theta-derivative at angles ``theta``.  Shape (len, 2N+1)."""
+    _require_order(deriv, "derivative order")
     k = np.arange(order + 1, dtype=float)
     # d^j/dtheta^j cos(k t) = k^j cos(k t + j pi/2), same phase shift for sin
     phase = deriv * np.pi / 2.0
@@ -63,7 +70,7 @@ def _basis(theta: np.ndarray, order: int, deriv: int) -> np.ndarray:
 
 
 # The grid-matrix caches are typed: as plain cache keys 120.0 == 120 and
-# True == 1, and the grid-size check in _eval_matrix would not see them.
+# True == 1, and the grid-size and order checks would not see them.
 @lru_cache(maxsize=None, typed=True)
 def _eval_matrix(order: int, num_nodes: int, deriv: int) -> np.ndarray:
     """:func:`_basis` on the uniform M-point grid, cached read-only.
@@ -88,6 +95,7 @@ def _jet_matrix(order: int, num_nodes: int, max_order: int) -> np.ndarray:
     """The :func:`_eval_matrix` blocks of derivative orders 0..max_order
     stacked row-wise, shape ((max_order+1) M, 2N+1), cached read-only: one
     matmul samples a whole jet, and its transpose pulls jet cotangents back."""
+    _require_order(max_order, "jet order max_order")
     mat = np.vstack([_eval_matrix(order, num_nodes, j) for j in range(max_order + 1)])
     mat.setflags(write=False)
     return mat

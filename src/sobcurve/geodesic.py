@@ -53,6 +53,7 @@ from .errors import (
     InfiniteEnergy,
     MaxIters,
     NoConvergence,
+    NonPositiveLowerBound,
     SobcurveError,
 )
 from .metric import SPEED_FLOOR, MetricWeights, gram_scalar
@@ -267,7 +268,7 @@ def _preconditioners(anchors, weights, kind, num_nodes, scale=1.0, blocks=None):
         anchor = FourierCurve.from_coeffs(a)
         try:
             blocks[key] = hessian_scalar_at_diagonal(anchor, weights, kind, num_nodes)
-        except SobcurveError:
+        except NonPositiveLowerBound:
             # epsilon too large for the kind-specific form; the metric Gram
             # block is an equivalent preconditioner
             blocks[key] = 2.0 * gram_scalar(anchor, weights, anchor.order, num_nodes)

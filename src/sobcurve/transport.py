@@ -26,14 +26,14 @@ parallelogram from scratch.  Every entry point rejects a step size tau
 that is not finite and positive.
 
 The parallelograms of one covariant quotient are independent, and so are
-those of each level of a nested one.  ``cov_deriv`` and ``riemann_tensor``
-therefore solve them in lockstep through one inverse-transport core: first
-the stack of all midpoint solves, then the stack of all extension solves,
-each sweep of a stack one energy call.  ``cov_deriv`` stacks its one or
-two inverse transports; ``riemann_tensor`` runs its 24 solves (centered)
-or 12 (one-sided) as four stacks: the inner quotients' midpoints and
-extensions, then the outer ones' (8, 8, 4 and 4 solves centered, 4, 4, 2
-and 2 one-sided).  Every member of a stack still stops by its own rule.
+those of each level of a nested one.  ``cov_deriv`` and both levels of
+``riemann_tensor`` therefore run through one stacked quotient that solves
+them in lockstep: first the stack of all midpoint solves, then the stack of
+all extension solves, each sweep of a stack one energy call.  A centered
+(one-sided) Riemann tensor thus runs its 24 (12) solves as four stacks,
+8, 8, 4 and 4 (4, 4, 2 and 2): the inner quotients' midpoints and
+extensions, then the outer ones'.  Every member of a stack still stops by
+its own rule.
 """
 
 from __future__ import annotations
@@ -264,10 +264,28 @@ def inverse_transport(
     return FourierCurve.from_coeffs(moved[0])
 
 
-def _as_field(w_field):
-    if callable(w_field):
-        return w_field
-    return lambda _c: w_field
+def _quotients(points, dirs, ends, base, tau, centered, weights, kind, num_nodes, opts, phase,
+               blocks=None):
+    """Covariant difference quotients of S independent problems, in lockstep.
+
+    Problem i differentiates a field along dirs[i] at points[i] with step
+    tau.  ``ends`` broadcasts to (S, 2, 2N+1, d), the field at points[i] +
+    tau*dirs[i] and at points[i] - tau*dirs[i], when ``centered``, else to
+    (S, 1, 2N+1, d); ``base`` is the field at the points.  The inverse
+    transports m+ and m- of all problems, ordered by problem and then by
+    sign, run as one ``_inverse_transports`` stack.  Returns the stack of
+    (m+ + m-)/(2 tau) centered, (m+ - base)/tau one-sided.
+    """
+    signs = np.array((1.0, -1.0) if centered else (1.0,))[:, None, None]
+    shape = points.shape[1:]
+    signed = np.broadcast_to(ends * signs, (len(points), len(signs), *shape))
+    moved = _inverse_transports(
+        np.repeat(points, len(signs), axis=0), (dirs[:, None] * signs).reshape(-1, *shape),
+        signed.reshape(-1, *shape), tau, weights, kind, num_nodes, opts, phase, blocks,
+    ).reshape(len(points), len(signs), *shape)
+    if centered:
+        return (moved[:, 0] + moved[:, 1]) * (1.0 / (2.0 * tau))
+    return (moved[:, 0] - base) * (1.0 / tau)
 
 
 def cov_deriv(
@@ -290,24 +308,18 @@ def cov_deriv(
         (P^{-1} w(c + tau v) - w(c)) / tau;
 
     ``centered`` averages the +tau and -tau inverse transports for
-    second-order accuracy.  The field is evaluated first; the one or two
-    inverse transports then run as one lockstep stack of midpoint solves
-    and one of extension solves.
+    second-order accuracy.  Every field value, w(c) included, is computed
+    first; the one or two inverse transports then run as one lockstep
+    stack, at the highest order among c, v and those values.
     """
     _require_step(tau)
-    field = _as_field(w_field)
-    dirs, ends = [v], [field(c + v * tau)]
-    if centered:
-        dirs.append(v * (-1.0))
-        ends.append(field(c - v * tau) * (-1.0))
-    moved = _inverse_transports(
-        *np.split(_stack([c] * len(dirs) + dirs + ends), 3), tau, weights, kind, num_nodes,
-        opts, "cov_deriv",
-    )
-    plus = FourierCurve.from_coeffs(moved[0])
-    if not centered:
-        return (plus - field(c)) * (1.0 / tau)
-    return (plus + FourierCurve.from_coeffs(moved[1])) * (1.0 / (2.0 * tau))
+    sides = (c + v * tau, c - v * tau if centered else c)
+    values = [w_field(x) for x in sides] if callable(w_field) else [w_field] * 2
+    c_arr, v_arr, ahead, back = _stack([c, v, *values])
+    ends = np.stack((ahead, back) if centered else (ahead,))
+    moved = _quotients(c_arr[None], v_arr[None], ends, back, tau, centered, weights, kind,
+                       num_nodes, opts, "cov_deriv")
+    return FourierCurve.from_coeffs(moved[0])
 
 
 def riemann_tensor(
@@ -343,49 +355,23 @@ def riemann_tensor(
     """
     _require_step(tau)
     kind_out, kind_in = schedule.kinds(kind)
-    sigma = schedule.inner_step(tau)
+    centered = schedule.centered
     c_arr, v_arr, w_arr, z_arr = _stack([c, v, w, z])
     key_vw, key_wv = (v_arr.tobytes(), w_arr.tobytes()), (w_arr.tobytes(), v_arr.tobytes())
     halves = {key_vw: (v_arr, w_arr), key_wv: (w_arr, v_arr)}
     keys = sorted(halves)
-    signs = (1.0, -1.0) if schedule.centered else (1.0,)
-
-    def quotients(moved, base, step):
-        # covariant quotients from the inverse transports of each sign
-        if schedule.centered:
-            return (moved[:, 0] + moved[:, 1]) * (1.0 / (2.0 * step))
-        return (moved[:, 0] - base) * (1.0 / step)
-
-    points, dirs, ends = [], [], []
+    firsts, seconds = (np.stack(h) for h in zip(*(halves[key] for key in keys)))
     blocks = {}  # the outer extensions start where the inner midpoints do
-    for key in keys:
-        first, second = halves[key]
-        for x in (c_arr + first * tau, c_arr - first * tau if schedule.centered else c_arr):
-            for sign in signs:
-                points.append(x)
-                dirs.append(second * sign)
-                ends.append(z_arr * sign)
-    moved = _inverse_transports(
-        np.stack(points), np.stack(dirs), np.stack(ends), sigma, weights, kind_in, num_nodes,
-        opts, "riemann_tensor", blocks,
-    )
-    # inner[h] holds half h's inner quotients at its two points
-    inner = quotients(moved.reshape(-1, len(signs), *c_arr.shape), z_arr, sigma)
-    inner = inner.reshape(len(keys), 2, *c_arr.shape)
-
-    dirs, ends = [], []
-    for key, fields in zip(keys, inner):
-        first = halves[key][0]
-        # centered: +tau at c + tau*first, -tau at c - tau*first; one-sided:
-        # +tau only, and the inner quotient at c enters as the base below
-        for sign, field in zip(signs, fields):
-            dirs.append(first * sign)
-            ends.append(field * sign)
-    moved = _inverse_transports(
-        np.stack([c_arr] * len(dirs)), np.stack(dirs), np.stack(ends), tau, weights, kind_out,
-        num_nodes, opts, "riemann_tensor", blocks,
-    )
-    nested = quotients(moved.reshape(len(keys), len(signs), *c_arr.shape), inner[:, 1], tau)
+    # the inner quotients of z along second, ordered by half and then by point
+    steps = np.array((tau, -tau) if centered else (tau, 0.0))[:, None, None]
+    points = (c_arr + firsts[:, None] * steps).reshape(-1, *c_arr.shape)
+    inner = _quotients(points, np.repeat(seconds, 2, axis=0), z_arr, z_arr,
+                       schedule.inner_step(tau), centered, weights, kind_in, num_nodes, opts,
+                       "riemann_tensor", blocks).reshape(len(keys), 2, *c_arr.shape)
+    # the outer quotients of those fields along first, at c
+    nested = _quotients(np.broadcast_to(c_arr, firsts.shape), firsts,
+                        inner if centered else inner[:, :1], inner[:, 1], tau, centered, weights,
+                        kind_out, num_nodes, opts, "riemann_tensor", blocks)
     return FourierCurve.from_coeffs(nested[keys.index(key_vw)] - nested[keys.index(key_wv)])
 
 

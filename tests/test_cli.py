@@ -491,6 +491,16 @@ class TestSweeps:
         assert "exceed the sweep range" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("argv", [s[0] for s in SWEEPS], ids=[s[0][0] for s in SWEEPS])
+    def test_sweep_rejects_a_single_k(self, argv, tmp_path, capsys):
+        # a slope through one point is meaningless: refused before any solve
+        rc = main(argv + ["-N", "4", "--K-list", "4", "--out", str(tmp_path)])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "sobcurve: error[config]: --K-list needs at least two segment counts to fit a slope\n"
+        )
+        assert list(tmp_path.iterdir()) == []
+
     def test_transport_sweep_runs(self, tmp_path):
         rc = main(["sweep-transport", "--in-a", "circle", "--in-b", "circle:1.2",
                    "--in-v", "normal5", "--K-list", "2,4,8", "--ref", "self:32",

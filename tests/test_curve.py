@@ -168,6 +168,25 @@ def test_grid_size_must_be_an_integer(name, bad):
     np.testing.assert_array_equal(call(np.int64(120)), expected)
 
 
+ORDER_CALLS = {
+    "eval": lambda j: _C.eval(np.linspace(0.0, 1.0, 5), j),
+    "sample_jet": lambda j: sample_jet(_C, 16, j),
+}
+
+
+@pytest.mark.parametrize("name", ORDER_CALLS)
+@pytest.mark.parametrize("bad", [-1, 1.5, 1.0, True], ids=["negative", "fractional", "float",
+                                                           "bool"])
+def test_derivative_order_must_be_a_nonnegative_integer(name, bad):
+    # once -1 gave NaN, 1.5 a "fractional derivative", and sample_jet raised
+    # bare numpy errors; the order-2 result fills the caches first
+    call = ORDER_CALLS[name]
+    expected = call(2)
+    with pytest.raises(ValueError, match=f"must be a nonnegative integer, got {bad!r}$"):
+        call(bad)
+    np.testing.assert_array_equal(call(np.int64(2)), expected)
+
+
 class TestSerialization:
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(5)

@@ -492,6 +492,23 @@ def test_preconditioner_falls_back_to_twice_the_gram_block():
     np.testing.assert_array_equal(factor[0], expected[0])
 
 
+@pytest.mark.parametrize("kind", KINDS, ids=kind_id)
+def test_preconditioner_falls_back_only_for_a_large_epsilon(kind, monkeypatch):
+    # a non-immersed anchor has no Gram block either: its DegenerateCurve
+    # propagates without a retry through geodesic.gram_scalar
+    real_gram, grams = geodesic.gram_scalar, []
+
+    def counted(*args, **kwargs):
+        grams.append(None)
+        return real_gram(*args, **kwargs)
+
+    monkeypatch.setattr(geodesic, "gram_scalar", counted)
+    flat = FourierCurve(np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 0.0]]), np.zeros((2, 2)))
+    with pytest.raises(DegenerateCurve):
+        geodesic._preconditioners(flat.coeffs[None], W, kind, M)
+    assert grams == []
+
+
 @pytest.mark.parametrize("k", [2, 3, 8])
 def test_path_preconditioner_inverts_the_kronecker_hessian(k):
     # K (T kron H kron I_d) with T the interior second-difference matrix

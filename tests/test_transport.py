@@ -267,6 +267,32 @@ class TestCovDeriv:
         direct = cov_deriv(c, V_UNIT, W_UNIT, 0.02, UNIT, RAT, M)
         wrapped = cov_deriv(c, V_UNIT, lambda _c: W_UNIT, 0.02, UNIT, RAT, M)
         assert np.array_equal(direct.coeffs, wrapped.coeffs)
+        # and both equal the one-sided quotient spelled out
+        moved = inverse_transport(c, V_UNIT, 0.02, W_UNIT, UNIT, RAT, M)
+        assert np.array_equal(direct.coeffs, ((moved - W_UNIT) * (1.0 / 0.02)).coeffs)
+
+    @pytest.mark.parametrize("centered", [False, True], ids=["one_sided", "centered"])
+    def test_field_is_evaluated_before_any_solve(self, centered, monkeypatch):
+        # w(c + tau v) and w(c - tau v) or w(c), then the stacked solves
+        events = []
+
+        def recorded(real):
+            def call(*args, **kwargs):
+                events.append("energy")
+                return real(*args, **kwargs)
+
+            return call
+
+        for name in ("w_eval", "w_grad", "w_value_and_grad", "hessian_scalar_at_diagonal"):
+            monkeypatch.setattr(geodesic, name, recorded(getattr(geodesic, name)))
+
+        def field(x):
+            events.append("field")
+            return x * 0.5
+
+        cov_deriv(pad(circle(), 4), V_UNIT, field, 0.02, UNIT, RAT, M, centered=centered)
+        assert events[:2] == ["field", "field"]
+        assert "field" not in events[2:] and "energy" in events
 
     def test_one_sided_approximates_christoffel(self):
         c = pad(circle(), 6)
