@@ -34,6 +34,7 @@ OpenBLAS -- take more of the solver's time than the split call saves.
 from __future__ import annotations
 
 import dataclasses
+import math
 import numbers
 
 import numpy as np
@@ -173,9 +174,11 @@ class SolverOptions:
     to 1 + the initial residual.  How far below it a solve goes depends on
     the caller: ``exp_k`` stops each of its K steps as soon as the residual
     is at most fixed_point_tol / K (a position error in one step becomes a
-    velocity error K times larger).  Every other caller -- ``el_step`` and
-    ``el_midpoint`` called directly, ``exp2`` / ``log2`` and the Schild
-    rungs of ``transport_path``, ``cov_deriv`` and ``riemann_tensor`` --
+    velocity error K times larger), and starts each step from the
+    polynomial extrapolation, of degree 2 to 5, that best predicted the
+    step before.  Every other caller -- ``el_step`` and ``el_midpoint``
+    called directly, ``exp2`` / ``log2`` and the Schild rungs of
+    ``transport_path``, ``cov_deriv`` and ``riemann_tensor`` --
     accepts at fixed_point_tol but keeps iterating to the rounding floor
     while each sweep still gains a digit, because those results get divided
     by small step sizes.  ``transport_path`` starts the two solves of each
@@ -619,16 +622,38 @@ def log2(
     return (mid - c0) * 2.0
 
 
-#: Weights, newest sample first, of the constant, linear and quadratic
-#: extrapolation one step ahead from 1, 2 or 3 equally spaced samples.
-_EXTRAPOLATION = {1: (1.0,), 2: (2.0, -1.0), 3: (3.0, -3.0, 1.0)}
+#: Row p: the weights (-1)^j C(p+1, j+1), newest sample first (j = 0..p),
+#: of the degree-p polynomial extrapolation one step ahead from p + 1
+#: equally spaced samples, e.g. 3, -3, 1 for p = 2; zero for j > p.
+_BINOMIAL = np.array(
+    [[(-1) ** j * math.comb(p + 1, j + 1) for j in range(6)] for p in range(6)], dtype=float
+)
 
 
 def _extrapolate(samples):
-    """Next member of a sequence of curves from its last one to three
-    members (oldest first), e.g. 3 x_k - 3 x_{k-1} + x_{k-2}."""
-    terms = [x * w for x, w in zip(reversed(samples), _EXTRAPOLATION[len(samples)])]
+    """Next member of a sequence of curves or arrays from its last one to
+    six members (oldest first), e.g. 3 x_k - 3 x_{k-1} + x_{k-2}."""
+    terms = [x * w for x, w in zip(reversed(samples), _BINOMIAL[len(samples) - 1])]
     return sum(terms[1:], terms[0])
+
+
+def _predict(samples):
+    """Adaptive-order start for the next member of a sequence, from the
+    coefficient stack ``samples`` of its last 3 to 7 members, newest first.
+
+    Each extrapolation of degree 2 to 5 that the older samples allow is
+    scored by how well it predicted the newest sample (the max-abs error
+    over coefficients); the best one, the lowest degree on a tie, predicts
+    the next member.  With 3 samples no degree can be scored yet and the
+    quadratic is used.  Returns the predicted coefficient array.
+    """
+    weights = _BINOMIAL[2 : len(samples) - 1, : len(samples) - 1]
+    degree = 2
+    if len(weights):
+        flat = samples.reshape(len(samples), -1)
+        errors = flat[0] - weights @ flat[1:]
+        degree += int(np.argmin(np.max(np.abs(errors), axis=1)))
+    return _extrapolate(samples[degree::-1])
 
 
 def exp_k(
@@ -648,9 +673,13 @@ def exp_k(
 
     Each step stops at the preconditioned residual fixed_point_tol / K
     (relative), so the velocity error K * (position error) stays at
-    fixed_point_tol.  From the second step on it starts from the quadratic
-    extrapolation 3 c_k - 3 c_{k-1} + c_{k-2}, and it reuses the partial
-    W_{,2}[c_{k-1}, c_k] the previous step already computed.
+    fixed_point_tol.  The first step starts from 2 c_1 - c_0 and the
+    second from the quadratic extrapolation 3 c_2 - 3 c_1 + c_0.  From the
+    third step on, each step starts from the polynomial extrapolation of
+    degree 2 to 5 through the last curves that best predicted the step just
+    solved (see ``_predict``): high degrees where the path is smooth, low
+    ones where rounding dominates the differences.  Each step reuses the
+    partial W_{,2}[c_{k-1}, c_k] the previous step already computed.
     """
     _require_count(num_segments, "num_segments")
     opts = opts or _DEFAULT_OPTIONS
@@ -659,7 +688,7 @@ def exp_k(
     curves = [c0, c0 + v * (1.0 / num_segments)]
     carry = [None]
     for k in range(1, num_segments):
-        init = _extrapolate(curves[-3:]) if k >= 2 else None
+        init = FourierCurve.from_coeffs(_predict(_stack(curves[:-8:-1]))) if k >= 2 else None
         try:
             curves.append(
                 el_step(curves[-2], curves[-1], weights, kind, num_nodes, opts, init,

@@ -631,7 +631,8 @@ class TestExpLog:
         assert sobolev_norm(path[-1] - curves[-1], 2) <= 1e-8
 
     def test_exp_k_gradient_calls_per_step(self, monkeypatch):
-        # 4.05 calls per step; polishing every step to the floor took 9.0
+        # 2.17 calls per step; a fixed quadratic start takes 4.05, and
+        # polishing every step to the floor 9.0
         c0, v = self._shot()
         real_grad, calls = geodesic.w_grad, []
 
@@ -641,7 +642,7 @@ class TestExpLog:
 
         monkeypatch.setattr(geodesic, "w_grad", counted)
         exp_k(c0, v, 64, W, EnergyKind.rat(), M)
-        assert len(calls) / 63 <= 5.5
+        assert len(calls) / 63 <= 3.0
 
     def test_solve_bvp_energy_calls_per_iteration(self, monkeypatch):
         # one value pass per solve, and one value+grad pass per iteration
@@ -672,8 +673,9 @@ class TestExpLog:
             np.testing.assert_array_equal(got.coeffs, want.coeffs)
 
     def test_exp_k_partial_after_a_newton_polish(self, monkeypatch):
-        # one fixed-point sweep never reaches the tolerance, so every step
-        # ends in the Newton polish
+        # a step that one fixed-point sweep leaves above the tolerance ends
+        # in the Newton polish; from the adaptive-order start that happens
+        # on 5 of the 63 steps
         c0, v = self._shot()
         opts = SolverOptions(fixed_point_max_iters=1)
         default = exp_k(c0, v, 64, W, EnergyKind.rat(), M)
@@ -685,7 +687,7 @@ class TestExpLog:
 
         monkeypatch.setattr(geodesic, "_newton_polish", counted)
         polished = exp_k(c0, v, 64, W, EnergyKind.rat(), M, opts)
-        assert len(polishes) == 63
+        assert len(polishes) == 5
         assert sobolev_norm(polished[-1] - default[-1], 2) <= 1e-8
 
         def probes_after(residual, y, *args, **kwargs):
@@ -734,7 +736,7 @@ class TestExpLog:
         c0 = circle()
         v = tangent_field(np.random.default_rng(51), 1, scale=0.3)
         full = exp_k(c0, v, 6, W, EnergyKind.rat(), M)
-        monkeypatch.setattr(geodesic, "_extrapolate", lambda samples: FourierCurve.zeros(1, 2))
+        monkeypatch.setattr(geodesic, "_predict", lambda samples: np.zeros_like(samples[0]))
         with pytest.raises(
             NoConvergence,
             match=r"^exp_k stalled at step 3/6: el_step: initial guess not admissible",
@@ -763,6 +765,34 @@ class TestExpLog:
             np.max(np.abs(repath[j].coeffs - path[j].coeffs)) for j in range(9)
         )
         assert err <= 1e-7
+
+
+def _polynomial_sequence(coeffs, count):
+    """Members t = 0..count-1 of sum_j coeffs[j] t^j, stacked."""
+    return np.array([sum(c * float(t) ** j for j, c in enumerate(coeffs)) for t in range(count)])
+
+
+@pytest.mark.parametrize("degree", range(6))
+def test_predict_extrapolates_polynomial_sequences(degree):
+    # degree p <= 2 is exact from 3 samples; a higher one once p + 2 samples
+    # let the predictor score degree p against the newest sample
+    coeffs = np.random.default_rng(degree).uniform(-1.0, 1.0, size=(degree + 1, 9, 2))
+    seq = _polynomial_sequence(coeffs, 8)
+    for n in range(max(degree + 2, 3), 8):
+        got = geodesic._predict(seq[n - 1 :: -1])
+        assert np.max(np.abs(got - seq[n])) <= 1e-12 * np.max(np.abs(seq[n]))
+
+
+def test_predict_starts_a_cubic_exactly():
+    # integer samples keep every difference exact: the quadratic misses the
+    # cubic by 6 * its leading coefficient, the cubic and above by nothing
+    coeffs = np.random.default_rng(3).integers(-5, 6, size=(4, 9, 2)).astype(float)
+    coeffs[3] = np.where(coeffs[3] == 0.0, 1.0, coeffs[3])
+    seq = _polynomial_sequence(coeffs, 8)
+    quadratic = geodesic._extrapolate(seq[1:4])
+    assert np.array_equal(seq[4] - quadratic, 6.0 * coeffs[3])
+    for n in range(5, 8):
+        assert np.array_equal(geodesic._predict(seq[n - 1 :: -1]), seq[n])
 
 
 # ---------------------------------------------------------------------------
