@@ -12,6 +12,7 @@ curve JSON files or builtin shape names (``circle[:r]``, ``ellipse[:a,b]``,
 with a leading comment line that embeds the configuration, a header row, one
 row per K flushed as soon as it is computed, and a trailing comment with the
 fitted log-log slope of the last column over the final half of the K range.
+Warnings print as one ``sobcurve: warning: <message>`` line on stderr.
 Outputs carry no timestamps, so identical invocations produce byte-identical
 files.
 """
@@ -25,6 +26,7 @@ import math
 import os
 import re
 import sys
+import warnings
 from typing import Callable
 
 import numpy as np
@@ -702,7 +704,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     command = _BY_NAME[args.command]
     try:
-        return command.handler(args, _setup(args, command))
+        with warnings.catch_warnings():
+            warnings.showwarning = lambda message, *_: print(
+                f"sobcurve: warning: {message}", file=sys.stderr)
+            return command.handler(args, _setup(args, command))
     except SobcurveError as err:
         print(f"sobcurve: error[{err.code}]: {err}", file=sys.stderr)
         return 1

@@ -219,6 +219,22 @@ def _stack(curves, order: int = 0) -> np.ndarray:
     return np.array([pad(c, n).coeffs for c in curves])
 
 
+def _stacks(args, what: str):
+    """``args`` as coefficient stacks (S, 2N+1, d), and whether they came as
+    curves (then S = 1, padded to a common order).  Raises ValueError naming
+    ``what`` unless all are curves or all are stacks of one shape, S >= 1."""
+    if all(isinstance(a, FourierCurve) for a in args):
+        return _stack(args)[:, None], True
+    stacks = [np.asarray(a, dtype=float) for a in args if not isinstance(a, FourierCurve)]
+    shape = stacks[0].shape
+    if (len(stacks) < len(args) or len(shape) != 3 or not shape[0] or shape[1] % 2 == 0
+            or any(s.shape != shape for s in stacks)):
+        raise ValueError(
+            f"{what} must be curves or coefficient stacks of one shape (S, 2N+1, d) with S >= 1"
+        )
+    return stacks, False
+
+
 def sample_jet(curve: FourierCurve, num_nodes: int, max_order: int) -> np.ndarray:
     """Sample ``curve`` and its theta-derivatives up to ``max_order``.
 

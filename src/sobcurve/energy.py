@@ -47,13 +47,15 @@ stack raises the error of its first failing segment.
 from __future__ import annotations
 
 import math
+import os
+import sys
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .curve import FourierCurve, _jet_matrix, _stack, sample_jet, truncate
+from .curve import FourierCurve, _jet_matrix, _stacks, sample_jet, truncate
 from .errors import DegenerateCurve, NonPositiveLowerBound, NonPositiveQ
 from .metric import (
     SPEED_FLOOR,
@@ -235,15 +237,23 @@ def _require_immersed(r, p, earlier=None):
     return least
 
 
+#: Path prefix of the package's own source files.
+_PACKAGE = os.path.dirname(__file__) + os.sep
+
+
 def _check_epsilon(epsilon, least):
     """Warn when epsilon is so large that the clipped minimum can kink
-    (epsilon >= 2 min speed on some segment)."""
+    (epsilon >= 2 min speed on some segment).  The warning names the first
+    caller outside the package, however deep inside it the check ran."""
     if epsilon >= 2.0 * least.min():
+        level, frame = 1, sys._getframe()
+        while frame is not None and frame.f_code.co_filename.startswith(_PACKAGE):
+            level, frame = level + 1, frame.f_back
         warnings.warn(
             f"epsilon {epsilon:.3e} >= twice the minimal speed {least.min():.3e}; "
             "the clipped lower bound may be active",
             RuntimeWarning,
-            stacklevel=4,
+            stacklevel=level,
         )
 
 
@@ -649,7 +659,7 @@ def _require_positive_q(q):
 def _oracle_jets(c_hat, c_check, num_nodes):
     """:func:`_rat_jets` of one curve pair, squeezed to (M,) samples, for the
     closed-form oracles; raises DegenerateCurve and NonPositiveQ."""
-    hat, chk, pairings = _rat_jets(*_stacks(c_hat, c_check)[:2], num_nodes)
+    hat, chk, pairings = _rat_jets(*_stacks((c_hat, c_check), "oracle arguments")[0], num_nodes)
     r, p, q = pairings[:3]
     _require_immersed(r, p)
     _require_positive_q(q)
@@ -1029,22 +1039,6 @@ def _rat_core(hat_c, chk_c, weights, num_nodes, want_grad):
 _BLOCK_NODES = 2048
 
 
-def _stacks(c_hat, c_check):
-    """The two energy arguments as coefficient stacks (S, 2N+1, d), and
-    whether they came as curves (then S = 1, padded to a common order)."""
-    if isinstance(c_hat, FourierCurve) and isinstance(c_check, FourierCurve):
-        hat, chk = _stack([c_hat, c_check])[:, None]
-        return hat, chk, True
-    hat = np.asarray(c_hat, dtype=float)
-    chk = np.asarray(c_check, dtype=float)
-    if hat.ndim != 3 or hat.shape != chk.shape or len(hat) == 0 or hat.shape[1] % 2 == 0:
-        raise ValueError(
-            "energy arguments must be two curves or two coefficient stacks "
-            "of one shape (S, 2N+1, d) with S >= 1"
-        )
-    return hat, chk, False
-
-
 def _evaluate(c_hat, c_check, weights, kind, num_nodes, want_grad):
     """Energies of the given kind between two curves or two stacks, walked
     in blocks of at most ``_BLOCK_NODES`` grid nodes.
@@ -1052,7 +1046,7 @@ def _evaluate(c_hat, c_check, weights, kind, num_nodes, want_grad):
     Curves give the value (float), or (value, grad_hat, grad_check) as
     curves of their own orders; stacks give arrays (S,) and (S, 2N+1, d).
     """
-    hat, chk, curves = _stacks(c_hat, c_check)
+    (hat, chk), curves = _stacks((c_hat, c_check), "energy arguments")
     if kind.is_rat:
         _require_m2(weights)
         core, args = _rat_core, (weights, num_nodes, want_grad)

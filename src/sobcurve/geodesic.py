@@ -17,11 +17,14 @@ logarithm).  Both reduce to the same preconditioned fixed-point solver, with
 twice the diagonal energy Hessian as the preconditioner and a
 finite-difference Newton polish whenever the fixed point stalls above its
 tolerance.  The solver takes a stack of independent problems and runs them
-in lockstep, one stacked energy call per sweep; ``el_step`` and
-``el_midpoint`` are its one-problem callers.  The boundary value problem is
-solved by preconditioned L-BFGS with an Armijo line search.  One damped-trial
-loop, ``_trial_steps``, halves the steps of the fixed point, of the Newton
-polish and of that line search, and evaluates each trial point once.
+in lockstep, one stacked energy call per sweep.  ``el_step`` and
+``el_midpoint`` take two curves and return a curve, or take coefficient
+stacks (S, 2N+1, d) and return the stack of solutions, as ``w_eval`` and
+``w_grad`` do; ``exp_k`` and every Schild rung call them on stacks.  The
+boundary value problem is solved by preconditioned L-BFGS with an Armijo
+line search.  One damped-trial loop, ``_trial_steps``, halves the steps of
+the fixed point, of the Newton polish and of that line search, and
+evaluates each trial point once.
 
 The L-BFGS iteration applies its preconditioner one interior curve at a
 time and reduces path vectors with numpy's own loops.  Its vectors reach
@@ -40,7 +43,7 @@ import numbers
 import numpy as np
 import scipy.linalg
 
-from .curve import FourierCurve, _min_speeds, _stack, min_speed, pad
+from .curve import FourierCurve, _min_speeds, _stack, _stacks, min_speed, pad
 from .energy import (
     EnergyKind,
     hessian_scalar_at_diagonal,
@@ -148,6 +151,12 @@ class DiscretePath:
         return cls(tuple(c_a + (c_b - c_a) * float(t) for t in ts))
 
 
+def _path_of(stack) -> DiscretePath:
+    """The discrete path whose curves are the rows of a coefficient stack
+    (K+1, 2N+1, d)."""
+    return DiscretePath(tuple(FourierCurve.from_coeffs(c) for c in stack))
+
+
 def resample_path(path: DiscretePath, num_segments: int) -> DiscretePath:
     """Linear-in-time resampling of a path onto ``num_segments`` segments."""
     _require_count(num_segments, "num_segments")
@@ -178,19 +187,20 @@ class SolverOptions:
     polynomial extrapolation, of degree 2 to 5, that best predicted the
     step before.  Every other caller -- ``el_step`` and ``el_midpoint``
     called directly, ``exp2`` / ``log2`` and the Schild rungs of
-    ``transport_path``, ``cov_deriv`` and ``riemann_tensor`` --
-    accepts at fixed_point_tol but keeps iterating to the rounding floor
-    while each sweep still gains a digit, because those results get divided
-    by small step sizes.  ``transport_path`` starts the two solves of each
-    rung from the previous rungs' corrections, extrapolated, so they need
-    fewer sweeps to reach the same floor.  fixed_point_max_iters caps the
-    sweeps of one solve; a solve that stalls or runs out of sweeps above
-    its tolerance always hands its best iterate to a finite-difference
-    Newton polish, and raises NoConvergence only when that stalls too, or
-    when its initial guess is not admissible.  When several solves run as
-    one lockstep stack (the parallelograms of ``cov_deriv`` and
-    ``riemann_tensor``), every member of the stack stops, polishes and
-    fails by its own rule, as it would alone.
+    ``schild_step``, ``transport_path``, ``inverse_transport``,
+    ``cov_deriv`` and ``riemann_tensor`` -- accepts at fixed_point_tol but
+    keeps iterating to the rounding floor while each sweep still gains a
+    digit, because those results get divided by small step sizes.
+    ``transport_path`` starts the two solves of each rung from the previous
+    rungs' corrections, extrapolated, so they need fewer sweeps to reach the
+    same floor.  fixed_point_max_iters caps the sweeps of one solve; a solve
+    that stalls or runs out of sweeps above its tolerance always hands its
+    best iterate to a finite-difference Newton polish, and raises
+    NoConvergence only when that stalls too, or when its initial guess is
+    not admissible.  When ``el_step`` or ``el_midpoint`` gets a stack of
+    several problems (the parallelograms of ``cov_deriv`` and
+    ``riemann_tensor``), every member stops, polishes and fails by its own
+    rule, as it would alone.
     """
 
     grad_tol: float = 1e-8
@@ -486,20 +496,40 @@ def _newton_polish(residual, y, res_arr, res, precond, tol):
     return y if res <= tol else None
 
 
-def _el_steps(prev, cur, weights, kind, num_nodes, opts, init=None, label="el_step",
-              stop_tol=None, fixed=None, blocks=None):
-    """Forward Euler-Lagrange steps of a stack of independent problems,
-    solved in lockstep: for coefficient stacks ``prev`` and ``cur`` of shape
-    (S, 2N+1, d), the stack ``next`` with
+def el_step(
+    prev,
+    cur,
+    weights: MetricWeights,
+    kind: EnergyKind,
+    num_nodes: int,
+    opts: SolverOptions | None = None,
+    init=None,
+    *,
+    _stop_tol: float | None = None,
+    _carry: list | None = None,
+    _blocks: dict | None = None,
+):
+    """One forward Euler-Lagrange step: the curve ``next`` solving
 
-        W_{,2}[prev_i, cur_i] + W_{,1}[cur_i, next_i] = 0.
+        W_{,2}[prev, cur] + W_{,1}[cur, next] = 0.
 
-    ``init`` is a stack of initial guesses (default 2 cur - prev), ``fixed``
-    the stack of partials W_{,2}[prev_i, cur_i] when already known, ``blocks``
-    as in ``_preconditioners``.  Returns (next, partials), where partials[i]
-    is W_{,2}[cur_i, next_i] when the last gradient call of member i was at
-    its accepted next, else None.
+    ``prev``, ``cur`` and ``init`` are curves (returns a curve) or coefficient
+    stacks of one shape (S, 2N+1, d), S independent problems solved in
+    lockstep (returns the stack of their solutions).  The default initial
+    guess extrapolates linearly (2 cur - prev); the preconditioner is the
+    diagonal Hessian at ``prev``.
+
+    ``_stop_tol`` and ``_carry`` serve ``exp_k``: the first is the solver's
+    stop tolerance (see ``_solve_roots``); the second is a one-element list
+    holding the stack of partials W_{,2}[prev, cur] or None on entry, and
+    the stack of W_{,2}[cur, next] on exit when every member's last gradient
+    call was at its accepted ``next`` (None otherwise), so consecutive steps
+    share those partials.  ``_blocks`` is as in ``_preconditioners``.
     """
+    stacks, curves = _stacks((prev, cur) if init is None else (prev, cur, init),
+                             "el_step arguments")
+    prev, cur = stacks[:2]
+    fixed = _carry[0] if _carry is not None else None
     if fixed is None:
         fixed = w_grad(prev, cur, weights, kind, num_nodes)[1]
     last = {}  # member -> its latest iterate and W_{,2}[cur, iterate]
@@ -510,20 +540,37 @@ def _el_steps(prev, cur, weights, kind, num_nodes, opts, init=None, label="el_st
             last[i] = ys[row], g_next[row]
         return fixed[idx] + g_cur
 
-    preconds = _preconditioners(prev, weights, kind, num_nodes, blocks=blocks)
-    y0 = init if init is not None else 2.0 * cur - prev
-    sols = _solve_roots(residual, y0, preconds, +1.0, opts, label, stop_tol)
-    partials = [last[i][1] if np.array_equal(last[i][0], sol) else None
-                for i, sol in enumerate(sols)]
-    return sols, partials
+    preconds = _preconditioners(prev, weights, kind, num_nodes, blocks=_blocks)
+    y0 = stacks[2] if init is not None else 2.0 * cur - prev
+    sols = _solve_roots(residual, y0, preconds, +1.0, opts, "el_step", _stop_tol)
+    if _carry is not None:
+        carried = all(np.array_equal(last[i][0], sol) for i, sol in enumerate(sols))
+        _carry[0] = np.array([last[i][1] for i in range(len(sols))]) if carried else None
+    return FourierCurve.from_coeffs(sols[0]) if curves else sols
 
 
-def _el_midpoints(c_a, c_b, weights, kind, num_nodes, opts, init=None, label="el_midpoint",
-                  blocks=None):
-    """Middle curves x_i of the two-segment discrete geodesics from c_a[i] to
-    c_b[i] for coefficient stacks (S, 2N+1, d), solved in lockstep: the
-    solutions of W_{,2}[c_a_i, x_i] + W_{,1}[x_i, c_b_i] = 0, from ``init``
-    or the corner averages; ``blocks`` as in ``_preconditioners``."""
+def el_midpoint(
+    c_a,
+    c_b,
+    weights: MetricWeights,
+    kind: EnergyKind,
+    num_nodes: int,
+    opts: SolverOptions | None = None,
+    init=None,
+    *,
+    _blocks: dict | None = None,
+):
+    """The middle curve x of the two-segment discrete geodesic from c_a to
+    c_b, i.e. the solution of W_{,2}[c_a, x] + W_{,1}[x, c_b] = 0, from
+    ``init`` or the corner average.
+
+    Curves give a curve; coefficient stacks of one shape (S, 2N+1, d) give
+    the stack of the S solutions, solved in lockstep.  ``_blocks`` is as in
+    ``_preconditioners``.
+    """
+    stacks, curves = _stacks((c_a, c_b) if init is None else (c_a, c_b, init),
+                             "el_midpoint arguments")
+    c_a, c_b = stacks[:2]
 
     def residual(xs, idx):
         # both segments a -> x -> b of every member in one stacked call
@@ -533,65 +580,10 @@ def _el_midpoints(c_a, c_b, weights, kind, num_nodes, opts, init=None, label="el
         )
         return gc[: len(xs)] + gh[len(xs):]
 
-    preconds = _preconditioners(c_a, weights, kind, num_nodes, scale=2.0, blocks=blocks)
-    y0 = init if init is not None else 0.5 * (c_a + c_b)
-    return _solve_roots(residual, y0, preconds, -1.0, opts, label)
-
-
-def el_step(
-    prev: FourierCurve,
-    cur: FourierCurve,
-    weights: MetricWeights,
-    kind: EnergyKind,
-    num_nodes: int,
-    opts: SolverOptions | None = None,
-    init: FourierCurve | None = None,
-    *,
-    _stop_tol: float | None = None,
-    _carry: list | None = None,
-) -> FourierCurve:
-    """One forward Euler-Lagrange step: the curve ``next`` solving
-
-        W_{,2}[prev, cur] + W_{,1}[cur, next] = 0.
-
-    The default initial guess extrapolates linearly (2 cur - prev); the
-    preconditioner is the diagonal Hessian at ``prev``.
-
-    ``_stop_tol`` and ``_carry`` serve ``exp_k``: the first is the solver's
-    stop tolerance (see ``_solve_roots``); the second is a one-element list
-    holding W_{,2}[prev, cur] or None on entry, and W_{,2}[cur, next] on
-    exit when the solver's last gradient call was at the accepted ``next``
-    (None otherwise), so consecutive steps share that partial.
-    """
-    arrs = _stack((prev, cur) if init is None else (prev, cur, init))[:, None]
-    fixed = _carry[0] if _carry is not None else None
-    sols, partials = _el_steps(
-        arrs[0], arrs[1], weights, kind, num_nodes, opts,
-        init=arrs[2] if init is not None else None,
-        stop_tol=_stop_tol, fixed=fixed[None] if fixed is not None else None,
-    )
-    if _carry is not None:
-        _carry[0] = partials[0]
-    return FourierCurve.from_coeffs(sols[0])
-
-
-def el_midpoint(
-    c_a: FourierCurve,
-    c_b: FourierCurve,
-    weights: MetricWeights,
-    kind: EnergyKind,
-    num_nodes: int,
-    opts: SolverOptions | None = None,
-    init: FourierCurve | None = None,
-) -> FourierCurve:
-    """The middle curve x of the two-segment discrete geodesic from c_a to
-    c_b, i.e. the solution of W_{,2}[c_a, x] + W_{,1}[x, c_b] = 0."""
-    arrs = _stack((c_a, c_b) if init is None else (c_a, c_b, init))[:, None]
-    sols = _el_midpoints(
-        arrs[0], arrs[1], weights, kind, num_nodes, opts,
-        init=arrs[2] if init is not None else None,
-    )
-    return FourierCurve.from_coeffs(sols[0])
+    preconds = _preconditioners(c_a, weights, kind, num_nodes, scale=2.0, blocks=_blocks)
+    y0 = stacks[2] if init is not None else 0.5 * (c_a + c_b)
+    sols = _solve_roots(residual, y0, preconds, -1.0, opts, "el_midpoint")
+    return FourierCurve.from_coeffs(sols[0]) if curves else sols
 
 
 def exp2(
@@ -630,30 +622,24 @@ _BINOMIAL = np.array(
 )
 
 
-def _extrapolate(samples):
-    """Next member of a sequence of curves or arrays from its last one to
-    six members (oldest first), e.g. 3 x_k - 3 x_{k-1} + x_{k-2}."""
-    terms = [x * w for x, w in zip(reversed(samples), _BINOMIAL[len(samples) - 1])]
-    return sum(terms[1:], terms[0])
-
-
 def _predict(samples):
-    """Adaptive-order start for the next member of a sequence, from the
-    coefficient stack ``samples`` of its last 3 to 7 members, newest first.
+    """Start for the next member of a sequence, from the coefficient stack
+    ``samples`` of its last 1 to 7 members, newest first.
 
-    Each extrapolation of degree 2 to 5 that the older samples allow is
-    scored by how well it predicted the newest sample (the max-abs error
-    over coefficients); the best one, the lowest degree on a tie, predicts
-    the next member.  With 3 samples no degree can be scored yet and the
-    quadratic is used.  Returns the predicted coefficient array.
+    One, two or three samples give the constant, linear or quadratic
+    extrapolation.  With more, each extrapolation of degree 2 to 5 that the
+    older samples allow is scored by how well it predicted the newest sample
+    (the max-abs error over coefficients); the best one, the lowest degree on
+    a tie, predicts the next member.  Returns the predicted coefficient array.
     """
     weights = _BINOMIAL[2 : len(samples) - 1, : len(samples) - 1]
-    degree = 2
+    degree = min(len(samples), 3) - 1
     if len(weights):
         flat = samples.reshape(len(samples), -1)
         errors = flat[0] - weights @ flat[1:]
         degree += int(np.argmin(np.max(np.abs(errors), axis=1)))
-    return _extrapolate(samples[degree::-1])
+    terms = [x * w for x, w in zip(samples[: degree + 1], _BINOMIAL[degree])]
+    return sum(terms[1:], terms[0])
 
 
 def exp_k(
@@ -684,21 +670,20 @@ def exp_k(
     _require_count(num_segments, "num_segments")
     opts = opts or _DEFAULT_OPTIONS
     stop_tol = opts.fixed_point_tol / num_segments
-    c0 = pad(c0, v.order)
-    curves = [c0, c0 + v * (1.0 / num_segments)]
+    c0, v = _stack([c0, v])
+    curves = np.empty((num_segments + 1, *c0.shape))
+    curves[0], curves[1] = c0, c0 + v * (1.0 / num_segments)
     carry = [None]
     for k in range(1, num_segments):
-        init = FourierCurve.from_coeffs(_predict(_stack(curves[:-8:-1]))) if k >= 2 else None
+        init = _predict(curves[k::-1][:7])[None] if k >= 2 else None
         try:
-            curves.append(
-                el_step(curves[-2], curves[-1], weights, kind, num_nodes, opts, init,
-                        _stop_tol=stop_tol, _carry=carry)
-            )
+            curves[k + 1] = el_step(curves[k - 1 : k], curves[k : k + 1], weights, kind,
+                                    num_nodes, opts, init, _stop_tol=stop_tol, _carry=carry)[0]
         except NoConvergence as err:
             stalled = NoConvergence(f"exp_k stalled at step {k + 1}/{num_segments}: {err}")
-            stalled.partial = DiscretePath(tuple(curves))
+            stalled.partial = _path_of(curves[: k + 1])
             raise stalled from err
-    return DiscretePath(tuple(curves))
+    return _path_of(curves)
 
 
 # ---------------------------------------------------------------------------
@@ -897,8 +882,7 @@ def solve_bvp(
         gnorm = _norm(g)
         iters += 1
 
-    inner = x.reshape(shape)
-    path = DiscretePath((c_a, *(FourierCurve.from_coeffs(c) for c in inner), c_b))
+    path = _path_of(stack_of(x))
     if return_info:
         return path, {"iterations": iters, "energy": f if iters else f0, "grad_norm": gnorm}
     return path

@@ -16,24 +16,28 @@ follow.  Nesting two covariant quotients with a smaller inner step tau^beta
 approximates the Riemann curvature tensor, and with it the sectional
 curvature of the Sobolev metric.
 
+Every rung, forward or inverse, is one geodesic parallelogram, and one
+private core solves a stack of them in lockstep: one ``el_midpoint`` call
+on the stack of diagonals, then one ``el_step`` call on the stack of
+extensions, each sweep one energy call.  ``schild_step``,
+``transport_path`` and ``inverse_transport`` hand it one parallelogram at
+a time.  The parallelograms of one covariant quotient are independent, and
+so are those of each level of a nested one, so ``cov_deriv`` and both
+levels of ``riemann_tensor`` run through one stacked quotient that hands
+the core all of them at once.  A centered (one-sided) Riemann tensor thus
+runs its 24 (12) solves as four stacks, 8, 8, 4 and 4 (4, 4, 2 and 2):
+the inner quotients' midpoints and extensions, then the outer ones'.
+Every member of a stack still stops by its own rule.
+
 Along a path the rungs change slowly, so ``transport_path`` starts each
 rung's midpoint and extension solves from an extrapolation (quadratic once
 three rungs are done) of how far the previous rungs' solutions lay from
 their simple guesses, the corner average and 2s - c.  Every solve still
 polishes to the rounding floor: the warm start saves sweeps without
 stopping any solve earlier.  The other entry points solve each
-parallelogram from scratch.  Every entry point rejects a step size tau
-that is not finite and positive.
-
-The parallelograms of one covariant quotient are independent, and so are
-those of each level of a nested one.  ``cov_deriv`` and both levels of
-``riemann_tensor`` therefore run through one stacked quotient that solves
-them in lockstep: first the stack of all midpoint solves, then the stack of
-all extension solves, each sweep of a stack one energy call.  A centered
-(one-sided) Riemann tensor thus runs its 24 (12) solves as four stacks,
-8, 8, 4 and 4 (4, 4, 2 and 2): the inner quotients' midpoints and
-extensions, then the outer ones'.  Every member of a stack still stops by
-its own rule.
+parallelogram from scratch, and all of them work on coefficient arrays,
+building one curve per returned vector.  Every entry point rejects a step
+size tau that is not finite and positive.
 """
 
 from __future__ import annotations
@@ -45,15 +49,7 @@ import numpy as np
 from .curve import FourierCurve, _stack, pad
 from .energy import EnergyKind, hessian_at_diagonal
 from .errors import DegeneratePlane, NoConvergence
-from .geodesic import (
-    DiscretePath,
-    SolverOptions,
-    _el_midpoints,
-    _el_steps,
-    _extrapolate,
-    el_midpoint,
-    el_step,
-)
+from .geodesic import DiscretePath, SolverOptions, _predict, el_midpoint, el_step
 from .metric import MetricWeights, metric_eval
 
 __all__ = [
@@ -118,6 +114,28 @@ def _require_step(tau):
         raise ValueError("step size tau must be finite and positive")
 
 
+def _parallelogram(a, b, corner, weights, kind, num_nodes, opts, phase, shifts=None,
+                   blocks=None):
+    """Fourth corners z of a stack (S, 2N+1, d) of geodesic parallelograms:
+    s = el_midpoint(a, b) is each one's center, and z = el_step(corner, s)
+    extends the geodesic from the corner through it.  Each solve starts from
+    its simple guess, (a + b)/2 or 2s - corner, plus the matching stack of
+    ``shifts`` when given; ``blocks`` is the solvers' ``_blocks``.  A stall
+    raises NoConvergence prefixed with ``phase``.  Returns z and the
+    corrections (s - (a + b)/2, z - (2s - corner)) over the simple guesses.
+    """
+    mid = (a + b) * 0.5
+    try:
+        s = el_midpoint(a, b, weights, kind, num_nodes, opts,
+                        None if shifts is None else mid + shifts[0], _blocks=blocks)
+        ext = s * 2.0 - corner
+        z = el_step(corner, s, weights, kind, num_nodes, opts,
+                    None if shifts is None else ext + shifts[1], _blocks=blocks)
+    except NoConvergence as err:
+        raise NoConvergence(f"{phase}: {err}") from err
+    return z, (s - mid, z - ext)
+
+
 def schild_step(
     c: FourierCurve,
     v: FourierCurve,
@@ -127,8 +145,6 @@ def schild_step(
     kind: EnergyKind,
     num_nodes: int,
     opts: SolverOptions | None = None,
-    *,
-    _history: list | None = None,
 ) -> FourierCurve:
     """One rung of Schild's ladder: transport w from c to c + tau*v.
 
@@ -136,27 +152,13 @@ def schild_step(
     s is the discrete-geodesic midpoint of the far corners and z the
     extension of the geodesic c -> s by one more step.  Returns
     (z - c - tau*v)/tau, the transported vector at the displaced curve.
-
-    ``_history`` serves ``transport_path``: a list of the previous rungs'
-    corrections (s - avg, z - (2s - c)), oldest first, where avg is the
-    mean of the far corners.  A nonempty list starts s from avg and z from
-    2s - c, each plus the extrapolated correction; on exit the list holds
-    this rung's corrections last and at most three entries.
     """
     _require_step(tau)
-    corner_w = c + w * tau
+    c, v, w = _stack([c, v, w])[:, None]
     corner_v = c + v * tau
-    avg = (corner_w + corner_v) * 0.5
-    past = _history or ()
-    init = avg + _extrapolate([d for d, _ in past]) if past else None
-    s = el_midpoint(corner_w, corner_v, weights, kind, num_nodes, opts, init)
-    ext = s * 2.0 - c
-    init = ext + _extrapolate([e for _, e in past]) if past else None
-    z = el_step(c, s, weights, kind, num_nodes, opts, init)
-    if _history is not None:
-        _history.append((s - avg, z - ext))
-        del _history[:-3]
-    return (z - corner_v) * (1.0 / tau)
+    z, _ = _parallelogram(c + w * tau, corner_v, c, weights, kind, num_nodes, opts,
+                          "schild_step")
+    return FourierCurve.from_coeffs((z[0] - corner_v[0]) * (1.0 / tau))
 
 
 def transport_path(
@@ -176,26 +178,31 @@ def transport_path(
     corner average and 2s - c) plus an extrapolation of the corrections the
     previous rungs needed over the same guesses: constant after one rung,
     linear after two, quadratic from then on.  Each solve still polishes to
-    the rounding floor.  Returns the vector at the final curve, or the
+    the rounding floor.  The rungs run on coefficient arrays at the higher
+    order of the path and w0.  Returns the vector at the final curve, or the
     whole list w_0..w_K with ``return_all``.  A stalled rung raises
     NoConvergence whose ``partial`` is the list w_0..w_k finished before it.
     """
-    tau = path.step
+    tau, steps = path.step, path.num_segments
+    w, *curves = _stack([w0, *path.curves])[:, None]
     vectors = [w0]
-    history = []
-    for k in range(path.num_segments):
-        v_k = (path[k + 1] - path[k]) * (1.0 / tau)
+    history = []  # the corrections of the last three rungs, newest first
+    for k in range(steps):
+        c = curves[k]
+        # c + tau*v_k, rounded as a rung of direction v_k = (c_{k+1} - c_k)/tau
+        corner_v = c + (curves[k + 1] - c) * (1.0 / tau) * tau
+        shifts = [_predict(np.stack(past)) for past in zip(*history)] if history else None
         try:
-            vectors.append(
-                schild_step(path[k], v_k, vectors[-1], tau, weights, kind, num_nodes, opts,
-                            _history=history)
+            z, corrections = _parallelogram(
+                c + w * tau, corner_v, c, weights, kind, num_nodes, opts,
+                f"transport stalled at rung {k + 1}/{steps}", shifts,
             )
         except NoConvergence as err:
-            stalled = NoConvergence(
-                f"transport stalled at rung {k + 1}/{path.num_segments}: {err}"
-            )
-            stalled.partial = vectors
-            raise stalled from err
+            err.partial = vectors
+            raise
+        history = [corrections, *history[:2]]
+        w = (z - corner_v) * (1.0 / tau)
+        vectors.append(FourierCurve.from_coeffs(w[0]))
     return vectors if return_all else vectors[-1]
 
 
@@ -221,23 +228,6 @@ def transport_inner_products(
     return out
 
 
-def _inverse_transports(c, v, w_end, tau, weights, kind, num_nodes, opts, phase, blocks=None):
-    """Inverse Schild rungs of a stack of independent problems, in lockstep.
-
-    ``c``, ``v`` and ``w_end`` are coefficient stacks (S, 2N+1, d); problem
-    i brings w_end[i], given at c[i] + tau*v[i], back to c[i].  The S
-    midpoint solves run as one lockstep stack, then the S extension solves
-    as another.  A member that stalls raises NoConvergence naming ``phase``,
-    the solver and the member; ``blocks`` is as in ``geodesic._preconditioners``.
-    Returns the stack of (z - c)/tau.
-    """
-    far = c + (v + w_end) * tau
-    args = weights, kind, num_nodes, opts
-    s = _el_midpoints(c, far, *args, label=f"{phase}: el_midpoint", blocks=blocks)
-    z, _ = _el_steps(c + v * tau, s, *args, label=f"{phase}: el_step", blocks=blocks)
-    return (z - c) * (1.0 / tau)
-
-
 def inverse_transport(
     c: FourierCurve,
     v: FourierCurve,
@@ -257,11 +247,10 @@ def inverse_transport(
     reproduces w up to O(tau^2).
     """
     _require_step(tau)
-    moved = _inverse_transports(
-        *np.split(_stack([c, v, w_end]), 3), tau, weights, kind, num_nodes, opts,
-        "inverse_transport",
-    )
-    return FourierCurve.from_coeffs(moved[0])
+    c, v, w_end = _stack([c, v, w_end])[:, None]
+    z, _ = _parallelogram(c, c + (v + w_end) * tau, c + v * tau, weights, kind, num_nodes, opts,
+                          "inverse_transport")
+    return FourierCurve.from_coeffs((z[0] - c[0]) * (1.0 / tau))
 
 
 def _quotients(points, dirs, ends, base, tau, centered, weights, kind, num_nodes, opts, phase,
@@ -273,16 +262,18 @@ def _quotients(points, dirs, ends, base, tau, centered, weights, kind, num_nodes
     tau*dirs[i] and at points[i] - tau*dirs[i], when ``centered``, else to
     (S, 1, 2N+1, d); ``base`` is the field at the points.  The inverse
     transports m+ and m- of all problems, ordered by problem and then by
-    sign, run as one ``_inverse_transports`` stack.  Returns the stack of
-    (m+ + m-)/(2 tau) centered, (m+ - base)/tau one-sided.
+    sign, run as one stack of inverse rungs (see :func:`inverse_transport`)
+    through ``_parallelogram``, whose stalls name ``phase``.  Returns the
+    stack of (m+ + m-)/(2 tau) centered, (m+ - base)/tau one-sided.
     """
     signs = np.array((1.0, -1.0) if centered else (1.0,))[:, None, None]
     shape = points.shape[1:]
     signed = np.broadcast_to(ends * signs, (len(points), len(signs), *shape))
-    moved = _inverse_transports(
-        np.repeat(points, len(signs), axis=0), (dirs[:, None] * signs).reshape(-1, *shape),
-        signed.reshape(-1, *shape), tau, weights, kind, num_nodes, opts, phase, blocks,
-    ).reshape(len(points), len(signs), *shape)
+    c = np.repeat(points, len(signs), axis=0)
+    v = (dirs[:, None] * signs).reshape(-1, *shape)
+    z, _ = _parallelogram(c, c + (v + signed.reshape(-1, *shape)) * tau, c + v * tau, weights,
+                          kind, num_nodes, opts, phase, blocks=blocks)
+    moved = ((z - c) * (1.0 / tau)).reshape(len(points), len(signs), *shape)
     if centered:
         return (moved[:, 0] + moved[:, 1]) * (1.0 / (2.0 * tau))
     return (moved[:, 0] - base) * (1.0 / tau)

@@ -1,14 +1,19 @@
-"""The public surface: every name a ``sobcurve`` module exports resolves, and
-no module keeps an import or a private helper it never uses.
+"""The public surface: every name a ``sobcurve`` module exports resolves, no
+module keeps an import or a private helper it never uses, and every hidden
+(underscore-prefixed) parameter of an exported function is on an allowlist
+that says why it exists.
 
 A name deleted from a module but still listed in its ``__all__`` fails here;
 one still re-exported by ``sobcurve/__init__.py`` fails the import above.  An
 import left behind by a deletion fails the unused-import check, and a private
-helper left behind when its callers moved fails the dead-helper check.
+helper left behind when its callers moved fails the dead-helper check.  A
+new hidden parameter fails the allowlist check until it is listed with its
+reason.
 """
 
 import ast
 import importlib
+import inspect
 import pathlib
 import pkgutil
 
@@ -78,3 +83,35 @@ def test_private_helpers_are_used():
         if name.startswith("_") and not name.startswith("__")
     }
     assert sorted(d for d in defined if d.split(".", 1)[1] not in used) == []
+
+
+#: Every underscore-prefixed parameter of a function in a module's __all__,
+#: and why it exists.
+HIDDEN_PARAMETERS = {
+    "sobcurve.geodesic.el_step._stop_tol": (
+        "exp_k stops each step at fixed_point_tol / K; exp_k keeps calling el_step by its "
+        "module name, which the benchmark tracer rebinds to count steps"
+    ),
+    "sobcurve.geodesic.el_step._carry": (
+        "exp_k hands W_{,2}[c_{k-1}, c_k] from one step to the next, through the same "
+        "el_step calls"
+    ),
+    "sobcurve.geodesic.el_step._blocks": (
+        "the extension stacks of one nested quotient share their Hessian blocks"
+    ),
+    "sobcurve.geodesic.el_midpoint._blocks": (
+        "the midpoint stacks of one nested quotient share their Hessian blocks"
+    ),
+}
+
+
+def test_hidden_parameters_are_allowlisted():
+    found = set()
+    for name in MODULES:
+        module = importlib.import_module(name)
+        for entry in getattr(module, "__all__", ()):
+            fn = getattr(module, entry)
+            if inspect.isfunction(fn):
+                found |= {f"{name}.{entry}.{param}" for param in inspect.signature(fn).parameters
+                          if param.startswith("_")}
+    assert sorted(found) == sorted(HIDDEN_PARAMETERS)

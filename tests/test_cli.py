@@ -161,15 +161,29 @@ class TestSingleCommands:
         assert len(lines) == 2 + 4  # one row per rung
         assert "alpha_drift_max=" in capsys.readouterr().out
 
+    @pytest.mark.filterwarnings("always::RuntimeWarning")
+    def test_warning_prints_one_line(self, tmp_path, capsys):
+        # a trial point of the second step slows below epsilon / 2
+        assert main([
+            "exp", "--in-a", "circle", "--in-v", "mixv", "--kind", "reg", "--epsilon", "0.6",
+            "-K", "4", "-N", "8", "--out", str(tmp_path),
+        ]) == 0
+        err = capsys.readouterr().err
+        assert err.splitlines() == [
+            "sobcurve: warning: epsilon 6.000e-01 >= twice the minimal speed 1.791e-01; "
+            "the clipped lower bound may be active"
+        ]
+
     def test_transport_climbs_one_ladder(self, tmp_path, monkeypatch):
-        # the alphas reuse the transported family: K rungs, not 2K
-        real_step, rungs = transport.schild_step, []
+        # the alphas reuse the transported family: K rungs, not 2K, each
+        # with one midpoint solve
+        real_midpoint, rungs = transport.el_midpoint, []
 
         def counted(*args, **kwargs):
             rungs.append(None)
-            return real_step(*args, **kwargs)
+            return real_midpoint(*args, **kwargs)
 
-        monkeypatch.setattr(transport, "schild_step", counted)
+        monkeypatch.setattr(transport, "el_midpoint", counted)
         assert main([
             "transport", "--in-a", "circle", "--in-b", "circle:1.2",
             "--in-v", "normal5", "-K", "4", "-N", "8", "--out", str(tmp_path),

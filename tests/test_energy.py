@@ -1,3 +1,4 @@
+import inspect
 import warnings
 
 import numpy as np
@@ -29,6 +30,7 @@ from sobcurve.energy import (
     w_grad,
     w_value_and_grad,
 )
+from sobcurve.geodesic import exp_k
 from sobcurve.metric import MetricWeights, gram_scalar, metric_eval, w_lin_oracle
 
 W2 = MetricWeights.of(1.0, 1.0, 1.0)
@@ -107,6 +109,43 @@ def test_length_bounds_warn_when_epsilon_dominates():
     c = circle()
     with pytest.warns(RuntimeWarning):
         length_bounds(c, c, 2.5, M)
+
+
+def _long_stack_call():
+    # 40 segments of 64 nodes: two blocks of the stacked kernel
+    pair = np.stack([circle().coeffs, circle(1.05).coeffs])
+    hat, chk = np.repeat(pair[:, None], 40, axis=1)
+    w_eval(hat, chk, W2, EnergyKind.reg(2.0), M)
+
+
+def _shot_through_a_slow_trial():
+    # one trial point of the second step slows below epsilon / 2; the shot
+    # still lands (the command line's `exp` with --epsilon 0.6 -K 4 -N 8)
+    c0, v = (pad(resolve_curve(name), 8) for name in ("circle", "mixv"))
+    exp_k(c0, v, 4, MetricWeights.of(1e-4, 1.0, 1e-2), EnergyKind.reg(0.6), 32)
+
+
+EPSILON_WARNING_CALLS = {
+    "w_eval": lambda: w_eval(circle(), circle(1.05), W2, EnergyKind.reg(2.0), M),
+    "w_grad": lambda: w_grad(circle(), circle(1.05), W2, EnergyKind.reg(2.0), M),
+    "w_value_and_grad": lambda: w_value_and_grad(circle(), circle(1.05), W2,
+                                                 EnergyKind.reg(2.0), M),
+    "length_bounds": lambda: length_bounds(circle(), circle(), 2.5, M),
+    "long_stack": _long_stack_call,
+    "solver": _shot_through_a_slow_trial,
+}
+
+
+@pytest.mark.parametrize("call", EPSILON_WARNING_CALLS.values(), ids=EPSILON_WARNING_CALLS)
+def test_epsilon_warning_names_the_calling_file(call):
+    # the warning points at the first frame outside the package, however
+    # deep inside it the check ran
+    with pytest.warns(RuntimeWarning, match="twice the minimal speed") as record:
+        call()
+    lines, first = inspect.getsourcelines(call)
+    for warning in record:
+        assert warning.filename == __file__
+        assert first <= warning.lineno < first + len(lines)
 
 
 @pytest.mark.parametrize("eps", [-0.1, 0.0, np.nan, np.inf])

@@ -767,6 +767,77 @@ class TestExpLog:
         assert err <= 1e-7
 
 
+# ---------------------------------------------------------------------------
+# Coefficient stacks in the Euler-Lagrange solvers
+# ---------------------------------------------------------------------------
+
+
+def stack_problems(count, order=4):
+    """Coefficient stacks (a, b) of ``count`` nearby curve pairs."""
+    rng = np.random.default_rng(70)
+    pairs = [(c, c + tangent_field(rng, order, scale=0.02))
+             for c in (perturbed_circle(rng, order) for _ in range(count))]
+    return tuple(np.stack([x.coeffs for x in xs]) for xs in zip(*pairs))
+
+
+@pytest.mark.parametrize("solve", [el_step, el_midpoint], ids=["el_step", "el_midpoint"])
+class TestStacks:
+    @pytest.mark.parametrize("kind", KINDS, ids=kind_id)
+    def test_one_member_stack_is_the_curve_call(self, solve, kind):
+        # mixed orders: the curve call pads both curves to order 4
+        rng = np.random.default_rng(71)
+        a = perturbed_circle(rng, order=4)
+        b = circle(1.02, order=2)
+        stack = np.stack([a.coeffs, pad(b, 4).coeffs])[:, None]
+        got = solve(stack[0], stack[1], W, kind, M)
+        assert got.shape == (1, 9, 2)
+        np.testing.assert_array_equal(got[0], solve(a, b, W, kind, M).coeffs)
+        init = stack[0] * 0.5 + stack[1] * 0.5
+        np.testing.assert_array_equal(
+            solve(stack[0], stack[1], W, kind, M, init=init)[0],
+            solve(a, b, W, kind, M, init=FourierCurve.from_coeffs(init[0])).coeffs,
+        )
+
+    def test_stack_members_match_their_own_calls(self, solve):
+        a, b = stack_problems(3)
+        got = solve(a, b, W, EnergyKind.rat(), M)
+        for i in range(3):
+            want = solve(FourierCurve.from_coeffs(a[i]), FourierCurve.from_coeffs(b[i]), W,
+                         EnergyKind.rat(), M).coeffs
+            assert np.max(np.abs(got[i] - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_malformed_or_mixed_arguments_raise(self, solve):
+        a, b = stack_problems(2)
+        curve = FourierCurve.from_coeffs(a[0])
+        for args, init in (
+            ((curve, b), None),  # a curve and a stack
+            ((a, curve), None),
+            ((a, b), curve),
+            ((curve, FourierCurve.from_coeffs(b[0])), a),
+            ((a, b[:, :-2]), None),  # orders differ
+            ((a, b[:1]), None),  # stack sizes differ
+            ((a, b), b[:, :-2]),
+            ((a[:, :-1], b[:, :-1]), None),  # an even number of rows
+            ((a[:0], b[:0]), None),  # no members
+            ((a[0], b[0]), None),  # one coefficient array is no stack
+        ):
+            with pytest.raises(ValueError, match="must be curves or coefficient stacks"):
+                solve(*args, W, EnergyKind.rat(), M, init=init)
+
+
+def test_carry_passes_a_stack_of_partials():
+    # W_{,2}[cur, next] of every member, ready to be W_{,2}[prev, cur] of
+    # the next lockstep step
+    prev, cur = stack_problems(3)
+    carry = [None]
+    nxt = el_step(prev, cur, W, EnergyKind.rat(), M, _carry=carry)
+    assert carry[0].shape == nxt.shape
+    want = geodesic.w_grad(cur, nxt, W, EnergyKind.rat(), M)[1]
+    assert np.max(np.abs(carry[0] - want)) <= 1e-12 * np.max(np.abs(want))
+    again = el_step(cur, nxt, W, EnergyKind.rat(), M, _carry=carry)
+    np.testing.assert_array_equal(again, el_step(cur, nxt, W, EnergyKind.rat(), M, _carry=[want]))
+
+
 def _polynomial_sequence(coeffs, count):
     """Members t = 0..count-1 of sum_j coeffs[j] t^j, stacked."""
     return np.array([sum(c * float(t) ** j for j, c in enumerate(coeffs)) for t in range(count)])
@@ -789,7 +860,7 @@ def test_predict_starts_a_cubic_exactly():
     coeffs = np.random.default_rng(3).integers(-5, 6, size=(4, 9, 2)).astype(float)
     coeffs[3] = np.where(coeffs[3] == 0.0, 1.0, coeffs[3])
     seq = _polynomial_sequence(coeffs, 8)
-    quadratic = geodesic._extrapolate(seq[1:4])
+    quadratic = geodesic._predict(seq[3:0:-1])  # three samples: the quadratic
     assert np.array_equal(seq[4] - quadratic, 6.0 * coeffs[3])
     for n in range(5, 8):
         assert np.array_equal(geodesic._predict(seq[n - 1 :: -1]), seq[n])

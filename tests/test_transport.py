@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -234,15 +236,16 @@ class TestTransportPath:
     def test_stall_keeps_the_finished_vectors(self, monkeypatch):
         path = solve_bvp(circle(1.0), circle(1.2), 4, W, RAT, M)
         full = transport_path(path, W_UNIT, W, RAT, M, return_all=True)
-        real_step, calls = transport.schild_step, []
+        real_midpoint, calls = transport.el_midpoint, []
 
         def stalls_third(*args, **kwargs):
+            # each rung makes one midpoint solve: the third is rung 3's
             calls.append(None)
             if len(calls) == 3:
                 raise NoConvergence("el_midpoint: stalled")
-            return real_step(*args, **kwargs)
+            return real_midpoint(*args, **kwargs)
 
-        monkeypatch.setattr(transport, "schild_step", stalls_third)
+        monkeypatch.setattr(transport, "el_midpoint", stalls_third)
         with pytest.raises(NoConvergence) as info:
             transport_path(path, W_UNIT, W, RAT, M)
         assert str(info.value) == "transport stalled at rung 3/4: el_midpoint: stalled"
@@ -445,6 +448,13 @@ def lockstep_problems(count=4, order=6):
     return tuple(np.stack([x.coeffs for x in xs]) for xs in (c, v, w))
 
 
+def stacked_inverse_transports(c, v, w, tau, kind):
+    """The problems of lockstep_problems as one stack of inverse Schild
+    rungs: one parallelogram per problem, through the transport core."""
+    z, _ = transport._parallelogram(c, c + (v + w) * tau, c + v * tau, W, kind, M, None, "stack")
+    return (z - c) * (1.0 / tau)
+
+
 def solo_inverse_transports(c, v, w, tau, kind):
     """The problems of lockstep_problems solved one at a time."""
     return [
@@ -465,7 +475,7 @@ class TestLockstep:
     @pytest.mark.parametrize("kind", [RAT, EnergyKind.reg(1e-2)], ids=["rat", "reg"])
     def test_stacked_inverse_transports_match_solo_solves(self, kind):
         c, v, w = lockstep_problems()
-        moved = transport._inverse_transports(c, v, w, 0.1, W, kind, M, None, "stack")
+        moved = stacked_inverse_transports(c, v, w, 0.1, kind)
         assert_members_close(moved, solo_inverse_transports(c, v, w, 0.1, kind))
 
     def test_inadmissible_trial_damps_only_its_member(self, monkeypatch):
@@ -483,7 +493,7 @@ class TestLockstep:
             return real_grad(c_hat, c_check, *args)
 
         monkeypatch.setattr(geodesic, "w_grad", rejects_first_trial_of_member_1)
-        moved = transport._inverse_transports(c, v, w, 0.1, W, RAT, M, None, "stack")
+        moved = stacked_inverse_transports(c, v, w, 0.1, RAT)
         # initial guesses and first trials of all four members, then member 1
         # alone: again at its full step, then at half of it
         assert sizes[:4] == [8, 8, 2, 2]
@@ -543,3 +553,34 @@ class TestLockstep:
         sectional_curvature(pad(circle(), 20), V_UNIT, W_UNIT, tau,
                             CurvatureSchedule.central(tau), UNIT, kind, 80)
         assert len(blocks) == builds
+
+
+# ---------------------------------------------------------------------------
+# Solver names
+# ---------------------------------------------------------------------------
+
+SOLVER_NAMES = [(geodesic, "el_step"), (transport, "el_midpoint"), (transport, "el_step")]
+
+
+@pytest.mark.parametrize("compute, counts", [
+    (lambda: geodesic.exp_k(circle(), V_UNIT * 0.3, 6, W, RAT, M), (5, 0, 0)),
+    # solve_bvp minimizes the path energy and calls no step solver
+    (lambda: transport_path(solve_bvp(circle(1.0), circle(1.2), 4, W, RAT, M), W_UNIT, W, RAT,
+                            M), (0, 4, 4)),
+    (lambda: cov_deriv(circle(), V_UNIT, W_UNIT, 0.1, W, RAT, M, centered=True), (0, 1, 1)),
+    (lambda: riemann_tensor(pad(circle(), 4), V_UNIT, W_UNIT, W_UNIT, 1.0 / 16,
+                            CurvatureSchedule.central(1.0 / 16), UNIT, RAT, M), (0, 2, 2)),
+], ids=["exp_k", "transport_path", "cov_deriv", "riemann_tensor"])
+def test_solves_go_through_the_module_solver_names(compute, counts, monkeypatch):
+    # exp_k makes one geodesic.el_step call per step; every Schild rung or
+    # lockstep stack of rungs calls transport.el_midpoint, then
+    # transport.el_step, so rebinding those names sees every solve
+    calls = Counter()
+    for module, name in SOLVER_NAMES:
+        def counted(*args, _real=getattr(module, name), _key=(module, name), **kwargs):
+            calls[_key] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+    compute()
+    assert tuple(calls[key] for key in SOLVER_NAMES) == counts
