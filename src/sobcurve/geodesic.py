@@ -37,6 +37,7 @@ OpenBLAS -- take more of the solver's time than the split call saves.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 import numbers
 
@@ -193,7 +194,12 @@ class SolverOptions:
     digit, because those results get divided by small step sizes.
     ``transport_path`` starts the two solves of each rung from the previous
     rungs' corrections, extrapolated, so they need fewer sweeps to reach the
-    same floor.  fixed_point_max_iters caps the sweeps of one solve; a solve
+    same floor.  ``exp_k`` and ``transport_path`` also reuse one Cholesky
+    factor of the preconditioner over consecutive solves while the fixed
+    point keeps contracting as it did on a new one; their tolerances are
+    then measured with the reused factor, and a to-the-floor solve that a
+    reused factor leaves short of the floor goes on on a new one.
+    fixed_point_max_iters caps the sweeps of one solve; a solve
     that stalls or runs out of sweeps above its tolerance always hands its
     best iterate to a finite-difference Newton polish, and raises
     NoConvergence only when that stalls too, or when its initial guess is
@@ -272,7 +278,14 @@ def _preconditioners(anchors, weights, kind, num_nodes, scale=1.0, blocks=None):
     """Cholesky factors of ``scale`` times the scalar block of the diagonal
     energy Hessian at each anchor of a coefficient stack, one per distinct
     anchor.  ``blocks`` maps (anchor bytes, kind) to the blocks that other
-    stacks of one computation already built, and gains the new ones."""
+    stacks of one computation already built, and gains the new ones.  A
+    ``_FactorCache`` in its place lends its factor to a one-member stack,
+    and builds it at that member's anchor when it holds none."""
+    if isinstance(blocks, _FactorCache):
+        if blocks.factor is None:
+            blocks.factor = _preconditioners(anchors, weights, kind, num_nodes, scale)[0]
+            blocks.base = None
+        return [blocks.factor]
     blocks = {} if blocks is None else blocks
     keys = [(a.tobytes(), kind) for a in anchors]
     for key, a in zip(keys, anchors):
@@ -344,7 +357,9 @@ class _Member:
     """One root problem of a lockstep stack: its iterate, residual and stop
     state.  ``tol`` is the member's own tolerance, relative to 1 + its
     initial residual; with ``to_floor`` it keeps iterating past it while
-    each sweep still gains a digit."""
+    each sweep still gains a digit.  ``history`` holds the preconditioned
+    residual at the start and after each accepted sweep, and ``polished``
+    says whether the member ended in the Newton polish."""
 
     def __init__(self, y, res_arr, precond, tol, to_floor):
         self.precond, self.to_floor = precond, to_floor
@@ -355,6 +370,8 @@ class _Member:
         self.stall = 0
         self.rapid = to_floor and self.res > 0.0
         self.active = True
+        self.history = [self.res]
+        self.polished = False
 
     def wants_sweep(self) -> bool:
         """Whether the member takes another sweep; clears ``active`` when not."""
@@ -366,6 +383,7 @@ class _Member:
         prev = self.res
         self.y = y
         self.eta, self.res = _residual_norm(res_arr, self.precond)
+        self.history.append(self.res)
         self.rapid = self.to_floor and self.res <= 0.1 * prev
         if self.res < self.best[2]:
             self.stall = 0 if self.res < 0.9 * self.best[2] else self.stall + 1
@@ -383,7 +401,8 @@ def _solve_roots(residual, ys0, preconds, sign, opts, label, stop_tol=None):
     stacked energy call; it may raise a package error when a point leaves
     the admissible set.  ``ys0`` holds one initial guess per member and
     ``preconds`` one preconditioner.  Returns the solutions, shaped like
-    ``ys0``.
+    ``ys0``, and the members (``_Member``), whose ``history`` and
+    ``polished`` say how each solve went.
 
     Every member stops by its own rule, and only the active members enter
     the next stacked call.  With ``stop_tol`` a member stops as soon as its
@@ -443,6 +462,7 @@ def _solve_roots(residual, ys0, preconds, sign, opts, label, stop_tol=None):
         for i, m in enumerate(members):
             y, res_arr, res = m.best
             if res > m.tol:
+                m.polished = True
                 y = _newton_polish(_member_residual(residual, i), y, res_arr, res, m.precond, m.tol)
                 if y is None:
                     raise NoConvergence(
@@ -450,10 +470,85 @@ def _solve_roots(residual, ys0, preconds, sign, opts, label, stop_tol=None):
                         f"tolerance {m.tol:.3e}"
                     )
             sols[i] = y
+        return sols, members
+
+
+class _FactorCache:
+    """The preconditioner of one solve type along a sequential loop, reused
+    from solve to solve (a chord method; Kelley, "Iterative Methods for
+    Linear and Nonlinear Equations", SIAM 1995, ch. 5).
+
+    ``exp_k`` passes one instance to its steps and ``transport_path`` one to
+    each of its two solves per rung, as ``_blocks`` of one-member solves.
+    Consecutive anchors differ by O(1/K), so a factor built at one anchor
+    serves the next solves nearly as well.  The solve on a new factor sets
+    the reference: its sweep count and its first sweep's contraction, the
+    ratio of the preconditioned residual after that sweep to the one
+    before.  A solve on the reused factor drops it, to be built again at
+    the next solve's anchor, when it ends in the Newton polish, takes more
+    than one sweep beyond the reference, or contracts in its first sweep by
+    more than twice the reference's ratio.  Sweeps that end at or below
+    ``FLOOR`` (relative to 1 + the initial residual, as the tolerances are)
+    sit on the rounding floor and are not counted.
+
+    A reused factor P' also changes the norm sqrt(R . P'^-1 R) that the
+    stop rules measure.  With rho and rho' the contractions of the fixed
+    point on a new factor P and on P', the map I - P'^-1 P is of order
+    rho + rho', and the two norms agree to a factor 1 + O(rho + rho'); the
+    ratio rule keeps rho' <= 2 rho, so a stop tolerance measured with P'
+    is the same one up to that factor.  The floor rule, which keeps a
+    solve going while each sweep gains a digit, is what a stale factor can
+    still fool: at rho' near 0.1 it stops a to-the-floor solve at
+    fixed_point_tol, digits short of where a new factor takes it.  So a
+    to-the-floor solve that ends above ``FLOOR`` on a reused factor goes
+    on from where it stopped on a new factor built at its own anchor (see
+    ``_solve_anchored``).
+    """
+
+    FLOOR = 1e-14
+
+    def __init__(self):
+        self.factor = None
+        self.base = None  # (sweeps, first-sweep contraction) of the reference solve
+
+    def observe(self, members):
+        """Take in the one member of a solve on the factor; False when the
+        solve must go on, on a new factor, because it ended short of the
+        rounding floor on a reused one."""
+        (member,) = members
+        history = member.history
+        floor = self.FLOOR * (1.0 + history[0])
+        sweeps = sum(res > floor for res in history[1:])
+        ratio = history[1] / history[0] if sweeps and history[1] > floor else None
+        if self.base is None:
+            self.base = sweeps, ratio
+            return True
+        base_sweeps, base_ratio = self.base
+        slower = ratio is not None and base_ratio is not None and ratio > 2.0 * base_ratio
+        short = member.to_floor and history[-1] > floor
+        if member.polished or sweeps > base_sweeps + 1 or slower or short:
+            self.factor = None
+        return not short
+
+
+def _solve_anchored(residual, ys0, anchors, sign, opts, label, setting, scale=1.0,
+                    stop_tol=None, blocks=None):
+    """``_solve_roots`` on the factors that ``_preconditioners`` gives at
+    ``anchors`` with ``setting`` = (weights, kind, num_nodes), ``scale``
+    and ``blocks``.  With a ``_FactorCache`` as ``blocks``, a solve that
+    ends short of the rounding floor on its reused factor goes on from its
+    solution on a new factor (see ``_FactorCache``).  Returns the
+    solutions."""
+    preconds = _preconditioners(anchors, *setting, scale, blocks)
+    sols, members = _solve_roots(residual, ys0, preconds, sign, opts, label, stop_tol)
+    if not isinstance(blocks, _FactorCache) or blocks.observe(members):
         return sols
+    return _solve_anchored(residual, sols, anchors, sign, opts, label, setting, scale, stop_tol,
+                           blocks)
 
 
-#: Coefficient increment of the finite-difference Jacobian in _newton_polish.
+#: Coefficient increment of the finite-difference Jacobian in _newton_polish,
+#: relative to the largest coefficient of the iterate.
 _FD_STEP = 1e-6
 
 #: Finite-difference probes per stacked residual call in _newton_polish.
@@ -466,10 +561,14 @@ def _newton_polish(residual, y, res_arr, res, precond, tol):
     norm ``res`` are given; None when it stalls above ``tol``.
 
     ``residual`` takes one point or a stack of points; the Jacobian's
-    probes are evaluated in stacks of at most ``_FD_BLOCK``.
+    probes are evaluated in stacks of at most ``_FD_BLOCK``.  Their
+    increment is ``_FD_STEP`` times the largest coefficient of ``y`` (or
+    ``_FD_STEP`` when ``y`` is zero), so a problem scaled by lambda takes
+    the same steps, scaled by lambda.
     """
     shape = y.shape
     n = y.size
+    h = _FD_STEP * (float(np.max(np.abs(y))) or 1.0)
     for _ in range(15):
         if res <= tol:
             return y
@@ -478,9 +577,9 @@ def _newton_polish(residual, y, res_arr, res, precond, tol):
             for start in range(0, n, _FD_BLOCK):
                 cols = np.arange(start, min(start + _FD_BLOCK, n))
                 probes = np.repeat(y.reshape(1, n), len(cols), axis=0)
-                probes[np.arange(len(cols)), cols] += _FD_STEP
+                probes[np.arange(len(cols)), cols] += h
                 diffs = residual(probes.reshape(len(cols), *shape)) - res_arr
-                jac[:, cols] = diffs.reshape(len(cols), n).T / _FD_STEP
+                jac[:, cols] = diffs.reshape(len(cols), n).T / h
             if not np.all(np.isfinite(jac)):
                 return None
             delta = np.linalg.solve(jac, -res_arr.ravel()).reshape(shape)
@@ -540,9 +639,9 @@ def el_step(
             last[i] = ys[row], g_next[row]
         return fixed[idx] + g_cur
 
-    preconds = _preconditioners(prev, weights, kind, num_nodes, blocks=_blocks)
     y0 = stacks[2] if init is not None else 2.0 * cur - prev
-    sols = _solve_roots(residual, y0, preconds, +1.0, opts, "el_step", _stop_tol)
+    sols = _solve_anchored(residual, y0, prev, +1.0, opts, "el_step", (weights, kind, num_nodes),
+                           stop_tol=_stop_tol, blocks=_blocks)
     if _carry is not None:
         carried = all(np.array_equal(last[i][0], sol) for i, sol in enumerate(sols))
         _carry[0] = np.array([last[i][1] for i in range(len(sols))]) if carried else None
@@ -580,9 +679,9 @@ def el_midpoint(
         )
         return gc[: len(xs)] + gh[len(xs):]
 
-    preconds = _preconditioners(c_a, weights, kind, num_nodes, scale=2.0, blocks=_blocks)
     y0 = stacks[2] if init is not None else 0.5 * (c_a + c_b)
-    sols = _solve_roots(residual, y0, preconds, -1.0, opts, "el_midpoint")
+    sols = _solve_anchored(residual, y0, c_a, -1.0, opts, "el_midpoint", (weights, kind, num_nodes),
+                           scale=2.0, blocks=_blocks)
     return FourierCurve.from_coeffs(sols[0]) if curves else sols
 
 
@@ -622,23 +721,57 @@ _BINOMIAL = np.array(
 )
 
 
-def _predict(samples):
-    """Start for the next member of a sequence, from the coefficient stack
-    ``samples`` of its last 1 to 7 members, newest first.
+@functools.lru_cache(maxsize=None)
+def _scoring(count, strides, degrees):
+    """The candidates (stride, degree) that ``count`` samples let
+    ``_predict`` score, and the matrix whose product with the flattened
+    samples gives their errors.  Candidate (s, p) predicts each of the
+    newest min(max(strides), count - (p + 1) s) samples from the samples
+    s, 2s, .., (p + 1)s places older; its rows of the matrix are the
+    newest samples minus those predictions, one row per scored sample.
+    Returns the candidates, the index of each one's first row, and the
+    read-only matrix."""
+    window = max(strides)
+    candidates, starts, rows = [], [], []
+    for s in strides:
+        for p in degrees:
+            span = (p + 1) * s
+            if count <= span:
+                continue
+            candidates.append((s, p))
+            starts.append(len(rows))
+            for i in range(min(window, count - span)):
+                row = np.zeros(count)
+                row[i] = 1.0
+                row[i + s : i + span + 1 : s] = -_BINOMIAL[p, : p + 1]
+                rows.append(row)
+    matrix = np.array(rows).reshape(len(rows), count)
+    matrix.setflags(write=False)
+    return candidates, starts, matrix
 
-    One, two or three samples give the constant, linear or quadratic
-    extrapolation.  With more, each extrapolation of degree 2 to 5 that the
-    older samples allow is scored by how well it predicted the newest sample
-    (the max-abs error over coefficients); the best one, the lowest degree on
-    a tie, predicts the next member.  Returns the predicted coefficient array.
+
+def _predict(samples, strides=(1,), degrees=(2, 3, 4, 5)):
+    """Start for the next member of a sequence, from the coefficient stack
+    ``samples`` of its last members, newest first.
+
+    The candidates are the polynomial extrapolations of each degree p in
+    ``degrees`` (at most 5) through every s-th sample, for each stride s in
+    ``strides``: s = 1 extrapolates the sequence itself, and a larger s the
+    samples in the same phase of a sequence with a kink every s members.
+    Each candidate that the samples allow is scored by how well it
+    predicted the newest max(strides) samples it can reach (the max-abs
+    error over coefficients and samples), and the best one, the lowest
+    stride and degree on a tie, predicts the next member.  With no
+    candidate to score, one, two or three samples or more give the
+    constant, linear or quadratic extrapolation.  Returns the predicted
+    coefficient array.
     """
-    weights = _BINOMIAL[2 : len(samples) - 1, : len(samples) - 1]
-    degree = min(len(samples), 3) - 1
-    if len(weights):
-        flat = samples.reshape(len(samples), -1)
-        errors = flat[0] - weights @ flat[1:]
-        degree += int(np.argmin(np.max(np.abs(errors), axis=1)))
-    terms = [x * w for x, w in zip(samples[: degree + 1], _BINOMIAL[degree])]
+    candidates, starts, matrix = _scoring(len(samples), tuple(strides), tuple(degrees))
+    stride, degree = 1, min(len(samples), 3) - 1
+    if candidates:
+        errors = np.max(np.abs(matrix @ samples.reshape(len(samples), -1)), axis=1)
+        stride, degree = candidates[int(np.argmin(np.maximum.reduceat(errors, starts)))]
+    terms = [x * w for x, w in zip(samples[stride - 1 :: stride], _BINOMIAL[degree, : degree + 1])]
     return sum(terms[1:], terms[0])
 
 
@@ -665,7 +798,12 @@ def exp_k(
     degree 2 to 5 through the last curves that best predicted the step just
     solved (see ``_predict``): high degrees where the path is smooth, low
     ones where rounding dominates the differences.  Each step reuses the
-    partial W_{,2}[c_{k-1}, c_k] the previous step already computed.
+    partial W_{,2}[c_{k-1}, c_k] the previous step already computed, and
+    the Cholesky factor of an earlier step's preconditioner until a step on
+    it needs more than one sweep beyond the step that built it, contracts
+    in its first sweep by more than twice that step's ratio, or ends in the
+    Newton polish (see ``_FactorCache``); the stop tolerance is measured
+    with the factor the step used.
     """
     _require_count(num_segments, "num_segments")
     opts = opts or _DEFAULT_OPTIONS
@@ -673,12 +811,13 @@ def exp_k(
     c0, v = _stack([c0, v])
     curves = np.empty((num_segments + 1, *c0.shape))
     curves[0], curves[1] = c0, c0 + v * (1.0 / num_segments)
-    carry = [None]
+    carry, factors = [None], _FactorCache()
     for k in range(1, num_segments):
         init = _predict(curves[k::-1][:7])[None] if k >= 2 else None
         try:
             curves[k + 1] = el_step(curves[k - 1 : k], curves[k : k + 1], weights, kind,
-                                    num_nodes, opts, init, _stop_tol=stop_tol, _carry=carry)[0]
+                                    num_nodes, opts, init, _stop_tol=stop_tol, _carry=carry,
+                                    _blocks=factors)[0]
         except NoConvergence as err:
             stalled = NoConvergence(f"exp_k stalled at step {k + 1}/{num_segments}: {err}")
             stalled.partial = _path_of(curves[: k + 1])

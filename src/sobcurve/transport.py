@@ -30,14 +30,20 @@ the inner quotients' midpoints and extensions, then the outer ones'.
 Every member of a stack still stops by its own rule.
 
 Along a path the rungs change slowly, so ``transport_path`` starts each
-rung's midpoint and extension solves from an extrapolation (quadratic once
-three rungs are done) of how far the previous rungs' solutions lay from
-their simple guesses, the corner average and 2s - c.  Every solve still
-polishes to the rounding floor: the warm start saves sweeps without
-stopping any solve earlier.  The other entry points solve each
-parallelogram from scratch, and all of them work on coefficient arrays,
-building one curve per returned vector.  Every entry point rejects a step
-size tau that is not finite and positive.
+rung's midpoint and extension solves from an extrapolation of how far the
+previous rungs' solutions lay from their simple guesses, the corner
+average and 2s - c.  A path resampled r-fold has a kink every r rungs,
+which a plain extrapolation mispredicts, so the quadratic extrapolation is
+taken through every s-th rung, s = 1, 2, 4 or 8, whichever predicted the
+last rungs best.  Each of the two solve types also reuses one
+preconditioner factor from rung to rung while the fixed point keeps
+contracting as it did on a new one.  Every solve still polishes to the
+rounding floor: the warm start saves sweeps and the reused factors save
+Hessian blocks without stopping any solve earlier.  The other entry
+points solve each parallelogram from scratch, on factors built at its own
+anchors, and all of them work on coefficient arrays, building one curve
+per returned vector.  Every entry point rejects a step size tau that is
+not finite and positive.
 """
 
 from __future__ import annotations
@@ -49,7 +55,14 @@ import numpy as np
 from .curve import FourierCurve, _stack, pad
 from .energy import EnergyKind, hessian_at_diagonal
 from .errors import DegeneratePlane, NoConvergence
-from .geodesic import DiscretePath, SolverOptions, _predict, el_midpoint, el_step
+from .geodesic import (
+    DiscretePath,
+    SolverOptions,
+    _FactorCache,
+    _predict,
+    el_midpoint,
+    el_step,
+)
 from .metric import MetricWeights, metric_eval
 
 __all__ = [
@@ -115,22 +128,23 @@ def _require_step(tau):
 
 
 def _parallelogram(a, b, corner, weights, kind, num_nodes, opts, phase, shifts=None,
-                   blocks=None):
+                   blocks=(None, None)):
     """Fourth corners z of a stack (S, 2N+1, d) of geodesic parallelograms:
     s = el_midpoint(a, b) is each one's center, and z = el_step(corner, s)
     extends the geodesic from the corner through it.  Each solve starts from
     its simple guess, (a + b)/2 or 2s - corner, plus the matching stack of
-    ``shifts`` when given; ``blocks`` is the solvers' ``_blocks``.  A stall
-    raises NoConvergence prefixed with ``phase``.  Returns z and the
-    corrections (s - (a + b)/2, z - (2s - corner)) over the simple guesses.
+    ``shifts`` when given; ``blocks`` holds the midpoint and extension
+    solves' ``_blocks``.  A stall raises NoConvergence prefixed with
+    ``phase``.  Returns z and the corrections (s - (a + b)/2,
+    z - (2s - corner)) over the simple guesses.
     """
     mid = (a + b) * 0.5
     try:
         s = el_midpoint(a, b, weights, kind, num_nodes, opts,
-                        None if shifts is None else mid + shifts[0], _blocks=blocks)
+                        None if shifts is None else mid + shifts[0], _blocks=blocks[0])
         ext = s * 2.0 - corner
         z = el_step(corner, s, weights, kind, num_nodes, opts,
-                    None if shifts is None else ext + shifts[1], _blocks=blocks)
+                    None if shifts is None else ext + shifts[1], _blocks=blocks[1])
     except NoConvergence as err:
         raise NoConvergence(f"{phase}: {err}") from err
     return z, (s - mid, z - ext)
@@ -161,6 +175,15 @@ def schild_step(
     return FourierCurve.from_coeffs((z[0] - corner_v[0]) * (1.0 / tau))
 
 
+#: Strides of the extrapolations that start each rung of transport_path: a
+#: path resampled r-fold (r = 2, 4, 8) has a kink every r rungs.
+_STRIDES = (1, 2, 4, 8)
+
+#: Rungs of corrections that transport_path keeps: enough to score the
+#: quadratic extrapolation at the largest stride, 3 * 8 + 1.
+_HISTORY = 3 * _STRIDES[-1] + 1
+
+
 def transport_path(
     path: DiscretePath,
     w0: FourierCurve,
@@ -177,30 +200,40 @@ def transport_path(
     the midpoint and extension solves start from their simple guesses (the
     corner average and 2s - c) plus an extrapolation of the corrections the
     previous rungs needed over the same guesses: constant after one rung,
-    linear after two, quadratic from then on.  Each solve still polishes to
-    the rounding floor.  The rungs run on coefficient arrays at the higher
-    order of the path and w0.  Returns the vector at the final curve, or the
-    whole list w_0..w_K with ``return_all``.  A stalled rung raises
-    NoConvergence whose ``partial`` is the list w_0..w_k finished before it.
+    linear after two, quadratic after three.  From then on the quadratic
+    runs through every s-th of the last 25 rungs, for the stride s of 1, 2,
+    4 or 8 that predicted the last max(s) rungs best (see
+    ``geodesic._predict``), which follows the kinks of a path resampled
+    2, 4 or 8-fold.  Each solve type reuses its preconditioner's Cholesky
+    factor from rung to rung (see ``geodesic._FactorCache``), and each
+    solve still polishes to the rounding floor.  The rungs run on
+    coefficient arrays at the higher order of the path and w0.  Returns the
+    vector at the final curve, or the whole list w_0..w_K with
+    ``return_all``.  A stalled rung raises NoConvergence whose ``partial``
+    is the list w_0..w_k finished before it.
     """
     tau, steps = path.step, path.num_segments
     w, *curves = _stack([w0, *path.curves])[:, None]
     vectors = [w0]
-    history = []  # the corrections of the last three rungs, newest first
+    # the corrections of the last rungs' midpoint and extension solves, rung
+    # k at row k % _HISTORY
+    ring = np.empty((2, _HISTORY, *w.shape))
+    factors = (_FactorCache(), _FactorCache())
     for k in range(steps):
         c = curves[k]
         # c + tau*v_k, rounded as a rung of direction v_k = (c_{k+1} - c_k)/tau
         corner_v = c + (curves[k + 1] - c) * (1.0 / tau) * tau
-        shifts = [_predict(np.stack(past)) for past in zip(*history)] if history else None
+        newest_first = (k - 1 - np.arange(min(k, _HISTORY))) % _HISTORY
+        shifts = [_predict(past[newest_first], _STRIDES, (2,)) for past in ring] if k else None
         try:
             z, corrections = _parallelogram(
                 c + w * tau, corner_v, c, weights, kind, num_nodes, opts,
-                f"transport stalled at rung {k + 1}/{steps}", shifts,
+                f"transport stalled at rung {k + 1}/{steps}", shifts, factors,
             )
         except NoConvergence as err:
             err.partial = vectors
             raise
-        history = [corrections, *history[:2]]
+        ring[:, k % _HISTORY] = corrections
         w = (z - corner_v) * (1.0 / tau)
         vectors.append(FourierCurve.from_coeffs(w[0]))
     return vectors if return_all else vectors[-1]
@@ -272,7 +305,7 @@ def _quotients(points, dirs, ends, base, tau, centered, weights, kind, num_nodes
     c = np.repeat(points, len(signs), axis=0)
     v = (dirs[:, None] * signs).reshape(-1, *shape)
     z, _ = _parallelogram(c, c + (v + signed.reshape(-1, *shape)) * tau, c + v * tau, weights,
-                          kind, num_nodes, opts, phase, blocks=blocks)
+                          kind, num_nodes, opts, phase, blocks=(blocks, blocks))
     moved = ((z - c) * (1.0 / tau)).reshape(len(points), len(signs), *shape)
     if centered:
         return (moved[:, 0] + moved[:, 1]) * (1.0 / (2.0 * tau))

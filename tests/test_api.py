@@ -97,10 +97,12 @@ HIDDEN_PARAMETERS = {
         "el_step calls"
     ),
     "sobcurve.geodesic.el_step._blocks": (
-        "the extension stacks of one nested quotient share their Hessian blocks"
+        "the extension stacks of one nested quotient share their Hessian blocks; exp_k's "
+        "steps and transport_path's extensions reuse one preconditioner factor"
     ),
     "sobcurve.geodesic.el_midpoint._blocks": (
-        "the midpoint stacks of one nested quotient share their Hessian blocks"
+        "the midpoint stacks of one nested quotient share their Hessian blocks; "
+        "transport_path's midpoint solves reuse one preconditioner factor"
     ),
 }
 

@@ -3,7 +3,7 @@ import pytest
 import scipy.linalg
 
 from conftest import circle, perturbed_circle, rotate, tangent_field
-from sobcurve import geodesic
+from sobcurve import geodesic, transport
 from sobcurve.curve import FourierCurve, pad
 from sobcurve.energy import EnergyKind, hessian_scalar_at_diagonal, w_eval, w_value_and_grad
 from sobcurve.errors import (
@@ -445,7 +445,7 @@ class TestDampedTrials:
             return func(ys)
 
         precond = scipy.linalg.cho_factor(np.eye(1))
-        sols = geodesic._solve_roots(
+        sols, _ = geodesic._solve_roots(
             residual, np.zeros((1, 1, 1)), [precond], sign, None, "toy", stop_tol=1e-12
         )
         return float(sols[0, 0, 0])
@@ -701,6 +701,20 @@ class TestExpLog:
         for got, want in zip(recomputed, polished):
             np.testing.assert_array_equal(got.coeffs, want.coeffs)
 
+    def test_exp_k_polish_is_scale_equivariant(self):
+        # x -> lam x maps the problem with weights (a0, a1, a2) to the one
+        # with weights (lam^3 a0, lam a1, a2 / lam) at unit size; here every
+        # step ends in the Newton polish, whose finite-difference step must
+        # scale with the curves
+        lam = 1e-3
+        rng = np.random.default_rng(5)
+        c0 = pad(perturbed_circle(rng, 6, 0.05), 12)
+        v = tangent_field(rng, 6, scale=0.5)
+        unit = exp_k(c0, v, 16, MetricWeights.of(1e-4 * lam**3, lam, 1e-2 / lam),
+                     EnergyKind.rat(), M)[-1].coeffs * lam
+        scaled = exp_k(c0 * lam, v * lam, 16, W, EnergyKind.rat(), M)[-1].coeffs
+        assert np.max(np.abs(scaled - unit)) <= 1e-10 * np.max(np.abs(unit))
+
     def test_forced_polish_evaluates_no_point_twice(self, monkeypatch):
         # one sweep leaves the step above tolerance, and the polish starts
         # from the residual the fixed point already holds at its best iterate
@@ -838,6 +852,36 @@ def test_carry_passes_a_stack_of_partials():
     np.testing.assert_array_equal(again, el_step(cur, nxt, W, EnergyKind.rat(), M, _carry=[want]))
 
 
+def test_a_solve_left_short_of_the_floor_goes_on_on_a_new_factor(monkeypatch):
+    # on a factor built at curves 10% larger the fixed point contracts by
+    # about 0.27 per sweep, so the floor rule stops the solve at 4.5e-11;
+    # it goes on from there on a factor built at its own anchor
+    rng = np.random.default_rng(3)
+    a = pad(perturbed_circle(rng, 4, 0.05), 6).coeffs[None]
+    b = a * 1.05 + 0.01
+    kind = EnergyKind.reg(0.05)
+    factors = geodesic._FactorCache()
+    el_midpoint(a * 1.1, b * 1.1, W, kind, M, _blocks=factors)
+    real_block, real_solve = geodesic.hessian_scalar_at_diagonal, geodesic._solve_roots
+    anchors, ends = [], []
+
+    def block(anchor, *args):
+        anchors.append(anchor.coeffs)
+        return real_block(anchor, *args)
+
+    def solve(*args, **kwargs):
+        sols, members = real_solve(*args, **kwargs)
+        ends.append(members[0].history[-1])
+        return sols, members
+
+    monkeypatch.setattr(geodesic, "hessian_scalar_at_diagonal", block)
+    monkeypatch.setattr(geodesic, "_solve_roots", solve)
+    el_midpoint(a, b, W, kind, M, _blocks=factors)
+    assert len(ends) == 2 and ends[1] < ends[0]
+    assert ends[0] > 1e-11 > geodesic._FactorCache.FLOOR
+    np.testing.assert_array_equal(anchors, a)
+
+
 def _polynomial_sequence(coeffs, count):
     """Members t = 0..count-1 of sum_j coeffs[j] t^j, stacked."""
     return np.array([sum(c * float(t) ** j for j, c in enumerate(coeffs)) for t in range(count)])
@@ -864,6 +908,21 @@ def test_predict_starts_a_cubic_exactly():
     assert np.array_equal(seq[4] - quadratic, 6.0 * coeffs[3])
     for n in range(5, 8):
         assert np.array_equal(geodesic._predict(seq[n - 1 :: -1]), seq[n])
+
+
+@pytest.mark.parametrize("r", [2, 4, 8])
+def test_predict_matches_the_kinks_of_a_resampled_sequence(r):
+    # resampling r-fold interpolates linearly between coarse members, so the
+    # sequence has a kink every r members; its members in one phase of the
+    # kinks lie on the coarse quadratic, which the stride-r quadratic
+    # continues exactly once it can be scored (3r + 1 samples)
+    coarse = _polynomial_sequence(np.random.default_rng(r).uniform(-1.0, 1.0, size=(3, 9, 2)), 7)
+    lam = np.arange(r)[:, None, None] / r
+    seq = np.concatenate([(1.0 - lam) * a + lam * b for a, b in zip(coarse, coarse[1:])])
+    for n in range(3 * r + 1, len(seq)):
+        samples = seq[n - 1 :: -1][: transport._HISTORY]
+        got = geodesic._predict(samples, transport._STRIDES, (2,))
+        assert np.max(np.abs(got - seq[n])) <= 1e-12 * np.max(np.abs(seq[n]))
 
 
 # ---------------------------------------------------------------------------

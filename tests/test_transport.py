@@ -5,10 +5,11 @@ import pytest
 
 from conftest import circle, perturbed_circle, rotate, tangent_field
 from sobcurve import geodesic, transport
+from sobcurve.cli import resolve_curve
 from sobcurve.curve import FourierCurve, pad
 from sobcurve.energy import EnergyKind
 from sobcurve.errors import DegenerateCurve, DegeneratePlane, NoConvergence
-from sobcurve.geodesic import DiscretePath, SolverOptions, solve_bvp
+from sobcurve.geodesic import DiscretePath, SolverOptions, resample_path, solve_bvp
 from sobcurve.metric import MetricWeights, metric_eval
 from sobcurve.oracle import christoffel_circle, sectional_curvature_circle
 from sobcurve.transport import (
@@ -151,18 +152,42 @@ class TestSchildStep:
         assert max_coeff_diff(out, W_UNIT) <= 1e-12
 
 
-def cold_chain(path, w0):
-    """transport_path without the warm start: every rung starts afresh."""
+def cold_chain(path, w0, kind=RAT):
+    """transport_path without the warm start: every rung starts afresh, on
+    new preconditioner factors."""
     vectors = [w0]
     for k in range(path.num_segments):
         v_k = (path[k + 1] - path[k]) * (1.0 / path.step)
-        vectors.append(schild_step(path[k], v_k, vectors[-1], path.step, W, RAT, M))
+        vectors.append(schild_step(path[k], v_k, vectors[-1], path.step, W, kind, M))
     return vectors
 
 
 @pytest.fixture(scope="module")
 def path16():
     return solve_bvp(circle(1.0), circle(1.2), 16, W, RAT, M)
+
+
+#: The transport benchmark's kind of input at order 8: a normal field moved
+#: along a geodesic from a circle to a perturbed larger one.
+NORMAL5 = resolve_curve("normal5")
+
+
+@pytest.fixture(scope="module")
+def order8_path16():
+    c_b = pad(perturbed_circle(np.random.default_rng(3), 4, 0.02) * 1.2, 8)
+    return solve_bvp(pad(circle(1.0), 8), c_b, 16, W, RAT, M)
+
+
+def counting(monkeypatch, *names):
+    """Rebind geodesic functions to counted wrappers; returns the counter."""
+    calls = Counter()
+    for name in names:
+        def counted(*args, _real=getattr(geodesic, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(geodesic, name, counted)
+    return calls
 
 
 class TestTransportPath:
@@ -174,20 +199,34 @@ class TestTransportPath:
             assert max_coeff_diff(got, want) <= 1e-12
 
     def test_warm_start_saves_gradient_calls(self, path16, monkeypatch):
-        real_grad, calls = geodesic.w_grad, []
-
-        def counted(*args, **kwargs):
-            calls.append(None)
-            return real_grad(*args, **kwargs)
-
-        monkeypatch.setattr(geodesic, "w_grad", counted)
+        calls = counting(monkeypatch, "w_grad")
         transport_path(path16, W_UNIT, W, RAT, M)
-        warm = len(calls)
+        warm = calls["w_grad"]
         calls.clear()
         cold_chain(path16, W_UNIT)
-        # quadratic extrapolation takes 0.655 of the cold calls here; linear
-        # and constant extrapolation take 0.73 and 0.79
-        assert warm <= 0.7 * len(calls)
+        # the quadratic extrapolation, on factors reused from rung to rung,
+        # takes 0.686 of the cold calls here (0.655 on a new factor at every
+        # rung); linear and constant extrapolation take 0.78 and 0.85
+        assert warm <= 0.7 * calls["w_grad"]
+
+    def test_resampled_path_reuses_its_factors(self, order8_path16, monkeypatch):
+        # a path resampled 4-fold has a kink every 4 rungs; the quadratic
+        # extrapolation at stride 1 with a new factor at every rung made
+        # 1006 gradient calls here and built a block for each of the 128
+        # solves, the stride-scored one on reused factors makes 926 and 6
+        calls = counting(monkeypatch, "w_grad", "hessian_scalar_at_diagonal")
+        transport_path(resample_path(order8_path16, 64), NORMAL5, W, EnergyKind.reg(1.0 / 64), M)
+        assert calls["hessian_scalar_at_diagonal"] < 64 / 4
+        assert calls["w_grad"] < 1006
+
+    def test_reused_factors_match_a_cold_chain(self, order8_path16):
+        # a 2-fold resampled path, smoothed energy: within the solver
+        # tolerance divided by the step, fixed_point_tol * K
+        path = resample_path(order8_path16, 32)
+        kind = EnergyKind.reg(1.0 / 32)
+        warm = transport_path(path, NORMAL5, W, kind, M, return_all=True)
+        for got, want in zip(warm, cold_chain(path, NORMAL5, kind), strict=True):
+            assert max_coeff_diff(got, want) <= 1e-10 * 32 * np.max(np.abs(want.coeffs))
 
     def test_zero_vector_stays_zero(self):
         path = solve_bvp(circle(1.0), circle(1.2), 4, W, RAT, M)
