@@ -274,11 +274,11 @@ def min_speed(curve: FourierCurve, num_nodes: int) -> float:
 
 def _min_speeds(stack: np.ndarray, num_nodes: int) -> np.ndarray:
     """Per-curve minimum of |c'(theta_i)| over the uniform grid for a stack
-    of coefficient arrays, shape (S, 2N+1, d); one matmul samples them all."""
-    count, rows, dim = stack.shape
-    flat = stack.transpose(1, 0, 2).reshape(rows, count * dim)
-    tangents = (_eval_matrix(rows // 2, num_nodes, 1) @ flat).reshape(num_nodes, count, dim)
-    return np.sqrt(np.sum(tangents * tangents, axis=-1)).min(axis=0)
+    of coefficient arrays, shape (S, 2N+1, d).  One batched matmul samples
+    them curve by curve: a single product over a whole path would reach
+    OpenBLAS's thread pool."""
+    tangents = np.matmul(_eval_matrix(stack.shape[1] // 2, num_nodes, 1), stack)
+    return np.sqrt(np.sum(tangents * tangents, axis=-1)).min(axis=1)
 
 
 # ---------------------------------------------------------------------------

@@ -26,12 +26,12 @@ line search.  One damped-trial loop, ``_trial_steps``, halves the steps of
 the fixed point, of the Newton polish and of that line search, and
 evaluates each trial point once.
 
-The L-BFGS iteration applies its preconditioner one interior curve at a
-time and reduces path vectors with numpy's own loops.  Its vectors reach
-OpenBLAS's threading thresholds at sizes the solver meets (10 206 entries
-at N = 40, K = 64), and on a host with few cores the workers that a
-threaded call leaves spinning -- numpy and scipy each load their own
-OpenBLAS -- take more of the solver's time than the split call saves.
+Every preconditioner is applied as the explicit inverse of its block.
+The L-BFGS iteration applies it one interior curve at a time and reduces
+path vectors with numpy's own loops.  Its vectors reach OpenBLAS's
+threading thresholds at sizes the solver meets (10 206 entries at N = 40,
+K = 64), and on a host with few cores the workers that a threaded call
+leaves spinning take more of the solver's time than the split call saves.
 """
 
 from __future__ import annotations
@@ -42,7 +42,6 @@ import math
 import numbers
 
 import numpy as np
-import scipy.linalg
 
 from .curve import FourierCurve, _min_speeds, _stack, _stacks, min_speed, pad
 from .energy import (
@@ -194,11 +193,11 @@ class SolverOptions:
     digit, because those results get divided by small step sizes.
     ``transport_path`` starts the two solves of each rung from the previous
     rungs' corrections, extrapolated, so they need fewer sweeps to reach the
-    same floor.  ``exp_k`` and ``transport_path`` also reuse one Cholesky
-    factor of the preconditioner over consecutive solves while the fixed
-    point keeps contracting as it did on a new one; their tolerances are
-    then measured with the reused factor, and a to-the-floor solve that a
-    reused factor leaves short of the floor goes on on a new one.
+    same floor.  ``exp_k`` and ``transport_path`` also reuse one inverse
+    of the preconditioner over consecutive solves while the fixed point
+    keeps contracting as it did on a new one; their tolerances are then
+    measured with the reused inverse, and a to-the-floor solve that a
+    reused inverse leaves short of the floor goes on on a new one.
     fixed_point_max_iters caps the sweeps of one solve; a solve
     that stalls or runs out of sweeps above its tolerance always hands its
     best iterate to a finite-difference Newton polish, and raises
@@ -266,8 +265,8 @@ def discrete_path_energy(
 # R(y) = 0 for a coefficient-space residual assembled from energy gradients.
 # The solver below runs a stack of independent problems in lockstep: one
 # stacked energy call per sweep evaluates every member still active, and each
-# member iterates y <- y + sign * P^{-1} R(y) with its own P, a Cholesky
-# factorization of (a multiple of) the diagonal energy Hessian, monitoring its
+# member iterates y <- y + sign * P^{-1} R(y) with its own P^{-1}, the inverse
+# of (a multiple of) the diagonal energy Hessian, monitoring its
 # preconditioned residual norm sqrt(R . P^{-1} R).  A member whose fixed point
 # stalls above its tolerance is polished on its own with damped Newton on a
 # finite-difference Jacobian.  Both halve a member's step until the trial
@@ -275,17 +274,18 @@ def discrete_path_energy(
 
 
 def _preconditioners(anchors, weights, kind, num_nodes, scale=1.0, blocks=None):
-    """Cholesky factors of ``scale`` times the scalar block of the diagonal
+    """Read-only inverses of ``scale`` times the scalar block of the diagonal
     energy Hessian at each anchor of a coefficient stack, one per distinct
-    anchor.  ``blocks`` maps (anchor bytes, kind) to the blocks that other
-    stacks of one computation already built, and gains the new ones.  A
-    ``_FactorCache`` in its place lends its factor to a one-member stack,
+    anchor; a block that is not positive definite raises LinAlgError.
+    ``blocks`` maps (anchor bytes, kind) to the blocks that other stacks of
+    one computation already built, and gains the new ones.  A
+    ``_FactorCache`` in its place lends its inverse to a one-member stack,
     and builds it at that member's anchor when it holds none."""
     if isinstance(blocks, _FactorCache):
-        if blocks.factor is None:
-            blocks.factor = _preconditioners(anchors, weights, kind, num_nodes, scale)[0]
+        if blocks.inverse is None:
+            blocks.inverse = _preconditioners(anchors, weights, kind, num_nodes, scale)[0]
             blocks.base = None
-        return [blocks.factor]
+        return [blocks.inverse]
     blocks = {} if blocks is None else blocks
     keys = [(a.tobytes(), kind) for a in anchors]
     for key, a in zip(keys, anchors):
@@ -298,12 +298,18 @@ def _preconditioners(anchors, weights, kind, num_nodes, scale=1.0, blocks=None):
             # epsilon too large for the kind-specific form; the metric Gram
             # block is an equivalent preconditioner
             blocks[key] = 2.0 * gram_scalar(anchor, weights, anchor.order, num_nodes)
-    factors = {key: scipy.linalg.cho_factor(scale * blocks[key]) for key in dict.fromkeys(keys)}
-    return [factors[key] for key in keys]
+    inverses = {}
+    for key in dict.fromkeys(keys):
+        block = scale * blocks[key]
+        np.linalg.cholesky(block)  # raises LinAlgError unless positive definite
+        inverses[key] = np.linalg.inv(block)  # one thread, where L^-T L^-1 would thread
+        inverses[key].setflags(write=False)
+    return [inverses[key] for key in keys]
 
 
 def _residual_norm(res_arr, precond):
-    eta = scipy.linalg.cho_solve(precond, res_arr)
+    """P^{-1} R and its norm sqrt(R . P^{-1} R), ``precond`` being P^{-1}."""
+    eta = precond @ res_arr
     return eta, float(np.sqrt(max(np.sum(res_arr * eta), 0.0)))
 
 
@@ -474,46 +480,46 @@ def _solve_roots(residual, ys0, preconds, sign, opts, label, stop_tol=None):
 
 
 class _FactorCache:
-    """The preconditioner of one solve type along a sequential loop, reused
-    from solve to solve (a chord method; Kelley, "Iterative Methods for
-    Linear and Nonlinear Equations", SIAM 1995, ch. 5).
+    """The preconditioner of one solve type along a sequential loop, its
+    inverse reused from solve to solve (a chord method; Kelley, "Iterative
+    Methods for Linear and Nonlinear Equations", SIAM 1995, ch. 5).
 
     ``exp_k`` passes one instance to its steps and ``transport_path`` one to
     each of its two solves per rung, as ``_blocks`` of one-member solves.
-    Consecutive anchors differ by O(1/K), so a factor built at one anchor
-    serves the next solves nearly as well.  The solve on a new factor sets
+    Consecutive anchors differ by O(1/K), so an inverse built at one anchor
+    serves the next solves nearly as well.  The solve on a new inverse sets
     the reference: its sweep count and its first sweep's contraction, the
     ratio of the preconditioned residual after that sweep to the one
-    before.  A solve on the reused factor drops it, to be built again at
+    before.  A solve on the reused inverse drops it, to be built again at
     the next solve's anchor, when it ends in the Newton polish, takes more
     than one sweep beyond the reference, or contracts in its first sweep by
     more than twice the reference's ratio.  Sweeps that end at or below
     ``FLOOR`` (relative to 1 + the initial residual, as the tolerances are)
     sit on the rounding floor and are not counted.
 
-    A reused factor P' also changes the norm sqrt(R . P'^-1 R) that the
-    stop rules measure.  With rho and rho' the contractions of the fixed
-    point on a new factor P and on P', the map I - P'^-1 P is of order
-    rho + rho', and the two norms agree to a factor 1 + O(rho + rho'); the
-    ratio rule keeps rho' <= 2 rho, so a stop tolerance measured with P'
-    is the same one up to that factor.  The floor rule, which keeps a
-    solve going while each sweep gains a digit, is what a stale factor can
-    still fool: at rho' near 0.1 it stops a to-the-floor solve at
-    fixed_point_tol, digits short of where a new factor takes it.  So a
-    to-the-floor solve that ends above ``FLOOR`` on a reused factor goes
-    on from where it stopped on a new factor built at its own anchor (see
-    ``_solve_anchored``).
+    A reused preconditioner P' also changes the norm sqrt(R . P'^-1 R) that
+    the stop rules measure.  With rho and rho' the contractions of the
+    fixed point on a new preconditioner P and on P', the map I - P'^-1 P is
+    of order rho + rho', and the two norms agree to a factor
+    1 + O(rho + rho'); the ratio rule keeps rho' <= 2 rho, so a stop
+    tolerance measured with P' is the same one up to that factor.  The
+    floor rule, which keeps a solve going while each sweep gains a digit,
+    is what a stale preconditioner can still fool: at rho' near 0.1 it
+    stops a to-the-floor solve at fixed_point_tol, digits short of where a
+    new one takes it.  So a to-the-floor solve that ends above ``FLOOR`` on
+    a reused inverse goes on from where it stopped on a new inverse built
+    at its own anchor (see ``_solve_anchored``).
     """
 
     FLOOR = 1e-14
 
     def __init__(self):
-        self.factor = None
+        self.inverse = None
         self.base = None  # (sweeps, first-sweep contraction) of the reference solve
 
     def observe(self, members):
-        """Take in the one member of a solve on the factor; False when the
-        solve must go on, on a new factor, because it ended short of the
+        """Take in the one member of a solve on the inverse; False when the
+        solve must go on, on a new inverse, because it ended short of the
         rounding floor on a reused one."""
         (member,) = members
         history = member.history
@@ -527,17 +533,17 @@ class _FactorCache:
         slower = ratio is not None and base_ratio is not None and ratio > 2.0 * base_ratio
         short = member.to_floor and history[-1] > floor
         if member.polished or sweeps > base_sweeps + 1 or slower or short:
-            self.factor = None
+            self.inverse = None
         return not short
 
 
 def _solve_anchored(residual, ys0, anchors, sign, opts, label, setting, scale=1.0,
                     stop_tol=None, blocks=None):
-    """``_solve_roots`` on the factors that ``_preconditioners`` gives at
+    """``_solve_roots`` on the inverses that ``_preconditioners`` gives at
     ``anchors`` with ``setting`` = (weights, kind, num_nodes), ``scale``
     and ``blocks``.  With a ``_FactorCache`` as ``blocks``, a solve that
-    ends short of the rounding floor on its reused factor goes on from its
-    solution on a new factor (see ``_FactorCache``).  Returns the
+    ends short of the rounding floor on its reused inverse goes on from its
+    solution on a new inverse (see ``_FactorCache``).  Returns the
     solutions."""
     preconds = _preconditioners(anchors, *setting, scale, blocks)
     sols, members = _solve_roots(residual, ys0, preconds, sign, opts, label, stop_tol)
@@ -799,11 +805,11 @@ def exp_k(
     solved (see ``_predict``): high degrees where the path is smooth, low
     ones where rounding dominates the differences.  Each step reuses the
     partial W_{,2}[c_{k-1}, c_k] the previous step already computed, and
-    the Cholesky factor of an earlier step's preconditioner until a step on
-    it needs more than one sweep beyond the step that built it, contracts
-    in its first sweep by more than twice that step's ratio, or ends in the
+    the inverse of an earlier step's preconditioner until a step on it
+    needs more than one sweep beyond the step that built it, contracts in
+    its first sweep by more than twice that step's ratio, or ends in the
     Newton polish (see ``_FactorCache``); the stop tolerance is measured
-    with the factor the step used.
+    with the inverse the step used.
     """
     _require_count(num_segments, "num_segments")
     opts = opts or _DEFAULT_OPTIONS
@@ -834,34 +840,29 @@ class _PathPreconditioner:
     """Initial inverse Hessian for the interior-point optimization.
 
     Near the linear path the energy Hessian is approximately
-    K * (T kron H kron I_d) with T the second-difference matrix over interior
+    K * (T kron H kron I_d) with T = tridiag(-1, 2, -1) over the interior
     time indices and H the scalar block of the diagonal energy Hessian at a
-    representative curve, so its inverse factorizes into a banded time solve
-    and a coefficient solve.  The coefficient solve applies H^{-1}, formed
-    once per solve from the Cholesky factor, to every interior curve in one
-    batched matmul of (2N+1) x d blocks.  One triangular solve with all
-    (K-1) d right-hand sides would go to OpenBLAS's thread pool (at N = 40
-    from K of about 8 on), and on a small host the workers it leaves
-    spinning slow the solver's own thread more than the solve gains.
+    representative curve, so its inverse factorizes into a time solve and a
+    coefficient solve.  The coefficient solve applies the inverse of H from
+    ``_preconditioners`` to every interior curve in one batched matmul of
+    (2N+1) x d blocks, each below OpenBLAS's threading size.  The time solve
+    is T's discrete Green's function, worked out with two cumulative sums:
+
+        q_i = [(K - i) sum_{j <= i} j f_j + i sum_{j > i} (K - j) f_j] / K.
     """
 
     def __init__(self, anchor, weights, kind, num_nodes, num_segments):
-        k = self._k = num_segments
-        factor = _preconditioners(anchor[None], weights, kind, num_nodes)[0]
-        # one column at a time: a solve with all columns at once threads too
-        self._inv = np.column_stack(
-            [scipy.linalg.cho_solve(factor, e) for e in np.eye(len(anchor))]
-        )
-        # T in upper band form (one row at K = 2)
-        self._bands = np.array([[2.0]] if k == 2 else [[0.0] + [-1.0] * (k - 2), [2.0] * (k - 1)])
+        self._k = num_segments
+        self._inv = _preconditioners(anchor[None], weights, kind, num_nodes)[0]
 
     def __call__(self, flat, shape):
-        interior, rows, dim = shape
-        q = np.matmul(self._inv, flat.reshape(shape))
-        q = scipy.linalg.solveh_banded(
-            self._bands, q.reshape(interior, rows * dim)
-        ).reshape(interior, rows, dim)
-        return (q / self._k).ravel()
+        k = self._k
+        f = np.matmul(self._inv, flat.reshape(shape))
+        i = np.arange(1.0, k)[:, None, None]  # the interior time indices
+        below = np.cumsum(i * f, axis=0)
+        above = np.zeros_like(f)  # sum_{j > i} (K - j) f_j; zero at i = K - 1
+        above[:-1] = np.cumsum(((k - i) * f)[:0:-1], axis=0)[::-1]
+        return (((k - i) * below + i * above) / k**2).ravel()
 
 
 def _dot(a, b):

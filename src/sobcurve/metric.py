@@ -159,13 +159,22 @@ def _scalar_arclength_ops(
     return _arclength_chain(_eval_matrix(order, num_nodes, 0), speed, weights.order), speed
 
 
+#: Multiply-adds per matmul in _weighted_gram: OpenBLAS keeps a product of
+#: at most this many on the calling thread.
+_GEMM_ONE_THREAD = 2**18
+
+
 def _weighted_gram(ops: list, coefficients: tuple, node_weights: list) -> np.ndarray:
     """Symmetrised sum_j a_j A_j^T diag(w_j) A_j over the nonzero a_j, for
-    operators A_j and node weights w_j of order j = 0..m."""
-    gram = np.zeros((ops[0].shape[1],) * 2)
+    operators A_j and node weights w_j of order j = 0..m.  Each product is
+    formed in blocks of Gram rows small enough to stay on one thread."""
+    nodes, size = ops[0].shape
+    block = max(1, _GEMM_ONE_THREAD // (nodes * size))
+    gram = np.zeros((size, size))
     for a, op, w in zip(coefficients, ops, node_weights):
         if a != 0.0:
-            gram += a * (op.T @ (op * w[:, None]))
+            weighted = op * w[:, None]
+            gram += a * np.vstack([op[:, i:i + block].T @ weighted for i in range(0, size, block)])
     return 0.5 * (gram + gram.T)
 
 

@@ -36,14 +36,14 @@ average and 2s - c.  A path resampled r-fold has a kink every r rungs,
 which a plain extrapolation mispredicts, so the quadratic extrapolation is
 taken through every s-th rung, s = 1, 2, 4 or 8, whichever predicted the
 last rungs best.  Each of the two solve types also reuses one
-preconditioner factor from rung to rung while the fixed point keeps
+preconditioner inverse from rung to rung while the fixed point keeps
 contracting as it did on a new one.  Every solve still polishes to the
-rounding floor: the warm start saves sweeps and the reused factors save
+rounding floor: the warm start saves sweeps and the reused inverses save
 Hessian blocks without stopping any solve earlier.  The other entry
-points solve each parallelogram from scratch, on factors built at its own
-anchors, and all of them work on coefficient arrays, building one curve
-per returned vector.  Every entry point rejects a step size tau that is
-not finite and positive.
+points solve each parallelogram from scratch, on inverses built at its
+own anchors, and all of them work on coefficient arrays, building one
+curve per returned vector.  Every entry point rejects a step size tau
+that is not finite and positive.
 """
 
 from __future__ import annotations
@@ -204,9 +204,9 @@ def transport_path(
     runs through every s-th of the last 25 rungs, for the stride s of 1, 2,
     4 or 8 that predicted the last max(s) rungs best (see
     ``geodesic._predict``), which follows the kinks of a path resampled
-    2, 4 or 8-fold.  Each solve type reuses its preconditioner's Cholesky
-    factor from rung to rung (see ``geodesic._FactorCache``), and each
-    solve still polishes to the rounding floor.  The rungs run on
+    2, 4 or 8-fold.  Each solve type reuses its preconditioner's inverse
+    from rung to rung (see ``geodesic._FactorCache``), and each solve
+    still polishes to the rounding floor.  The rungs run on
     coefficient arrays at the higher order of the path and w0.  Returns the
     vector at the final curve, or the whole list w_0..w_K with
     ``return_all``.  A stalled rung raises NoConvergence whose ``partial``

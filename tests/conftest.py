@@ -1,5 +1,11 @@
+import os
+import pathlib
+import subprocess
+import sys
+
 import numpy as np
 
+import sobcurve
 from sobcurve.curve import FourierCurve
 
 
@@ -52,6 +58,16 @@ def translate(curve, offset):
     cos = curve.cos_coeffs.copy()
     cos[0] += np.asarray(offset, dtype=float)
     return FourierCurve(cos, curve.sin_coeffs)
+
+
+def run_fresh(code):
+    """Standard output of ``code`` run in a fresh interpreter that imports
+    this ``sobcurve``."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(pathlib.Path(sobcurve.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True)
+    return done.stdout
 
 
 def drop_order(record):

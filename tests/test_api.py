@@ -20,11 +20,20 @@ import pkgutil
 import pytest
 
 import sobcurve
+from conftest import run_fresh
 
 MODULES = [f"sobcurve.{info.name}" for info in pkgutil.iter_modules(sobcurve.__path__)]
 SOURCES = sorted(
     path for path in pathlib.Path(sobcurve.__path__[0]).glob("*.py") if path.name != "__init__.py"
 )
+
+
+def test_the_package_loads_no_scipy():
+    loaded = run_fresh(
+        "import sys, sobcurve, sobcurve.cli\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    assert loaded.strip() == "[]"
 
 
 def test_every_module_is_found():
@@ -98,11 +107,11 @@ HIDDEN_PARAMETERS = {
     ),
     "sobcurve.geodesic.el_step._blocks": (
         "the extension stacks of one nested quotient share their Hessian blocks; exp_k's "
-        "steps and transport_path's extensions reuse one preconditioner factor"
+        "steps and transport_path's extensions reuse one preconditioner inverse"
     ),
     "sobcurve.geodesic.el_midpoint._blocks": (
         "the midpoint stacks of one nested quotient share their Hessian blocks; "
-        "transport_path's midpoint solves reuse one preconditioner factor"
+        "transport_path's midpoint solves reuse one preconditioner inverse"
     ),
 }
 

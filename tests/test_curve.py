@@ -144,6 +144,15 @@ def test_min_speeds_of_a_stack_match_each_curve():
     assert speeds[-1] == 0.0
 
 
+def test_min_speeds_of_a_whole_path_match_each_curve():
+    # 129 curves of order 30: one product over the whole stack would be
+    # above OpenBLAS's threading size
+    rng = np.random.default_rng(9)
+    curves = [perturbed_circle(rng, order=30) for _ in range(129)]
+    speeds = _min_speeds(np.stack([c.coeffs for c in curves]), 120)
+    np.testing.assert_allclose(speeds, [min_speed(c, 120) for c in curves], rtol=1e-14, atol=0.0)
+
+
 _C, _W, _RAT = circle(order=3), MetricWeights.of(1.0, 1.0, 1.0), EnergyKind.rat()
 _PATH = np.stack([_C.coeffs] * 20)  # more segments than one block of 120-node grids
 GRID_CALLS = {

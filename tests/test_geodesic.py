@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
-import scipy.linalg
 
-from conftest import circle, perturbed_circle, rotate, tangent_field
+from conftest import circle, perturbed_circle, rotate, run_fresh, tangent_field
 from sobcurve import geodesic, transport
 from sobcurve.curve import FourierCurve, pad
 from sobcurve.energy import EnergyKind, hessian_scalar_at_diagonal, w_eval, w_value_and_grad
@@ -328,6 +327,25 @@ class TestSolveBvp:
         assert info["energy"] < discrete_path_energy(linear, W, kind, m)
         assert info["energy"] == pytest.approx(discrete_path_energy(path, W, kind, m), rel=1e-12)
 
+    def test_ladder_at_n40_stays_on_one_thread(self):
+        # the boundary value ladder of the geodesic benchmark (N = 40,
+        # M = 160, K = 4..64): its Gram blocks, preconditioner inverses and
+        # whole-path immersion checks stay below OpenBLAS's threading sizes,
+        # so the process spends no more CPU time than wall time; OpenBLAS
+        # workers left spinning after threaded calls read about 1.8
+        ratio = run_fresh(
+            "import time\n"
+            "from sobcurve import EnergyKind, MetricWeights, bvp_ladder\n"
+            "from sobcurve.cli import resolve_curve\n"
+            "from sobcurve.curve import pad\n"
+            "a, b = (pad(resolve_curve(name), 40) for name in ('circle', 'star'))\n"
+            "wall, cpu = time.perf_counter(), time.process_time()\n"
+            "bvp_ladder(a, b, [4, 8, 16, 32, 64], MetricWeights.of(1e-4, 1.0, 1e-2),\n"
+            "           EnergyKind.rat(), 160)\n"
+            "print((time.process_time() - cpu) / (time.perf_counter() - wall))"
+        )
+        assert float(ratio) <= 1.3
+
     def test_warm_start_is_already_converged(self):
         kind = EnergyKind.rat()
         c_a, c_b = circle(1.0), circle(1.2)
@@ -444,9 +462,8 @@ class TestDampedTrials:
                 raise DegenerateCurve("outside the admissible set")
             return func(ys)
 
-        precond = scipy.linalg.cho_factor(np.eye(1))
         sols, _ = geodesic._solve_roots(
-            residual, np.zeros((1, 1, 1)), [precond], sign, None, "toy", stop_tol=1e-12
+            residual, np.zeros((1, 1, 1)), [np.eye(1)], sign, None, "toy", stop_tol=1e-12
         )
         return float(sols[0, 0, 0])
 
@@ -487,9 +504,16 @@ def test_preconditioner_falls_back_to_twice_the_gram_block():
     c, kind = circle(order=3), EnergyKind.reg(2.5)
     with pytest.raises(NonPositiveLowerBound):
         hessian_scalar_at_diagonal(c, W, kind, M)
-    (factor,) = geodesic._preconditioners(c.coeffs[None], W, kind, M)
-    expected = scipy.linalg.cho_factor(2.0 * gram_scalar(c, W, c.order, M))
-    np.testing.assert_array_equal(factor[0], expected[0])
+    (inverse,) = geodesic._preconditioners(c.coeffs[None], W, kind, M)
+    expected = np.linalg.inv(2.0 * gram_scalar(c, W, c.order, M))
+    np.testing.assert_array_equal(inverse, expected)
+
+
+def test_preconditioner_of_a_block_that_is_not_positive_definite_raises(monkeypatch):
+    monkeypatch.setattr(geodesic, "hessian_scalar_at_diagonal",
+                        lambda anchor, *args: -np.eye(len(anchor.coeffs)))
+    with pytest.raises(np.linalg.LinAlgError):
+        geodesic._preconditioners(circle(order=3).coeffs[None], W, EnergyKind.rat(), M)
 
 
 @pytest.mark.parametrize("kind", KINDS, ids=kind_id)
@@ -509,7 +533,7 @@ def test_preconditioner_falls_back_only_for_a_large_epsilon(kind, monkeypatch):
     assert grams == []
 
 
-@pytest.mark.parametrize("k", [2, 3, 8])
+@pytest.mark.parametrize("k", [2, 3, 8, 64])
 def test_path_preconditioner_inverts_the_kronecker_hessian(k):
     # K (T kron H kron I_d) with T the interior second-difference matrix
     # (the single entry 2 at K = 2) and H the diagonal Hessian's scalar block
