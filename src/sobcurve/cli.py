@@ -6,12 +6,16 @@ arguments and handler; ``main`` builds the set-up every handler shares
 (inputs, weights, energy kind, node count, solver options) once.
 
 Curve inputs (``--in-a``/``--in-b``/``--in-v``/``--in-w``) are either paths to
-curve JSON files or builtin shape names (``circle[:r]``, ``ellipse[:a,b]``,
-``star``, and the tangent fields ``cosx``, ``cosy``, ``mixv``, ``mixw``,
-``normal5``).  Sweeps evaluate the segment counts in order and write one CSV
-with a leading comment line that embeds the configuration, a header row, one
-row per K flushed as soon as it is computed, and a trailing comment with the
-fitted log-log slope of the last column over the final half of the K range.
+curve JSON files or builtin names with optional ``:params``: ``circle[:r]``
+(r = 1), ``ellipse[:a[,b]]`` (a = 1.5, b = 1), and the parameterless ``star``
+and tangent fields ``cosx``, ``cosy``, ``mixv``, ``mixw``, ``normal5``.  An
+omitted parameter takes its default; more parameters than a builtin takes
+are a configuration error.  Each single computation writes its result files
+and prints one line of ``key=value`` pairs.  Sweeps evaluate the segment
+counts in order and write one CSV with a leading comment line that embeds
+the configuration, a header row, one row per K flushed as soon as it is
+computed, and a trailing comment with the fitted log-log slope of the last
+column over the final half of the K range.
 Warnings print as one ``sobcurve: warning: <message>`` line on stderr.
 Outputs carry no timestamps, so identical invocations produce byte-identical
 files.
@@ -61,68 +65,35 @@ __all__ = ["main"]
 # ---------------------------------------------------------------------------
 
 
-def _curve(entries_cos, entries_sin, order):
-    cos = np.zeros((order + 1, 2))
-    sin = np.zeros((order, 2))
-    for k, x, y in entries_cos:
-        cos[k] = (x, y)
-    for k, x, y in entries_sin:
-        sin[k - 1] = (x, y)
-    return FourierCurve(cos, sin)
-
-
-def _shape_circle(radius=1.0):
-    return _curve([(1, radius, 0.0)], [(1, 0.0, radius)], 1)
-
-
-def _shape_ellipse(a=1.5, b=1.0):
-    return _curve([(1, a, 0.0)], [(1, 0.0, b)], 1)
-
-
-def _shape_star():
+#: name -> (parameter defaults, the nonzero coefficient entries (mode, x, y)
+#: for given parameters).  Mode k >= 0 is the cos(k theta) coefficient,
+#: mode -k the sin(k theta) one; the curve's order is the largest |mode|.
+_BUILTINS = {
+    "circle": ((1.0,), lambda r: [(1, r, 0.0), (-1, 0.0, r)]),
+    "ellipse": ((1.5, 1.0), lambda a, b: [(1, a, 0.0), (-1, 0.0, b)]),
     # r(theta) = 1 + 0.3 cos(5 theta) written out in Fourier modes
-    return _curve(
-        [(1, 1.0, 0.0), (4, 0.15, 0.0), (6, 0.15, 0.0)],
-        [(1, 0.0, 1.0), (4, 0.0, -0.15), (6, 0.0, 0.15)],
-        6,
-    )
-
-
-def _field_cosx():
-    return _curve([(1, 1.0, 0.0)], [], 1)
-
-
-def _field_cosy():
-    return _curve([(1, 0.0, 1.0)], [], 1)
-
-
-def _field_mixv():
-    return _curve([(1, -0.5, 0.0)], [(1, 0.0, 1.0)], 1)
-
-
-def _field_mixw():
-    return _curve([(1, 1.0, 0.0)], [(1, 0.0, -0.5)], 1)
-
-
-def _field_normal5():
+    "star": ((), lambda: [(1, 1.0, 0.0), (4, 0.15, 0.0), (6, 0.15, 0.0),
+                          (-1, 0.0, 1.0), (-4, 0.0, -0.15), (-6, 0.0, 0.15)]),
+    "cosx": ((), lambda: [(1, 1.0, 0.0)]),
+    "cosy": ((), lambda: [(1, 0.0, 1.0)]),
+    "mixv": ((), lambda: [(1, -0.5, 0.0), (-1, 0.0, 1.0)]),
+    "mixw": ((), lambda: [(1, 1.0, 0.0), (-1, 0.0, -0.5)]),
     # sin(5 theta) times the outer normal (cos, sin) of the unit circle
-    return _curve(
-        [(4, 0.0, 0.5), (6, 0.0, -0.5)],
-        [(4, 0.5, 0.0), (6, 0.5, 0.0)],
-        6,
-    )
-
-
-_SHAPES = {
-    "circle": _shape_circle,
-    "ellipse": _shape_ellipse,
-    "star": _shape_star,
-    "cosx": _field_cosx,
-    "cosy": _field_cosy,
-    "mixv": _field_mixv,
-    "mixw": _field_mixw,
-    "normal5": _field_normal5,
+    "normal5": ((), lambda: [(4, 0.0, 0.5), (6, 0.0, -0.5), (-4, 0.5, 0.0), (-6, 0.5, 0.0)]),
 }
+
+
+def _builtin(name, params=()) -> FourierCurve:
+    """The builtin ``name``; omitted trailing parameters take their defaults."""
+    defaults, entries_of = _BUILTINS[name]
+    if len(params) > len(defaults):
+        raise ValueError(f"builtin {name!r} takes {len(defaults)} parameter(s), got {len(params)}")
+    entries = entries_of(*params, *defaults[len(params):])
+    order = max(abs(mode) for mode, _, _ in entries)
+    coeffs = np.zeros((2 * order + 1, 2))
+    for mode, x, y in entries:
+        coeffs[mode if mode >= 0 else order - mode] = (x, y)
+    return FourierCurve.from_coeffs(coeffs)
 
 
 def resolve_curve(spec: str) -> FourierCurve:
@@ -130,9 +101,8 @@ def resolve_curve(spec: str) -> FourierCurve:
     if os.path.exists(spec):
         return load_curve(spec)
     name, _, params = spec.partition(":")
-    if name in _SHAPES:
-        args = [float(p) for p in params.split(",")] if params else []
-        return _SHAPES[name](*args)
+    if name in _BUILTINS:
+        return _builtin(name, [float(p) for p in params.split(",")] if params else [])
     raise ValueError(f"no such curve file or builtin shape: {spec!r}")
 
 
@@ -257,7 +227,7 @@ def _parse_ref(text, default_k, ks):
 
 
 def _require_unit_circle(curve, what):
-    probe = pad(_shape_circle(), curve.order)
+    probe = pad(_builtin("circle"), curve.order)
     if curve.order < 1 or not np.allclose(probe.coeffs, curve.coeffs, atol=1e-12):
         raise ValueError(f"{what} compares against the analytic circle oracle; "
                          "--in-a must be the unit circle")
@@ -386,6 +356,14 @@ def _sweep(args, s, columns, row, notes=()) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _report(args, name, payload, **results) -> int:
+    """Write ``payload`` as the JSON file ``name`` in --out, then print the
+    results as one line of ``key=value`` pairs."""
+    _save_json(_out_path(args, name), payload)
+    print(" ".join(f"{key}={_fmt(value)}" for key, value in results.items()))
+    return 0
+
+
 def cmd_geodesic(args, s) -> int:
     c_a, c_b = s.curves
     path, info = solve_bvp(
@@ -397,38 +375,23 @@ def cmd_geodesic(args, s) -> int:
         name = f"node_{j:04d}.json"
         _save_json(_out_path(args, name), curve_to_dict(curve))
         node_files.append(name)
-    _save_json(
-        _out_path(args, "manifest.json"),
-        {
-            "config": _config_line(args),
-            "nodes": node_files,
-            "energy": info["energy"],
-            "iterations": info["iterations"],
-            "grad_norm": info["grad_norm"],
-        },
-    )
-    print(
-        f"energy={_fmt(info['energy'])} iterations={info['iterations']} "
-        f"grad_norm={_fmt(info['grad_norm'])}"
-    )
-    return 0
+    results = {key: info[key] for key in ("energy", "iterations", "grad_norm")}
+    return _report(args, "manifest.json",
+                   {"config": _config_line(args), "nodes": node_files, **results}, **results)
 
 
 def cmd_exp(args, s) -> int:
     c0, v = s.curves
     endpoint = exp_k(c0, v, args.K, s.weights, s.kind_of(args.K), s.nodes, s.opts)[-1]
-    _save_json(_out_path(args, "exp_result.json"), curve_to_dict(endpoint))
-    print(f"segments={args.K} endpoint_min_speed={_fmt(min_speed(endpoint, s.nodes))}")
-    return 0
+    return _report(args, "exp_result.json", curve_to_dict(endpoint),
+                   segments=args.K, endpoint_min_speed=min_speed(endpoint, s.nodes))
 
 
 def cmd_log(args, s) -> int:
     c0, c2 = s.curves
     v = log2(c0, c2, s.weights, s.kind_of(2), s.nodes, s.opts)
-    _save_json(_out_path(args, "log_result.json"), curve_to_dict(v))
     gnorm = math.sqrt(max(metric_eval(c0, v, v, s.weights, s.nodes), 0.0))
-    print(f"gnorm={_fmt(gnorm)}")
-    return 0
+    return _report(args, "log_result.json", curve_to_dict(v), gnorm=gnorm)
 
 
 def cmd_transport(args, s) -> int:
@@ -437,17 +400,13 @@ def cmd_transport(args, s) -> int:
     path = solve_bvp(c_a, c_b, args.K, s.weights, kind, s.nodes, opts=s.opts)
     vectors = transport_path(path, w0, s.weights, kind, s.nodes, s.opts, return_all=True)
     alphas = transport_inner_products(path, vectors, s.weights, kind, s.nodes)
-    _save_json(_out_path(args, "transport_result.json"), curve_to_dict(vectors[-1]))
-    path = _out_path(args, "transport_alphas.csv")
-    with _CsvWriter(path, ["k", "alpha"], _config_line(args)) as writer:
+    with _CsvWriter(_out_path(args, "transport_alphas.csv"), ["k", "alpha"],
+                    _config_line(args)) as writer:
         for k, alpha in enumerate(alphas):
             writer.row([k, alpha])
     drift = np.abs(np.diff(alphas)) * args.K if len(alphas) > 1 else np.zeros(1)
-    print(
-        f"alpha_drift_max={_fmt(drift.max())} "
-        f"alpha_drift_median={_fmt(np.median(drift))}"
-    )
-    return 0
+    return _report(args, "transport_result.json", curve_to_dict(vectors[-1]),
+                   alpha_drift_max=drift.max(), alpha_drift_median=np.median(drift))
 
 
 def cmd_covderiv(args, s) -> int:
@@ -457,9 +416,8 @@ def cmd_covderiv(args, s) -> int:
         c, v, w, tau, s.weights, s.kind_of(args.K), s.nodes, s.opts,
         centered=args.centered,
     )
-    _save_json(_out_path(args, "covderiv_result.json"), curve_to_dict(result))
-    print(f"tau={_fmt(tau)} norm_w2={_fmt(sobolev_norm(result, 2))}")
-    return 0
+    return _report(args, "covderiv_result.json", curve_to_dict(result),
+                   tau=tau, norm_w2=sobolev_norm(result, 2))
 
 
 def cmd_curvature(args, s) -> int:
@@ -469,9 +427,8 @@ def cmd_curvature(args, s) -> int:
         c, v, w, tau, _schedule_for(args, tau), s.weights, s.kind_of(args.K),
         s.nodes, s.opts,
     )
-    _save_json(_out_path(args, "curvature_result.json"), {"tau": tau, "kappa": kappa})
-    print(f"tau={_fmt(tau)} kappa={_fmt(kappa)}")
-    return 0
+    return _report(args, "curvature_result.json", {"tau": tau, "kappa": kappa},
+                   tau=tau, kappa=kappa)
 
 
 # ---------------------------------------------------------------------------

@@ -147,8 +147,13 @@ class DiscretePath:
     def linear(cls, c_a: FourierCurve, c_b: FourierCurve, num_segments: int) -> "DiscretePath":
         """Linear interpolation between the endpoints in coefficient space."""
         _require_count(num_segments, "num_segments")
-        ts = np.linspace(0.0, 1.0, num_segments + 1)
-        return cls(tuple(c_a + (c_b - c_a) * float(t) for t in ts))
+        return _path_of(_linear_stack(*_stack([c_a, c_b]), num_segments))
+
+
+def _linear_stack(a, b, num_segments):
+    """The coefficient-linear path a + (b - a) k/K, k = 0..K, between two
+    coefficient arrays (2N+1, d), as a stack (K+1, 2N+1, d)."""
+    return a + (b - a) * np.linspace(0.0, 1.0, num_segments + 1)[:, None, None]
 
 
 def _path_of(stack) -> DiscretePath:
@@ -158,19 +163,16 @@ def _path_of(stack) -> DiscretePath:
 
 
 def resample_path(path: DiscretePath, num_segments: int) -> DiscretePath:
-    """Linear-in-time resampling of a path onto ``num_segments`` segments."""
+    """Linear-in-time resampling of a path onto ``num_segments`` segments:
+    the curve at old time i + lam is (1 - lam) c_i + lam c_{i+1}, and c_i
+    exactly at lam = 0."""
     _require_count(num_segments, "num_segments")
     k_old = path.num_segments
-    out = []
-    for j in range(num_segments + 1):
-        t = j / num_segments * k_old
-        i = min(int(np.floor(t)), k_old - 1)
-        lam = t - i
-        if lam == 0.0:
-            out.append(path[i])
-        else:
-            out.append(path[i] * (1.0 - lam) + path[i + 1] * lam)
-    return DiscretePath(tuple(out))
+    t = np.arange(num_segments + 1) / num_segments * k_old
+    i = np.minimum(np.floor(t).astype(int), k_old - 1)
+    lam = (t - i)[:, None, None]
+    stack = _stack(path.curves)
+    return _path_of(np.where(lam == 0.0, stack[i], stack[i] * (1.0 - lam) + stack[i + 1] * lam))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -934,9 +936,7 @@ def solve_bvp(
             raise ValueError("init_path has the wrong number of segments")
         interior = _stack(init_path.curves, n)[1:-1]
     else:
-        ts = np.linspace(0.0, 1.0, k + 1)[1:-1]
-        interior = [a_arr + (b_arr - a_arr) * t for t in ts]
-    interior = np.array(interior).reshape(k - 1, *a_arr.shape)  # (0, 2N+1, d) at K = 1
+        interior = _linear_stack(a_arr, b_arr, k)[1:-1]  # (0, 2N+1, d) at K = 1
     j = _first_degenerate(interior, check_m)
     if j is not None:
         raise DegenerateInit(f"initial interior curve {j + 1} is not immersed")

@@ -21,6 +21,7 @@ accurate here.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -194,6 +195,18 @@ def gram_scalar(
     return _weighted_gram(ops, weights.coefficients, [node_weight] * len(ops))
 
 
+@lru_cache(maxsize=None)
+def _gauss01(n: int):
+    """The n-node Gauss-Legendre rule on [0, 1]: nodes t and weights w,
+    cached read-only."""
+    nodes, w = np.polynomial.legendre.leggauss(n)
+    t = 0.5 * (nodes + 1.0)
+    t.setflags(write=False)
+    w = 0.5 * w
+    w.setflags(write=False)
+    return t, w
+
+
 def w_lin_oracle(
     c_hat: FourierCurve,
     c_check: FourierCurve,
@@ -206,9 +219,7 @@ def w_lin_oracle(
     integral uses 16 Gauss-Legendre nodes.  This is the reference value the
     closed-form energies are bounded below by.
     """
-    nodes, glw = np.polynomial.legendre.leggauss(16)
-    t = 0.5 * (nodes + 1.0)
-    glw = 0.5 * glw
+    t, glw = _gauss01(16)
     delta = c_check - c_hat
     total = 0.0
     for ti, wi in zip(t, glw):

@@ -85,7 +85,7 @@ class CurvatureSchedule:
     eps_in are the regularization parameters used by the outer and inner
     quotients when the energy is the regularized one (they are ignored for
     the rational energy).  The consistency analysis requires beta > 1 so that
-    the inner step vanishes faster than the outer one.
+    the inner step vanishes faster than the outer one; beta must be finite.
     """
 
     beta: float
@@ -94,8 +94,8 @@ class CurvatureSchedule:
     centered: bool = False
 
     def __post_init__(self):
-        if not self.beta > 1.0:
-            raise ValueError("inner-step exponent beta must exceed 1")
+        if not 1.0 < self.beta < np.inf:
+            raise ValueError("inner-step exponent beta must be finite and exceed 1")
         if not (0.0 < self.eps_out < np.inf and 0.0 < self.eps_in < np.inf):
             raise ValueError("regularization parameters must be finite and positive")
 
@@ -122,9 +122,9 @@ class CurvatureSchedule:
         return EnergyKind.reg(self.eps_out), EnergyKind.reg(self.eps_in)
 
 
-def _require_step(tau):
+def _require_step(tau, what="step size tau"):
     if not 0.0 < tau < np.inf:
-        raise ValueError("step size tau must be finite and positive")
+        raise ValueError(f"{what} must be finite and positive")
 
 
 def _parallelogram(a, b, corner, weights, kind, num_nodes, opts, phase, shifts=None,
@@ -375,9 +375,11 @@ def riemann_tensor(
     them, so the stacks do not depend on the argument order: swapping v and
     w flips the sign exactly, and R(v, v)z is exactly zero.  The stacks share
     their preconditioners' Hessian blocks (13 for the 24 solves of a centered
-    tensor on the rational energy).
+    tensor on the rational energy).  Raises ValueError, before any solve,
+    when the inner step underflows to zero.
     """
     _require_step(tau)
+    _require_step(schedule.inner_step(tau), f"inner step tau**beta = {tau!r}**{schedule.beta!r}")
     kind_out, kind_in = schedule.kinds(kind)
     centered = schedule.centered
     c_arr, v_arr, w_arr, z_arr = _stack([c, v, w, z])

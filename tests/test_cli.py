@@ -26,7 +26,37 @@ from sobcurve.energy import EnergyKind
 from sobcurve.metric import MetricWeights, sobolev_norm
 
 
+#: The coefficient stack [a_0..a_N, b_1..b_N] of each builtin, at its
+#: defaults and with explicit parameters.
+BUILTIN_COEFFS = {
+    "circle": [[0, 0], [1, 0], [0, 1]],
+    "circle:": [[0, 0], [1, 0], [0, 1]],
+    "circle:1.2": [[0, 0], [1.2, 0], [0, 1.2]],
+    "circle:-2.5": [[0, 0], [-2.5, 0], [0, -2.5]],
+    "ellipse": [[0, 0], [1.5, 0], [0, 1]],
+    "ellipse:2": [[0, 0], [2, 0], [0, 1]],
+    "ellipse:2,0.5": [[0, 0], [2, 0], [0, 0.5]],
+    # a_0..a_6, then b_1..b_6
+    "star": [[0, 0], [1, 0], [0, 0], [0, 0], [0.15, 0], [0, 0], [0.15, 0],
+             [0, 1], [0, 0], [0, 0], [0, -0.15], [0, 0], [0, 0.15]],
+    "cosx": [[0, 0], [1, 0], [0, 0]],
+    "cosy": [[0, 0], [0, 1], [0, 0]],
+    "mixv": [[0, 0], [-0.5, 0], [0, 1]],
+    "mixw": [[0, 0], [1, 0], [0, -0.5]],
+    "normal5": [[0, 0], [0, 0], [0, 0], [0, 0], [0, 0.5], [0, 0], [0, -0.5],
+                [0, 0], [0, 0], [0, 0], [0.5, 0], [0, 0], [0.5, 0]],
+}
+
+
 class TestResolveCurve:
+    @pytest.mark.parametrize("spec", BUILTIN_COEFFS)
+    def test_builtin_coefficients(self, spec):
+        expected = np.array(BUILTIN_COEFFS[spec], dtype=float)
+        assert np.array_equal(resolve_curve(spec).coeffs, expected)
+
+    def test_every_builtin_has_coefficients_above(self):
+        assert {spec.partition(":")[0] for spec in BUILTIN_COEFFS} == set(cli._BUILTINS)
+
     def test_builtin_circle_default(self):
         c = resolve_curve("circle")
         np.testing.assert_allclose(c.coeffs, circle().coeffs)
@@ -233,7 +263,31 @@ class TestSingleCommands:
         assert 0.0 < sobolev_norm(central - one_sided, 0) < 0.1
 
 
+CURVATURE_ARGV = ["curvature", "--in-a", "circle", "--in-v", "cosx", "--in-w", "cosy",
+                  "--weights", "1,1,1", "-K", "8"]
+
+
 class TestErrorExits:
+    @pytest.mark.parametrize("argv, message", [
+        (["exp", "--in-a", "circle:1,2", "--in-v", "cosx"],
+         "builtin 'circle' takes 1 parameter(s), got 2"),
+        (["log", "--in-a", "circle", "--in-b", "ellipse:1,2,3"],
+         "builtin 'ellipse' takes 2 parameter(s), got 3"),
+        (["geodesic", "--in-a", "circle", "--in-b", "star:1", "-K", "2"],
+         "builtin 'star' takes 0 parameter(s), got 1"),
+        (["exp", "--in-a", "circle", "--in-v", "cosx:2"],
+         "builtin 'cosx' takes 0 parameter(s), got 1"),
+        (CURVATURE_ARGV + ["--beta", "inf"], "inner-step exponent beta must be finite and exceed 1"),
+        # tau**beta underflows to 0.0
+        (CURVATURE_ARGV + ["--beta", "1e6"],
+         "inner step tau**beta = 0.125**1000000.0 must be finite and positive"),
+    ], ids=["circle:1,2", "ellipse:1,2,3", "star:1", "cosx:2", "beta-inf", "beta-1e6"])
+    def test_bad_builtin_parameters_and_beta_are_config_errors(self, argv, message, tmp_path,
+                                                              capsys):
+        assert main(argv + ["--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == f"sobcurve: error[config]: {message}\n"
+        assert list(tmp_path.iterdir()) == []
+
     def test_unknown_shape_is_config_error(self, tmp_path, capsys):
         rc = main(["geodesic", "--in-a", "circle", "--in-b", "wibble",
                    "-K", "2", "--out", str(tmp_path)])

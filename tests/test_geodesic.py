@@ -121,6 +121,22 @@ class TestDiscretePath:
         for j in range(5):
             assert np.allclose(back[j].coeffs, path[j].coeffs, atol=1e-14)
 
+    def test_linear_and_resample_follow_their_formulas_exactly(self):
+        rng = np.random.default_rng(11)
+        c_a, c_b = perturbed_circle(rng), perturbed_circle(rng, order=3)
+        a, b = c_a.coeffs, pad(c_b, 4).coeffs
+        path = DiscretePath.linear(c_a, c_b, 3)
+        for k, curve in enumerate(path):
+            assert np.array_equal(curve.coeffs, a + (b - a) * (k / 3))
+        bent = DiscretePath(tuple(perturbed_circle(rng) for _ in range(4)))
+        for j, curve in enumerate(resample_path(bent, 7)):
+            t = j / 7 * 3
+            i = min(int(t), 2)
+            lam = t - i
+            expected = (bent[i].coeffs if lam == 0.0
+                        else bent[i].coeffs * (1.0 - lam) + bent[i + 1].coeffs * lam)
+            assert np.array_equal(curve.coeffs, expected)
+
     def test_resample_same_size_is_identity(self):
         path = DiscretePath.linear(circle(1.0), circle(1.2), 4)
         same = resample_path(path, 4)

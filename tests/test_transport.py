@@ -77,6 +77,25 @@ class TestCurvatureSchedule:
             CurvatureSchedule(beta=2.0, eps_out=np.inf, eps_in=0.01)
         with pytest.raises(ValueError):
             CurvatureSchedule(beta=2.0, eps_out=0.1, eps_in=np.inf)
+        with pytest.raises(ValueError, match="beta must be finite and exceed 1"):
+            CurvatureSchedule(beta=np.inf, eps_out=0.1, eps_in=0.01)
+
+    @pytest.mark.parametrize("centered", [False, True])
+    def test_underflowing_inner_step_is_rejected_before_any_solve(self, centered, monkeypatch):
+        # (1/8)**400 is 0.0 in double precision: the inner quotients would
+        # divide by it after their solves
+        real_midpoint, calls = transport.el_midpoint, []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return real_midpoint(*args, **kwargs)
+
+        monkeypatch.setattr(transport, "el_midpoint", counted)
+        schedule = CurvatureSchedule(beta=400.0, eps_out=0.1, eps_in=0.01, centered=centered)
+        assert schedule.inner_step(1.0 / 8) == 0.0
+        with pytest.raises(ValueError, match=r"inner step tau\*\*beta .* must be finite and positive"):
+            sectional_curvature(circle(), V_UNIT, W_UNIT, 1.0 / 8, schedule, UNIT, RAT, M)
+        assert calls == []
 
     def test_kinds_resolution(self):
         sch = CurvatureSchedule.one_sided(0.25)
