@@ -15,7 +15,8 @@ and prints one line of ``key=value`` pairs.  Sweeps evaluate the segment
 counts in order and write one CSV with a leading comment line that embeds
 the configuration, a header row, one row per K flushed as soon as it is
 computed, and a trailing comment with the fitted log-log slope of the last
-column over the final half of the K range.
+column over the final half of the K range.  A sweep that fails keeps the
+rows written before, and leaves no CSV when it fails before the first.
 Warnings print as one ``sobcurve: warning: <message>`` line on stderr.
 Outputs carry no timestamps, so identical invocations produce byte-identical
 files.
@@ -288,27 +289,25 @@ def _config_line(args) -> str:
 
 
 class _CsvWriter:
-    """Deterministic CSV: config comment, header, rows flushed one by one."""
+    """Deterministic CSV file ``name`` in --out: config comment, header, and
+    each row or comment written through as it comes.  The file is created
+    with the first of them, so a run that fails before its first row
+    leaves none."""
 
-    def __init__(self, path, columns, config):
-        self._fh = open(path, "w")
-        self._fh.write(f"# {config}\n")
-        self._fh.write(",".join(columns) + "\n")
-        self._fh.flush()
+    def __init__(self, args, name, columns):
+        self._args, self._name = args, name
+        self._head = f"# {_config_line(args)}\n" + ",".join(columns) + "\n"
+
+    def _write(self, text):
+        with open(_out_path(self._args, self._name), "a" if self._head is None else "w") as fh:
+            fh.write((self._head or "") + text)
+        self._head = None
 
     def row(self, values):
-        self._fh.write(",".join(_fmt(v) for v in values) + "\n")
-        self._fh.flush()
+        self._write(",".join(_fmt(v) for v in values) + "\n")
 
     def comment(self, text):
-        self._fh.write(f"# {text}\n")
-        self._fh.flush()
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self._fh.close()
+        self._write(f"# {text}\n")
 
 
 def fitted_slope(ks, errors) -> float:
@@ -336,17 +335,16 @@ def _sweep(args, s, columns, row, notes=()) -> int:
     """One CSV row ``row(K)`` per K in order, then the fitted slope of the
     last (error) column.  ``notes`` are extra ``key=value`` results, written
     as trailing comments and printed before the slope."""
-    path = _out_path(args, args.command.replace("-", "_") + ".csv")
-    with _CsvWriter(path, columns, _config_line(args)) as writer:
-        errors = []
-        for k in s.ks:
-            values = row(k)
-            writer.row(values)
-            errors.append(values[-1])
-        slope = fitted_slope(s.ks, errors)
-        for note in notes:
-            writer.comment(note)
-        writer.comment(f"fitted_slope_final_half={_fmt(slope)}")
+    writer = _CsvWriter(args, args.command.replace("-", "_") + ".csv", columns)
+    errors = []
+    for k in s.ks:
+        values = row(k)
+        writer.row(values)
+        errors.append(values[-1])
+    slope = fitted_slope(s.ks, errors)
+    for note in notes:
+        writer.comment(note)
+    writer.comment(f"fitted_slope_final_half={_fmt(slope)}")
     print(" ".join([f"kind={s.desc}", *notes, f"fitted_slope={_fmt(slope)}"]))
     return 0
 
@@ -400,10 +398,9 @@ def cmd_transport(args, s) -> int:
     path = solve_bvp(c_a, c_b, args.K, s.weights, kind, s.nodes, opts=s.opts)
     vectors = transport_path(path, w0, s.weights, kind, s.nodes, s.opts, return_all=True)
     alphas = transport_inner_products(path, vectors, s.weights, kind, s.nodes)
-    with _CsvWriter(_out_path(args, "transport_alphas.csv"), ["k", "alpha"],
-                    _config_line(args)) as writer:
-        for k, alpha in enumerate(alphas):
-            writer.row([k, alpha])
+    writer = _CsvWriter(args, "transport_alphas.csv", ["k", "alpha"])
+    for k, alpha in enumerate(alphas):
+        writer.row([k, alpha])
     drift = np.abs(np.diff(alphas)) * args.K if len(alphas) > 1 else np.zeros(1)
     return _report(args, "transport_result.json", curve_to_dict(vectors[-1]),
                    alpha_drift_max=drift.max(), alpha_drift_median=np.median(drift))

@@ -1113,11 +1113,10 @@ def hessian_scalar_at_diagonal(
     |c'| +- eps/2, giving a matrix sandwiched between 2 Gram and
     (1 - eps/(2 min|c'|))^{5-6m} 2 Gram.
     """
-    n = curve.order
     if kind.is_rat:
         _require_m2(weights)
-        return 2.0 * gram_scalar(curve, weights, n, num_nodes)
-    ops, speed = _scalar_arclength_ops(curve, weights, n, num_nodes)
+        return 2.0 * gram_scalar(curve, weights, num_nodes)
+    ops, speed = _scalar_arclength_ops(curve, weights, num_nodes)
     eps = kind.epsilon
     if np.min(speed) <= eps / 2.0:
         raise NonPositiveLowerBound(

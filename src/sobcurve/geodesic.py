@@ -186,14 +186,14 @@ class SolverOptions:
     the caller: ``exp_k`` stops each of its K steps as soon as the residual
     is at most fixed_point_tol / K (a position error in one step becomes a
     velocity error K times larger), and starts each step from the
-    polynomial extrapolation, of degree 2 to 5, that best predicted the
-    step before.  Every other caller -- ``el_step`` and ``el_midpoint``
+    extrapolation through the last 7 curves, of degree 2 to 5, that best
+    predicted the step before.  Every other caller -- ``el_step`` and ``el_midpoint``
     called directly, ``exp2`` / ``log2`` and the Schild rungs of
     ``schild_step``, ``transport_path``, ``inverse_transport``,
     ``cov_deriv`` and ``riemann_tensor`` -- accepts at fixed_point_tol but
     keeps iterating to the rounding floor while each sweep still gains a
     digit, because those results get divided by small step sizes.
-    ``transport_path`` starts the two solves of each rung from the previous
+    ``transport_path`` starts the two solves of each rung from the last 25
     rungs' corrections, extrapolated, so they need fewer sweeps to reach the
     same floor.  ``exp_k`` and ``transport_path`` also reuse one inverse
     of the preconditioner over consecutive solves while the fixed point
@@ -299,7 +299,7 @@ def _preconditioners(anchors, weights, kind, num_nodes, scale=1.0, blocks=None):
         except NonPositiveLowerBound:
             # epsilon too large for the kind-specific form; the metric Gram
             # block is an equivalent preconditioner
-            blocks[key] = 2.0 * gram_scalar(anchor, weights, anchor.order, num_nodes)
+            blocks[key] = 2.0 * gram_scalar(anchor, weights, num_nodes)
     inverses = {}
     for key in dict.fromkeys(keys):
         block = scale * blocks[key]
@@ -471,7 +471,7 @@ def _solve_roots(residual, ys0, preconds, sign, opts, label, stop_tol=None):
             y, res_arr, res = m.best
             if res > m.tol:
                 m.polished = True
-                y = _newton_polish(_member_residual(residual, i), y, res_arr, res, m.precond, m.tol)
+                y = _newton_polish(_member_residual(residual, i), y, res_arr, m.precond, m.tol)
                 if y is None:
                     raise NoConvergence(
                         f"{name(i)}: preconditioned residual {res:.3e} above "
@@ -563,10 +563,10 @@ _FD_STEP = 1e-6
 _FD_BLOCK = 32
 
 
-def _newton_polish(residual, y, res_arr, res, precond, tol):
+def _newton_polish(residual, y, res_arr, precond, tol):
     """Damped Newton with a finite-difference Jacobian from the admissible
-    iterate ``y``, whose residual ``res_arr`` and preconditioned residual
-    norm ``res`` are given; None when it stalls above ``tol``.
+    iterate ``y``, whose residual ``res_arr`` is given; None when its
+    preconditioned residual norm stalls above ``tol``.
 
     ``residual`` takes one point or a stack of points; the Jacobian's
     probes are evaluated in stacks of at most ``_FD_BLOCK``.  Their
@@ -577,6 +577,7 @@ def _newton_polish(residual, y, res_arr, res, precond, tol):
     shape = y.shape
     n = y.size
     h = _FD_STEP * (float(np.max(np.abs(y))) or 1.0)
+    _, res = _residual_norm(res_arr, precond)
     for _ in range(15):
         if res <= tol:
             return y
@@ -758,22 +759,24 @@ def _scoring(count, strides, degrees):
     return candidates, starts, matrix
 
 
-def _predict(samples, strides=(1,), degrees=(2, 3, 4, 5)):
+def _predict(history, strides=(1,), degrees=(2, 3, 4, 5)):
     """Start for the next member of a sequence, from the coefficient stack
-    ``samples`` of its last members, newest first.
+    ``history`` of its members so far, newest first.
 
     The candidates are the polynomial extrapolations of each degree p in
     ``degrees`` (at most 5) through every s-th sample, for each stride s in
     ``strides``: s = 1 extrapolates the sequence itself, and a larger s the
     samples in the same phase of a sequence with a kink every s members.
-    Each candidate that the samples allow is scored by how well it
-    predicted the newest max(strides) samples it can reach (the max-abs
-    error over coefficients and samples), and the best one, the lowest
+    It reads the newest max(strides) (max(degrees) + 1) + 1 members, 7 for
+    the default candidates, and scores each candidate they allow by how
+    well it predicted the newest max(strides) samples it can reach (the
+    max-abs error over coefficients and samples); the best one, the lowest
     stride and degree on a tie, predicts the next member.  With no
     candidate to score, one, two or three samples or more give the
-    constant, linear or quadratic extrapolation.  Returns the predicted
-    coefficient array.
+    constant, linear (2 c_1 - c_0) or quadratic extrapolation.  Returns the
+    predicted coefficient array.
     """
+    samples = history[: max(strides) * (max(degrees) + 1) + 1]
     candidates, starts, matrix = _scoring(len(samples), tuple(strides), tuple(degrees))
     stride, degree = 1, min(len(samples), 3) - 1
     if candidates:
@@ -800,12 +803,12 @@ def exp_k(
 
     Each step stops at the preconditioned residual fixed_point_tol / K
     (relative), so the velocity error K * (position error) stays at
-    fixed_point_tol.  The first step starts from 2 c_1 - c_0 and the
-    second from the quadratic extrapolation 3 c_2 - 3 c_1 + c_0.  From the
-    third step on, each step starts from the polynomial extrapolation of
-    degree 2 to 5 through the last curves that best predicted the step just
-    solved (see ``_predict``): high degrees where the path is smooth, low
-    ones where rounding dominates the differences.  Each step reuses the
+    fixed_point_tol.  Each step starts from ``_predict`` of the curves so
+    far: the polynomial extrapolation of degree 2 to 5 through the last
+    curves that best predicted the step just solved, high degrees where the
+    path is smooth and low ones where rounding dominates the differences;
+    before there is a step to score, the first step starts from 2 c_1 - c_0
+    and the second from 3 c_2 - 3 c_1 + c_0.  Each step reuses the
     partial W_{,2}[c_{k-1}, c_k] the previous step already computed, and
     the inverse of an earlier step's preconditioner until a step on it
     needs more than one sweep beyond the step that built it, contracts in
@@ -821,7 +824,7 @@ def exp_k(
     curves[0], curves[1] = c0, c0 + v * (1.0 / num_segments)
     carry, factors = [None], _FactorCache()
     for k in range(1, num_segments):
-        init = _predict(curves[k::-1][:7])[None] if k >= 2 else None
+        init = _predict(curves[k::-1])[None]
         try:
             curves[k + 1] = el_step(curves[k - 1 : k], curves[k : k + 1], weights, kind,
                                     num_nodes, opts, init, _stop_tol=stop_tol, _carry=carry,
@@ -838,13 +841,14 @@ def exp_k(
 # ---------------------------------------------------------------------------
 
 
-class _PathPreconditioner:
-    """Initial inverse Hessian for the interior-point optimization.
+def _path_preconditioner(anchor, weights, kind, num_nodes, shape):
+    """The function that applies the initial inverse Hessian of the
+    interior-point optimization to a flat path vector of ``shape`` (K-1, 2N+1, d).
 
     Near the linear path the energy Hessian is approximately
     K * (T kron H kron I_d) with T = tridiag(-1, 2, -1) over the interior
-    time indices and H the scalar block of the diagonal energy Hessian at a
-    representative curve, so its inverse factorizes into a time solve and a
+    time indices and H the scalar block of the diagonal energy Hessian at
+    ``anchor``, so its inverse factorizes into a time solve and a
     coefficient solve.  The coefficient solve applies the inverse of H from
     ``_preconditioners`` to every interior curve in one batched matmul of
     (2N+1) x d blocks, each below OpenBLAS's threading size.  The time solve
@@ -852,19 +856,18 @@ class _PathPreconditioner:
 
         q_i = [(K - i) sum_{j <= i} j f_j + i sum_{j > i} (K - j) f_j] / K.
     """
+    inv = _preconditioners(anchor[None], weights, kind, num_nodes)[0]
+    k = shape[0] + 1
+    i = np.arange(1.0, k)[:, None, None]  # the interior time indices
 
-    def __init__(self, anchor, weights, kind, num_nodes, num_segments):
-        self._k = num_segments
-        self._inv = _preconditioners(anchor[None], weights, kind, num_nodes)[0]
-
-    def __call__(self, flat, shape):
-        k = self._k
-        f = np.matmul(self._inv, flat.reshape(shape))
-        i = np.arange(1.0, k)[:, None, None]  # the interior time indices
+    def apply(flat):
+        f = np.matmul(inv, flat.reshape(shape))
         below = np.cumsum(i * f, axis=0)
         above = np.zeros_like(f)  # sum_{j > i} (K - j) f_j; zero at i = K - 1
         above[:-1] = np.cumsum(((k - i) * f)[:0:-1], axis=0)[::-1]
         return (((k - i) * below + i * above) / k**2).ravel()
+
+    return apply
 
 
 def _dot(a, b):
@@ -967,7 +970,7 @@ def solve_bvp(
     f, g = float(fg[-1]), fg[:-1]
     gnorm = _norm(g)
     tol = opts.grad_tol * (1.0 + gnorm)
-    h0 = _PathPreconditioner(interior[len(interior) // 2], weights, kind, num_nodes, k)
+    h0 = _path_preconditioner(interior[len(interior) // 2], weights, kind, num_nodes, shape)
     memory = []
     iters = 0
 
@@ -977,11 +980,11 @@ def solve_bvp(
                 f"boundary value solver: gradient norm {gnorm:.3e} above "
                 f"tolerance {tol:.3e} after {iters} iterations"
             )
-        direction = -_two_loop(memory, lambda q: h0(q, shape), g)
+        direction = -_two_loop(memory, h0, g)
         slope = _dot(g, direction)
         if slope >= 0.0:
             memory.clear()
-            direction = -h0(g, shape)
+            direction = -h0(g)
             slope = _dot(g, direction)
         # Each segment energy is assembled from O(1)-magnitude integrands
         # that cancel down to O(1/K^2), so the total energy carries an

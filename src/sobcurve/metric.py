@@ -146,18 +146,13 @@ def metric_eval(
 # ---------------------------------------------------------------------------
 
 
-def _scalar_arclength_ops(
-    base: FourierCurve,
-    weights: MetricWeights,
-    order: int,
-    num_nodes: int,
-):
-    """Operators A_j taking stacked scalar coefficients to grid samples of
-    d_s^j, j = 0..m, plus the base speed: the arc-length chain of the
-    evaluation matrix's columns.
+def _scalar_arclength_ops(base: FourierCurve, weights: MetricWeights, num_nodes: int):
+    """Operators A_j taking scalar coefficients of the base's order to grid
+    samples of d_s^j, j = 0..m, plus the base speed: the arc-length chain of
+    the evaluation matrix's columns.
     """
     speed = _speed(base, num_nodes)
-    return _arclength_chain(_eval_matrix(order, num_nodes, 0), speed, weights.order), speed
+    return _arclength_chain(_eval_matrix(base.order, num_nodes, 0), speed, weights.order), speed
 
 
 #: Multiply-adds per matmul in _weighted_gram: OpenBLAS keeps a product of
@@ -179,18 +174,15 @@ def _weighted_gram(ops: list, coefficients: tuple, node_weights: list) -> np.nda
     return 0.5 * (gram + gram.T)
 
 
-def gram_scalar(
-    base: FourierCurve,
-    weights: MetricWeights,
-    order: int,
-    num_nodes: int,
-) -> np.ndarray:
-    """Scalar-component Gram matrix of the metric, shape (2N+1, 2N+1).
+def gram_scalar(base: FourierCurve, weights: MetricWeights, num_nodes: int) -> np.ndarray:
+    """Scalar-component Gram matrix of the metric over the Fourier basis of
+    the base's order N, shape (2N+1, 2N+1); over a larger basis of order n
+    it is ``gram_scalar(pad(base, n), ...)``.
 
     The metric couples vector components independently, so the full matrix
     over R^d-valued coefficients is this block kron'd with the identity.
     """
-    ops, speed = _scalar_arclength_ops(base, weights, order, num_nodes)
+    ops, speed = _scalar_arclength_ops(base, weights, num_nodes)
     node_weight = 2.0 * np.pi / num_nodes * speed
     return _weighted_gram(ops, weights.coefficients, [node_weight] * len(ops))
 

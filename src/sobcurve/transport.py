@@ -179,10 +179,6 @@ def schild_step(
 #: path resampled r-fold (r = 2, 4, 8) has a kink every r rungs.
 _STRIDES = (1, 2, 4, 8)
 
-#: Rungs of corrections that transport_path keeps: enough to score the
-#: quadratic extrapolation at the largest stride, 3 * 8 + 1.
-_HISTORY = 3 * _STRIDES[-1] + 1
-
 
 def transport_path(
     path: DiscretePath,
@@ -201,30 +197,29 @@ def transport_path(
     corner average and 2s - c) plus an extrapolation of the corrections the
     previous rungs needed over the same guesses: constant after one rung,
     linear after two, quadratic after three.  From then on the quadratic
-    runs through every s-th of the last 25 rungs, for the stride s of 1, 2,
-    4 or 8 that predicted the last max(s) rungs best (see
-    ``geodesic._predict``), which follows the kinks of a path resampled
-    2, 4 or 8-fold.  Each solve type reuses its preconditioner's inverse
-    from rung to rung (see ``geodesic._FactorCache``), and each solve
-    still polishes to the rounding floor.  The rungs run on
-    coefficient arrays at the higher order of the path and w0.  Returns the
-    vector at the final curve, or the whole list w_0..w_K with
-    ``return_all``.  A stalled rung raises NoConvergence whose ``partial``
-    is the list w_0..w_k finished before it.
+    runs through every s-th of the last 25 rungs (all that ``_predict``
+    reads), for the stride s of 1, 2, 4 or 8 that predicted the last max(s)
+    rungs best, which follows the kinks of a path resampled 2, 4 or 8-fold.
+    Each solve type reuses its preconditioner's inverse from rung to rung
+    (see ``geodesic._FactorCache``), and each solve still polishes to the
+    rounding floor.  The rungs run on coefficient arrays at the higher
+    order of the path and w0.  Returns the vector at the final curve, or
+    the whole list w_0..w_K with ``return_all``.  A stalled rung raises
+    NoConvergence whose ``partial`` is the list w_0..w_k finished before it.
     """
     tau, steps = path.step, path.num_segments
     w, *curves = _stack([w0, *path.curves])[:, None]
     vectors = [w0]
-    # the corrections of the last rungs' midpoint and extension solves, rung
-    # k at row k % _HISTORY
-    ring = np.empty((2, _HISTORY, *w.shape))
+    # each rung's midpoint and extension corrections, rung k at row steps-1-k:
+    # the rungs before k are one contiguous newest-first block, which
+    # _predict scores through BLAS (a reversed view would round differently)
+    history = np.empty((2, steps, *w.shape))
     factors = (_FactorCache(), _FactorCache())
     for k in range(steps):
         c = curves[k]
         # c + tau*v_k, rounded as a rung of direction v_k = (c_{k+1} - c_k)/tau
         corner_v = c + (curves[k + 1] - c) * (1.0 / tau) * tau
-        newest_first = (k - 1 - np.arange(min(k, _HISTORY))) % _HISTORY
-        shifts = [_predict(past[newest_first], _STRIDES, (2,)) for past in ring] if k else None
+        shifts = [_predict(past[steps - k :], _STRIDES, (2,)) for past in history] if k else None
         try:
             z, corrections = _parallelogram(
                 c + w * tau, corner_v, c, weights, kind, num_nodes, opts,
@@ -233,7 +228,7 @@ def transport_path(
         except NoConvergence as err:
             err.partial = vectors
             raise
-        ring[:, k % _HISTORY] = corrections
+        history[:, steps - 1 - k] = corrections
         w = (z - corner_v) * (1.0 / tau)
         vectors.append(FourierCurve.from_coeffs(w[0]))
     return vectors if return_all else vectors[-1]
@@ -376,10 +371,16 @@ def riemann_tensor(
     w flips the sign exactly, and R(v, v)z is exactly zero.  The stacks share
     their preconditioners' Hessian blocks (13 for the 24 solves of a centered
     tensor on the rational energy).  Raises ValueError, before any solve,
-    when the inner step underflows to zero.
+    when the inner step underflows to zero, or when the rounding of the
+    coefficients alone swamps the nested quotient: tau * tau**beta <= eps.
     """
     _require_step(tau)
-    _require_step(schedule.inner_step(tau), f"inner step tau**beta = {tau!r}**{schedule.beta!r}")
+    tau_in = schedule.inner_step(tau)
+    what = f"inner step tau**beta = {tau!r}**{schedule.beta!r}"
+    _require_step(tau_in, what)
+    if tau * tau_in <= np.finfo(float).eps:
+        raise ValueError(f"{what} leaves no digit: tau * tau**beta = {tau * tau_in:.3e} is at or "
+                         "below machine epsilon")
     kind_out, kind_in = schedule.kinds(kind)
     centered = schedule.centered
     c_arr, v_arr, w_arr, z_arr = _stack([c, v, w, z])
@@ -392,7 +393,7 @@ def riemann_tensor(
     steps = np.array((tau, -tau) if centered else (tau, 0.0))[:, None, None]
     points = (c_arr + firsts[:, None] * steps).reshape(-1, *c_arr.shape)
     inner = _quotients(points, np.repeat(seconds, 2, axis=0), z_arr, z_arr,
-                       schedule.inner_step(tau), centered, weights, kind_in, num_nodes, opts,
+                       tau_in, centered, weights, kind_in, num_nodes, opts,
                        "riemann_tensor", blocks).reshape(len(keys), 2, *c_arr.shape)
     # the outer quotients of those fields along first, at c
     nested = _quotients(np.broadcast_to(c_arr, firsts.shape), firsts,

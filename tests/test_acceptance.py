@@ -13,6 +13,7 @@ import math
 import time
 
 import numpy as np
+import pytest
 
 from conftest import circle, nearby_pair, perturbed_circle, rotate, tangent_field, translate
 from sobcurve.cli import resolve_curve
@@ -39,6 +40,8 @@ from sobcurve.transport import (
     transport_inner_products,
     transport_path,
 )
+
+pytestmark = pytest.mark.slow  # deselect with -m "not slow"
 
 UNIT = MetricWeights.of(1.0, 1.0, 1.0)
 WEIGHTED = MetricWeights.of(1e-4, 1.0, 1e-2)

@@ -23,6 +23,7 @@ from sobcurve.cli import (
 )
 from sobcurve.curve import curve_to_dict, load_curve, pad, save_curve
 from sobcurve.energy import EnergyKind
+from sobcurve.errors import NoConvergence
 from sobcurve.metric import MetricWeights, sobolev_norm
 
 
@@ -265,6 +266,10 @@ class TestSingleCommands:
 
 CURVATURE_ARGV = ["curvature", "--in-a", "circle", "--in-v", "cosx", "--in-w", "cosy",
                   "--weights", "1,1,1", "-K", "8"]
+SWEEP_CURVATURE_ARGV = ["sweep-curvature", "--in-v", "cosx", "--in-w", "cosy",
+                        "--weights", "1,1,1", "--K-list", "4,8"]
+BETA_400 = ("inner step tau**beta = 0.25**400.0 leaves no digit: "
+            "tau * tau**beta = 3.749e-242 is at or below machine epsilon")
 
 
 class TestErrorExits:
@@ -281,7 +286,24 @@ class TestErrorExits:
         # tau**beta underflows to 0.0
         (CURVATURE_ARGV + ["--beta", "1e6"],
          "inner step tau**beta = 0.125**1000000.0 must be finite and positive"),
-    ], ids=["circle:1,2", "ellipse:1,2,3", "star:1", "cosx:2", "beta-inf", "beta-1e6"])
+        (SWEEP_CURVATURE_ARGV + ["--beta", "1e6"],
+         "inner step tau**beta = 0.25**1000000.0 must be finite and positive"),
+        # tau**beta = 1.5e-241 does not, but the nested quotient's divisor
+        # tau * tau**beta is far below the coefficients' rounding
+        (CURVATURE_ARGV[:-1] + ["4", "--beta", "400"], BETA_400),
+        (SWEEP_CURVATURE_ARGV + ["--beta", "400"], BETA_400),
+        # other values rejected before any solve
+        (CURVATURE_ARGV + ["--epsilon", "0.1"],
+         "curvature commands take --eps-out/--eps-in schedule rules, not --epsilon"),
+        (["sweep-exp", "--in-a", "circle", "--in-v", "mixv", "--K-list", "0,4"],
+         "segment counts must be at least 1"),
+        (["log", "--in-a", "circle", "--in-b", "circle:1.1", "-N", "0"],
+         "need at least one Fourier mode"),
+        (["sweep-geodesic", "--in-a", "circle", "--in-b", "circle:1.2", "--K-list", "2,4",
+          "--ref", "ref.json"], "sweep-geodesic supports only self:K references"),
+    ], ids=["circle:1,2", "ellipse:1,2,3", "star:1", "cosx:2", "beta-inf", "beta-1e6",
+            "sweep-beta-1e6", "beta-400", "sweep-beta-400", "curvature-epsilon", "K-list-0",
+            "N-0", "sweep-geodesic-ref-file"])
     def test_bad_builtin_parameters_and_beta_are_config_errors(self, argv, message, tmp_path,
                                                               capsys):
         assert main(argv + ["--out", str(tmp_path)]) == 2
@@ -558,6 +580,22 @@ class TestSweeps:
         assert rc == 2
         assert "exceed the sweep range" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
+
+    def test_solver_failure_at_a_later_k_keeps_the_finished_rows(self, tmp_path, capsys,
+                                                                monkeypatch):
+        real = cli.sectional_curvature
+
+        def stall_at_k8(c, v, w, tau, *args):
+            if tau == 1.0 / 8:
+                raise NoConvergence("stalled")
+            return real(c, v, w, tau, *args)
+
+        monkeypatch.setattr(cli, "sectional_curvature", stall_at_k8)
+        assert main(SWEEP_CURVATURE_ARGV + ["-N", "4", "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == "sobcurve: error[no-convergence]: stalled\n"
+        lines = (tmp_path / "sweep_curvature.csv").read_text().splitlines()
+        assert lines[0].startswith("# ") and lines[1] == "K,kappa,err"
+        assert len(lines) == 3 and lines[2].startswith("4,")
 
     @pytest.mark.parametrize("argv", [s[0] for s in SWEEPS], ids=[s[0][0] for s in SWEEPS])
     def test_sweep_rejects_a_single_k(self, argv, tmp_path, capsys):

@@ -7,6 +7,7 @@ from conftest import MALFORMED, circle, perturbed_circle
 from sobcurve.curve import (
     FourierCurve,
     _min_speeds,
+    _stack,
     grid,
     load_curve,
     min_speed,
@@ -34,6 +35,16 @@ class TestConstruction:
             FourierCurve(np.zeros((3, 2)), np.zeros((3, 2)))  # needs N sin rows
         with pytest.raises(ValueError):
             FourierCurve(np.zeros((2, 1)), np.zeros((1, 1)))  # d >= 2
+        with pytest.raises(ValueError, match="must be 2-d"):
+            FourierCurve(np.zeros((3, 2, 1)), np.zeros((2, 2)))
+        with pytest.raises(ValueError, match="dimensions disagree"):
+            FourierCurve(np.zeros((2, 2)), np.zeros((1, 3)))
+        with pytest.raises(ValueError, match=r"must have 2N\+1 rows"):
+            FourierCurve.from_coeffs(np.zeros((2, 2)))
+
+    def test_stack_rejects_curves_of_different_dimensions(self):
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            _stack([circle(), FourierCurve.zeros(1, 3)])
 
     def test_descriptors(self):
         c = circle(order=3)

@@ -3,6 +3,7 @@ import pytest
 
 from conftest import circle, perturbed_circle, rotate, run_fresh, tangent_field
 from sobcurve import geodesic, transport
+from sobcurve.cli import resolve_curve
 from sobcurve.curve import FourierCurve, pad
 from sobcurve.energy import EnergyKind, hessian_scalar_at_diagonal, w_eval, w_value_and_grad
 from sobcurve.errors import (
@@ -72,6 +73,10 @@ class TestDiscretePath:
     def test_mixed_order_rejected(self):
         with pytest.raises(ValueError):
             DiscretePath((circle(order=1), circle(order=2)))
+
+    def test_non_curve_member_rejected(self):
+        with pytest.raises(ValueError, match="path members must be FourierCurve instances"):
+            DiscretePath((circle(), circle().coeffs))
 
     def test_degenerate_member_rejected(self):
         with pytest.raises(DegenerateCurve):
@@ -426,6 +431,38 @@ class TestBvpLineSearch:
             self.solve()
         assert len(points) == 1 + 30  # the initial path, then each trial once
 
+    def test_ascent_direction_drops_the_memory(self, monkeypatch):
+        # a two-loop direction that is not a descent direction is replaced by
+        # the preconditioned gradient step, with the memory cleared, so every
+        # iteration here is preconditioned gradient descent
+        free, _ = self.solve()
+        real, sizes = geodesic._two_loop, []
+
+        def ascent(memory, h0_apply, g):
+            sizes.append(len(memory))
+            return -real(memory, h0_apply, g)
+
+        monkeypatch.setattr(geodesic, "_two_loop", ascent)
+        path, _ = self.solve()
+        assert sizes[0] == 0 and set(sizes[1:]) == {1}  # cleared each time
+        for got, want in zip(path, free):
+            assert np.max(np.abs(got.coeffs - want.coeffs)) <= 1e-8
+
+    def test_memory_keeps_the_ten_newest_pairs(self, monkeypatch):
+        # circle to star at a tight tolerance takes 13 iterations: from the
+        # twelfth on the oldest curvature pair makes room for the newest
+        real, sizes = geodesic._two_loop, []
+
+        def recorded(memory, h0_apply, g):
+            sizes.append(len(memory))
+            return real(memory, h0_apply, g)
+
+        monkeypatch.setattr(geodesic, "_two_loop", recorded)
+        solve_bvp(pad(circle(), 6), resolve_curve("star"), 8, W, EnergyKind.rat(), M,
+                  SolverOptions(grad_tol=1e-11))
+        assert len(sizes) > 11
+        assert sizes == list(range(11)) + [10] * (len(sizes) - 11)
+
 
 # ---------------------------------------------------------------------------
 # Exponential and logarithm
@@ -513,6 +550,18 @@ class TestDampedTrials:
         with pytest.raises(NoConvergence, match=r"^toy: preconditioned residual 1\.000e\+00"):
             self.solve(func, sign, [])
 
+    def test_polish_that_runs_out_of_newton_steps_is_no_convergence(self):
+        # at the triple root of (1/2 - y)^3 the fixed point stalls, and each
+        # Newton step cuts the error only to 2/3: all 15 steps are taken (one
+        # probe and one accepted trial each) and the residual stays above
+        # the tolerance
+        points = []
+        with pytest.raises(NoConvergence, match=r"^toy: preconditioned residual .* above"):
+            self.solve(lambda ys: (0.5 - ys) ** 3, 1.0, points)
+        errors = np.abs(0.5 - np.array(points[-29::2]))  # the accepted Newton iterates
+        assert len(errors) == 15
+        np.testing.assert_allclose(errors[1:] / errors[:-1], 2.0 / 3.0, rtol=1e-3)
+
 
 def test_preconditioner_falls_back_to_twice_the_gram_block():
     # epsilon / 2 exceeds the unit circle's speed, so the smoothed Hessian
@@ -521,7 +570,7 @@ def test_preconditioner_falls_back_to_twice_the_gram_block():
     with pytest.raises(NonPositiveLowerBound):
         hessian_scalar_at_diagonal(c, W, kind, M)
     (inverse,) = geodesic._preconditioners(c.coeffs[None], W, kind, M)
-    expected = np.linalg.inv(2.0 * gram_scalar(c, W, c.order, M))
+    expected = np.linalg.inv(2.0 * gram_scalar(c, W, M))
     np.testing.assert_array_equal(inverse, expected)
 
 
@@ -554,14 +603,14 @@ def test_path_preconditioner_inverts_the_kronecker_hessian(k):
     # K (T kron H kron I_d) with T the interior second-difference matrix
     # (the single entry 2 at K = 2) and H the diagonal Hessian's scalar block
     kind, anchor = EnergyKind.rat(), perturbed_circle(np.random.default_rng(3), order=6)
-    h0 = geodesic._PathPreconditioner(anchor.coeffs, W, kind, M, k)
+    shape = (k - 1, *anchor.coeffs.shape)
+    h0 = geodesic._path_preconditioner(anchor.coeffs, W, kind, M, shape)
     block = hessian_scalar_at_diagonal(anchor, W, kind, M)
     t = 2.0 * np.eye(k - 1) - np.eye(k - 1, k=1) - np.eye(k - 1, k=-1)
     dense = k * np.kron(t, np.kron(block, np.eye(2)))
-    shape = (k - 1, *anchor.coeffs.shape)
     vec = np.random.default_rng(k).normal(size=dense.shape[0])
     expected = np.linalg.solve(dense, vec)
-    got = h0(vec, shape)
+    got = h0(vec)
     assert np.linalg.norm(got - expected) <= 1e-10 * np.linalg.norm(expected)
 
 
@@ -790,14 +839,14 @@ class TestExpLog:
         c0 = circle()
         v = tangent_field(np.random.default_rng(51), 1, scale=0.3)
         full = exp_k(c0, v, 6, W, EnergyKind.rat(), M)
-        monkeypatch.setattr(geodesic, "_predict", lambda samples: np.zeros_like(samples[0]))
+        monkeypatch.setattr(geodesic, "_predict", lambda history: np.zeros_like(history[0]))
         with pytest.raises(
             NoConvergence,
-            match=r"^exp_k stalled at step 3/6: el_step: initial guess not admissible",
+            match=r"^exp_k stalled at step 2/6: el_step: initial guess not admissible",
         ) as info:
             exp_k(c0, v, 6, W, EnergyKind.rat(), M)
         partial = info.value.partial
-        assert isinstance(partial, DiscretePath) and partial.num_segments == 2
+        assert isinstance(partial, DiscretePath) and partial.num_segments == 1
         for got, want in zip(partial, full):
             np.testing.assert_array_equal(got.coeffs, want.coeffs)
 
@@ -960,9 +1009,22 @@ def test_predict_matches_the_kinks_of_a_resampled_sequence(r):
     lam = np.arange(r)[:, None, None] / r
     seq = np.concatenate([(1.0 - lam) * a + lam * b for a, b in zip(coarse, coarse[1:])])
     for n in range(3 * r + 1, len(seq)):
-        samples = seq[n - 1 :: -1][: transport._HISTORY]
-        got = geodesic._predict(samples, transport._STRIDES, (2,))
+        got = geodesic._predict(seq[n - 1 :: -1], transport._STRIDES, (2,))
         assert np.max(np.abs(got - seq[n])) <= 1e-12 * np.max(np.abs(seq[n]))
+
+
+def test_predict_reads_its_own_window():
+    # the default candidates reach 7 samples back, so a longer history
+    # predicts as its newest 7 do, and histories of any length share the
+    # scoring matrices of 2..7 samples; two samples give 2 c_1 - c_0, bitwise
+    # el_step's default guess
+    seq = np.random.default_rng(7).normal(size=(120, 9, 2))
+    geodesic._scoring.cache_clear()
+    for n in range(2, len(seq) + 1):
+        history = seq[n - 1 :: -1]
+        assert np.array_equal(geodesic._predict(history), geodesic._predict(history[:7]))
+    assert geodesic._scoring.cache_info().currsize <= 7
+    assert np.array_equal(geodesic._predict(seq[1::-1]), 2.0 * seq[1] - seq[0])
 
 
 # ---------------------------------------------------------------------------

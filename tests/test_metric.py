@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import circle, nearby_pair, perturbed_circle, rotate, tangent_field, translate
-from sobcurve.curve import FourierCurve, grid
+from sobcurve.curve import FourierCurve, grid, pad
 from sobcurve.errors import DegenerateCurve
 from sobcurve.metric import (
     MetricWeights,
@@ -48,7 +48,7 @@ def test_arclength_chain_is_theta_jet_at_unit_circle():
     # the evaluation matrix gives the theta-jet of any field
     rng = np.random.default_rng(0)
     field = tangent_field(rng, 3)
-    ops, speed = _scalar_arclength_ops(circle(), W3, field.order, 64)
+    ops, speed = _scalar_arclength_ops(pad(circle(), field.order), W3, 64)
     theta = grid(64)
     np.testing.assert_allclose(speed, 1.0, atol=1e-14)
     for j in range(4):
@@ -60,7 +60,7 @@ def test_degenerate_base_is_rejected():
     with pytest.raises(DegenerateCurve):
         metric_eval(flat, circle(), circle(), W2, 16)
     with pytest.raises(DegenerateCurve):
-        gram_scalar(flat, W2, 1, 16)
+        gram_scalar(flat, W2, 16)
 
 
 def test_metric_rejects_fields_of_another_dimension():
@@ -127,7 +127,7 @@ def test_gram_reproduces_metric(weights):
     rng = np.random.default_rng(3)
     base = perturbed_circle(rng, order=3)
     order = 4
-    G = np.kron(gram_scalar(base, weights, order, 128), np.eye(base.dim))
+    G = np.kron(gram_scalar(pad(base, order), weights, 128), np.eye(base.dim))
     for _ in range(5):
         xi, zeta = tangent_field(rng, order), tangent_field(rng, order)
         quad = xi.coeffs.ravel() @ G @ zeta.coeffs.ravel()

@@ -83,7 +83,9 @@ class TestCurvatureSchedule:
     @pytest.mark.parametrize("centered", [False, True])
     def test_underflowing_inner_step_is_rejected_before_any_solve(self, centered, monkeypatch):
         # (1/8)**400 is 0.0 in double precision: the inner quotients would
-        # divide by it after their solves
+        # divide by it after their solves.  (1/4)**400 = 1.5e-241 is not, but
+        # the nested quotient divides by tau * tau**beta = 3.7e-242, which the
+        # rounding of the coefficients alone swamps
         real_midpoint, calls = transport.el_midpoint, []
 
         def counted(*args, **kwargs):
@@ -92,9 +94,14 @@ class TestCurvatureSchedule:
 
         monkeypatch.setattr(transport, "el_midpoint", counted)
         schedule = CurvatureSchedule(beta=400.0, eps_out=0.1, eps_in=0.01, centered=centered)
-        assert schedule.inner_step(1.0 / 8) == 0.0
-        with pytest.raises(ValueError, match=r"inner step tau\*\*beta .* must be finite and positive"):
-            sectional_curvature(circle(), V_UNIT, W_UNIT, 1.0 / 8, schedule, UNIT, RAT, M)
+        assert schedule.inner_step(1.0 / 8) == 0.0 < schedule.inner_step(1.0 / 4)
+        for tau, message in [
+            (1.0 / 8, r"inner step tau\*\*beta .* must be finite and positive"),
+            (1.0 / 4, r"^inner step tau\*\*beta = 0\.25\*\*400\.0 leaves no digit: "
+                      r"tau \* tau\*\*beta = 3\.749e-242 is at or below machine epsilon$"),
+        ]:
+            with pytest.raises(ValueError, match=message):
+                sectional_curvature(circle(), V_UNIT, W_UNIT, tau, schedule, UNIT, RAT, M)
         assert calls == []
 
     def test_kinds_resolution(self):
