@@ -119,6 +119,14 @@ class EnergyKind:
         return self.name == "rat"
 
 
+def _require_kind(kind, name):
+    """Return ``kind``; TypeError naming the argument ``name`` unless it is
+    an EnergyKind."""
+    if not isinstance(kind, EnergyKind):
+        raise TypeError(f"{name} must be an EnergyKind, got {kind!r}")
+    return kind
+
+
 # ---------------------------------------------------------------------------
 # Smoothed length bounds
 # ---------------------------------------------------------------------------
@@ -1043,6 +1051,7 @@ def _evaluate(c_hat, c_check, weights, kind, num_nodes, want_grad):
     Curves give the value (float), or (value, grad_hat, grad_check) as
     curves of their own orders; stacks give arrays (S,) and (S, 2N+1, d).
     """
+    _require_kind(kind, "kind")
     (hat, chk), curves = _stacks((c_hat, c_check), "energy arguments")
     if kind.is_rat:
         _require_m2(weights)
@@ -1113,6 +1122,7 @@ def hessian_scalar_at_diagonal(
     |c'| +- eps/2, giving a matrix sandwiched between 2 Gram and
     (1 - eps/(2 min|c'|))^{5-6m} 2 Gram.
     """
+    _require_kind(kind, "kind")
     if kind.is_rat:
         _require_m2(weights)
         return 2.0 * gram_scalar(curve, weights, num_nodes)

@@ -26,12 +26,15 @@ line search.  One damped-trial loop, ``_trial_steps``, halves the steps of
 the fixed point, of the Newton polish and of that line search, and
 evaluates each trial point once.
 
-Every preconditioner is applied as the explicit inverse of its block.
-The L-BFGS iteration applies it one interior curve at a time and reduces
-path vectors with numpy's own loops.  Its vectors reach OpenBLAS's
-threading thresholds at sizes the solver meets (10 206 entries at N = 40,
-K = 64), and on a host with few cores the workers that a threaded call
-leaves spinning take more of the solver's time than the split call saves.
+Every preconditioner is built from one Hessian block helper,
+``_hessian_block``.  The Euler-Lagrange solves apply the explicit inverse
+of their block.  The L-BFGS iteration applies the inverse Cholesky
+factors of the two endpoints' blocks, blended along the path, one
+interior curve at a time, and reduces path vectors with numpy's own
+loops.  Its vectors reach OpenBLAS's threading thresholds at sizes the
+solver meets (10 206 entries at N = 40, K = 64), and on a host with few
+cores the workers that a threaded call leaves spinning take more of the
+solver's time than the split call saves.
 """
 
 from __future__ import annotations
@@ -46,6 +49,7 @@ import numpy as np
 from .curve import FourierCurve, _min_speeds, _stack, _stacks, min_speed, pad
 from .energy import (
     EnergyKind,
+    _require_kind,
     hessian_scalar_at_diagonal,
     w_eval,
     w_grad,
@@ -275,12 +279,25 @@ def discrete_path_energy(
 # point is admissible and its residual finite.
 
 
+def _hessian_block(a, weights, kind, num_nodes):
+    """The scalar block H of the diagonal energy Hessian at the anchor
+    coefficient array ``a`` (2N+1, d), and its Cholesky factor L, H = L L^T;
+    a block that is not positive definite raises LinAlgError.  When epsilon
+    is too large for the smoothed form, twice the metric Gram block, an
+    equivalent preconditioner, stands in for H."""
+    anchor = FourierCurve.from_coeffs(a)
+    try:
+        block = hessian_scalar_at_diagonal(anchor, weights, kind, num_nodes)
+    except NonPositiveLowerBound:
+        block = 2.0 * gram_scalar(anchor, weights, num_nodes)
+    return block, np.linalg.cholesky(block)
+
+
 def _preconditioners(anchors, weights, kind, num_nodes, scale=1.0, blocks=None):
-    """Read-only inverses of ``scale`` times the scalar block of the diagonal
-    energy Hessian at each anchor of a coefficient stack, one per distinct
-    anchor; a block that is not positive definite raises LinAlgError.
-    ``blocks`` maps (anchor bytes, kind) to the blocks that other stacks of
-    one computation already built, and gains the new ones.  A
+    """Read-only inverses of ``scale`` times the ``_hessian_block`` at each
+    anchor of a coefficient stack, one per distinct anchor.  ``blocks``
+    maps (anchor bytes, kind) to the blocks that other stacks of one
+    computation already built, and gains the new ones.  A
     ``_FactorCache`` in its place lends its inverse to a one-member stack,
     and builds it at that member's anchor when it holds none."""
     if isinstance(blocks, _FactorCache):
@@ -291,20 +308,12 @@ def _preconditioners(anchors, weights, kind, num_nodes, scale=1.0, blocks=None):
     blocks = {} if blocks is None else blocks
     keys = [(a.tobytes(), kind) for a in anchors]
     for key, a in zip(keys, anchors):
-        if key in blocks:
-            continue
-        anchor = FourierCurve.from_coeffs(a)
-        try:
-            blocks[key] = hessian_scalar_at_diagonal(anchor, weights, kind, num_nodes)
-        except NonPositiveLowerBound:
-            # epsilon too large for the kind-specific form; the metric Gram
-            # block is an equivalent preconditioner
-            blocks[key] = 2.0 * gram_scalar(anchor, weights, num_nodes)
+        if key not in blocks:
+            blocks[key] = _hessian_block(a, weights, kind, num_nodes)[0]
     inverses = {}
     for key in dict.fromkeys(keys):
-        block = scale * blocks[key]
-        np.linalg.cholesky(block)  # raises LinAlgError unless positive definite
-        inverses[key] = np.linalg.inv(block)  # one thread, where L^-T L^-1 would thread
+        # one thread, where L^-T L^-1 would thread
+        inverses[key] = np.linalg.inv(scale * blocks[key])
         inverses[key].setflags(write=False)
     return [inverses[key] for key in keys]
 
@@ -361,19 +370,29 @@ def _trial_steps(residual, y, step, tries):
         step, alpha = 0.5 * step, 0.5 * alpha
 
 
+#: Preconditioned residual, relative to 1 + the initial one, at which a
+#: to-the-floor solve has reached the rounding floor.  The residuals of the
+#: Euler-Lagrange problems level off at 1e-16 to 6e-16; a sweep from there
+#: moves the iterate by rounding only, and the digit it seems to gain now
+#: and then is noise.
+_ROUNDING_FLOOR = 1e-15
+
+
 class _Member:
     """One root problem of a lockstep stack: its iterate, residual and stop
     state.  ``tol`` is the member's own tolerance, relative to 1 + its
     initial residual; with ``to_floor`` it keeps iterating past it while
-    each sweep still gains a digit.  ``history`` holds the preconditioned
-    residual at the start and after each accepted sweep, and ``polished``
-    says whether the member ended in the Newton polish."""
+    each sweep still gains a digit, until a sweep ends at or below
+    ``_ROUNDING_FLOOR``.  ``history`` holds the preconditioned residual at
+    the start and after each accepted sweep, and ``polished`` says whether
+    the member ended in the Newton polish."""
 
     def __init__(self, y, res_arr, precond, tol, to_floor):
         self.precond, self.to_floor = precond, to_floor
         self.y = y
         self.eta, self.res = _residual_norm(res_arr, precond)
         self.tol = tol * (1.0 + self.res)
+        self.floor = _ROUNDING_FLOOR * (1.0 + self.res)
         self.best = y, res_arr, self.res
         self.stall = 0
         self.rapid = to_floor and self.res > 0.0
@@ -392,7 +411,7 @@ class _Member:
         self.y = y
         self.eta, self.res = _residual_norm(res_arr, self.precond)
         self.history.append(self.res)
-        self.rapid = self.to_floor and self.res <= 0.1 * prev
+        self.rapid = self.to_floor and self.floor < self.res <= 0.1 * prev
         if self.res < self.best[2]:
             self.stall = 0 if self.res < 0.9 * self.best[2] else self.stall + 1
             self.best = y, res_arr, self.res
@@ -471,7 +490,7 @@ def _solve_roots(residual, ys0, preconds, sign, opts, label, stop_tol=None):
             y, res_arr, res = m.best
             if res > m.tol:
                 m.polished = True
-                y = _newton_polish(_member_residual(residual, i), y, res_arr, m.precond, m.tol)
+                y, res = _newton_polish(_member_residual(residual, i), y, res_arr, m.precond, m.tol)
                 if y is None:
                     raise NoConvergence(
                         f"{name(i)}: preconditioned residual {res:.3e} above "
@@ -565,8 +584,9 @@ _FD_BLOCK = 32
 
 def _newton_polish(residual, y, res_arr, precond, tol):
     """Damped Newton with a finite-difference Jacobian from the admissible
-    iterate ``y``, whose residual ``res_arr`` is given; None when its
-    preconditioned residual norm stalls above ``tol``.
+    iterate ``y``, whose residual ``res_arr`` is given.  Returns the last
+    accepted iterate and its preconditioned residual norm, with None in
+    place of the iterate when that norm stalls above ``tol``.
 
     ``residual`` takes one point or a stack of points; the Jacobian's
     probes are evaluated in stacks of at most ``_FD_BLOCK``.  Their
@@ -580,7 +600,7 @@ def _newton_polish(residual, y, res_arr, precond, tol):
     _, res = _residual_norm(res_arr, precond)
     for _ in range(15):
         if res <= tol:
-            return y
+            return y, res
         jac = np.empty((n, n))
         try:
             for start in range(0, n, _FD_BLOCK):
@@ -590,18 +610,18 @@ def _newton_polish(residual, y, res_arr, precond, tol):
                 diffs = residual(probes.reshape(len(cols), *shape)) - res_arr
                 jac[:, cols] = diffs.reshape(len(cols), n).T / h
             if not np.all(np.isfinite(jac)):
-                return None
+                return None, res
             delta = np.linalg.solve(jac, -res_arr.ravel()).reshape(shape)
         except (SobcurveError, np.linalg.LinAlgError):
-            return None
+            return None, res
         for _, y_new, cand_arr in _trial_steps(residual, y, delta, 10):
             _, cand_res = _residual_norm(cand_arr, precond)
             if cand_res < res:
                 y, res_arr, res = y_new, cand_arr, cand_res
                 break
         else:
-            return None
-    return y if res <= tol else None
+            return None, res
+    return (y if res <= tol else None), res
 
 
 def el_step(
@@ -841,31 +861,47 @@ def exp_k(
 # ---------------------------------------------------------------------------
 
 
-def _path_preconditioner(anchor, weights, kind, num_nodes, shape):
+def _path_preconditioner(a, b, weights, kind, num_nodes, shape):
     """The function that applies the initial inverse Hessian of the
-    interior-point optimization to a flat path vector of ``shape`` (K-1, 2N+1, d).
+    interior-point optimization to a flat path vector of ``shape`` (K-1, 2N+1, d),
+    between the endpoint coefficient arrays ``a`` and ``b``.
 
     Near the linear path the energy Hessian is approximately
     K * (T kron H kron I_d) with T = tridiag(-1, 2, -1) over the interior
-    time indices and H the scalar block of the diagonal energy Hessian at
-    ``anchor``, so its inverse factorizes into a time solve and a
-    coefficient solve.  The coefficient solve applies the inverse of H from
-    ``_preconditioners`` to every interior curve in one batched matmul of
-    (2N+1) x d blocks, each below OpenBLAS's threading size.  The time solve
-    is T's discrete Green's function, worked out with two cumulative sums:
+    time indices and H the scalar block of the diagonal energy Hessian, so
+    its inverse factorizes into a time solve and a coefficient solve.  H
+    changes along the path, so the coefficient solve blends the endpoints'
+    blocks: with H_a = L_a L_a^T and H_b = L_b L_b^T from ``_hessian_block``
+    and the lower-triangular F_a = L_a^-1, F_b = L_b^-1, interior curve i
+    takes S_i = (1 - i/K) F_a + (i/K) F_b, and
+
+        P^-1 = S^T (T^-1 kron I) S / K,   S = diag(S_1, .., S_{K-1}).
+
+    Every S_i is lower triangular with a positive diagonal, so P^-1 is
+    symmetric positive definite for any endpoints; at H_a = H_b it is
+    T^-1 kron H^-1 / K, the inverse of the Kronecker Hessian at one block.
+    S and S^T are applied as blends of two batched matmuls of (2N+1) x d
+    blocks, each below OpenBLAS's threading size, so no blended factor is
+    ever formed.  The time solve is T's discrete Green's function, worked
+    out with two cumulative sums:
 
         q_i = [(K - i) sum_{j <= i} j f_j + i sum_{j > i} (K - j) f_j] / K.
     """
-    inv = _preconditioners(anchor[None], weights, kind, num_nodes)[0]
+    f_a, f_b = (np.tril(np.linalg.inv(_hessian_block(c, weights, kind, num_nodes)[1]))
+                for c in (a, b))
     k = shape[0] + 1
     i = np.arange(1.0, k)[:, None, None]  # the interior time indices
+    theta = i / k
+
+    def blend(x, fa, fb):
+        return (1.0 - theta) * np.matmul(fa, x) + theta * np.matmul(fb, x)
 
     def apply(flat):
-        f = np.matmul(inv, flat.reshape(shape))
+        f = blend(flat.reshape(shape), f_a, f_b)
         below = np.cumsum(i * f, axis=0)
         above = np.zeros_like(f)  # sum_{j > i} (K - j) f_j; zero at i = K - 1
         above[:-1] = np.cumsum(((k - i) * f)[:0:-1], axis=0)[::-1]
-        return (((k - i) * below + i * above) / k**2).ravel()
+        return blend(((k - i) * below + i * above) / k**2, f_a.T, f_b.T).ravel()
 
     return apply
 
@@ -918,6 +954,12 @@ def solve_bvp(
     initial path of infinite energy raises InfiniteEnergy, at K = 1 too.  With
     ``return_info`` the result is (path, info dict with iterations / energy /
     grad_norm).
+
+    The initial inverse Hessian of the L-BFGS two-loop recursion (Nocedal
+    & Wright, "Numerical Optimization", 2nd ed., section 7.2) is
+    ``_path_preconditioner`` between the padded endpoints: the time
+    solve of the linear path's Hessian, with the inverse Cholesky factors
+    of the endpoints' Hessian blocks blended from c_a to c_b.
     """
     opts = opts or _DEFAULT_OPTIONS
     if c_a.dim != c_b.dim:
@@ -970,7 +1012,7 @@ def solve_bvp(
     f, g = float(fg[-1]), fg[:-1]
     gnorm = _norm(g)
     tol = opts.grad_tol * (1.0 + gnorm)
-    h0 = _path_preconditioner(interior[len(interior) // 2], weights, kind, num_nodes, shape)
+    h0 = _path_preconditioner(a_arr, b_arr, weights, kind, num_nodes, shape)
     memory = []
     iters = 0
 
@@ -1045,20 +1087,21 @@ def bvp_ladder(
 
     ``kind_for`` is either a fixed EnergyKind or a callable K -> EnergyKind
     (for epsilon rules tied to the time step).  Every K must be an integer
-    >= 1; a bad one raises ValueError before the first solve.  Returns
-    {K: DiscretePath}.
+    >= 1, and its kind an EnergyKind; a bad one raises ValueError or
+    TypeError before the first solve.  Returns {K: DiscretePath}.
     """
     k_values = list(k_values)
     for k in k_values:
         _require_count(k, "each K of k_values")
     ks = sorted(set(int(k) for k in k_values))
     pick = kind_for if callable(kind_for) else (lambda _k: kind_for)
+    kinds = {k: _require_kind(pick(k), f"kind_for at K = {k}") for k in ks}
     out = {}
     prev = None
     for k in ks:
         init = resample_path(prev, k) if prev is not None else None
         out[k] = solve_bvp(
-            c_a, c_b, k, weights, pick(k), num_nodes, opts, init_path=init
+            c_a, c_b, k, weights, kinds[k], num_nodes, opts, init_path=init
         )
         prev = out[k]
     return out

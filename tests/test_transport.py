@@ -294,7 +294,7 @@ class TestTransportPath:
     def test_stall_reports_rung(self, monkeypatch):
         path = solve_bvp(circle(1.0), circle(1.2), 2, W, RAT, M)
         opts = SolverOptions(fixed_point_tol=1e-30, fixed_point_max_iters=1)
-        monkeypatch.setattr(geodesic, "_newton_polish", lambda *args: None)
+        monkeypatch.setattr(geodesic, "_newton_polish", lambda *args: (None, np.inf))
         with pytest.raises(NoConvergence, match="rung 1/2"):
             transport_path(path, W_UNIT, W, RAT, M, opts=opts)
 
@@ -573,7 +573,7 @@ class TestLockstep:
 
         def third_stalls(residual, y, *args):
             polishes.append(None)
-            return None if len(polishes) == 3 else y
+            return (None, np.inf) if len(polishes) == 3 else (y, 0.0)
 
         monkeypatch.setattr(geodesic, "_newton_polish", third_stalls)
         opts = SolverOptions(fixed_point_tol=1e-30, fixed_point_max_iters=1)
