@@ -94,9 +94,19 @@ def _eval_matrix(order: int, num_nodes: int, deriv: int) -> np.ndarray:
 def _jet_matrix(order: int, num_nodes: int, max_order: int) -> np.ndarray:
     """The :func:`_eval_matrix` blocks of derivative orders 0..max_order
     stacked row-wise, shape ((max_order+1) M, 2N+1), cached read-only: one
-    matmul samples a whole jet, and its transpose pulls jet cotangents back."""
+    matmul samples a whole jet."""
     _require_order(max_order, "jet order max_order")
     mat = np.vstack([_eval_matrix(order, num_nodes, j) for j in range(max_order + 1)])
+    mat.setflags(write=False)
+    return mat
+
+
+@lru_cache(maxsize=None, typed=True)
+def _jet_matrix_t(order: int, num_nodes: int, max_order: int) -> np.ndarray:
+    """:func:`_jet_matrix` transposed and stored contiguous, cached read-only:
+    the energy kernels sample a curve with it and pull cotangents back through
+    it, one curve per product, 2-3x faster in BLAS than on a view."""
+    mat = np.ascontiguousarray(_jet_matrix(order, num_nodes, max_order).T)
     mat.setflags(write=False)
     return mat
 

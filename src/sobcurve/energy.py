@@ -34,20 +34,16 @@ coefficients.
 The three entry points take two curves or two coefficient stacks of one
 shape (S, 2N+1, d), the S segments (c_hat[s], c_check[s]) of a discrete
 path, and then return S values and (S, 2N+1, d) gradients from one call.
-The kernels work on stacks throughout: one matmul against the cached jet
-matrix samples every derivative order of a stack, the per-node formulas are
-elementwise with the segment as a trailing axis, and one matmul with its
-transpose pulls the cotangents back.  A pair of curves is the S = 1 call.
-Long stacks are walked in blocks of at most 2048 grid nodes (2048 // M
-segments, at least one), which bounds the temporaries.  Each segment's
-+inf and error are those its own per-pair call would give, and a stack
-raises the error of its first failing segment.  Its finite value and
-gradients agree with that call to round-off, not bitwise: the sampling
-matmul sums in an order that depends on the stack width, so at N = 30,
-M = 120 one segment's gradients moved by up to 1.1e-14 across stacks of 2
-to 16.  ``test_stacked_energies_match_per_pair_calls`` bounds the gap at
-1e-14 relative on values and 1e-13 times the gradient's scale; CHANGES.md
-records how that round-off moves acceptance 04's curvature estimate.
+The kernels work on stacks throughout: a batched matmul against the cached
+jet matrix samples every derivative order of each member by its own
+product, the per-node formulas are elementwise with the segments on an
+axis that no reduction crosses, and a batched matmul with the transposed
+matrix pulls each member's cotangents back.  A pair of curves is the S = 1
+call.  Long stacks are walked in blocks of at most 2048 grid nodes
+(2048 // M segments, at least one), which bounds the temporaries.  Each
+segment's value, gradients, +inf and error are bit for bit those its own
+per-pair call gives, whatever the stack around it, its place in it and
+the block walk; a stack raises the error of its first failing segment.
 """
 
 from __future__ import annotations
@@ -61,7 +57,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .curve import FourierCurve, _jet_matrix, _stacks, sample_jet, truncate
+from .curve import FourierCurve, _jet_matrix_t, _stacks, sample_jet, truncate
 from .errors import DegenerateCurve, NonPositiveLowerBound, NonPositiveQ
 from .metric import (
     SPEED_FLOOR,
@@ -132,21 +128,15 @@ def _require_kind(kind, name):
 # ---------------------------------------------------------------------------
 
 
-def _inner(a, b):
-    """Inner products over the last (ambient) axis; faster than np.sum of
-    the product on these short axes."""
-    return np.einsum("...i,...i->...", a, b)
+def _dot(a, b):
+    """Inner products over the leading (ambient) axis, the layout of the
+    kernels' vectors (d, ...); broadcasts the other axes."""
+    return np.einsum("i...,i...->...", a, b)
 
 
 def _norm(a):
-    """Euclidean norms over the last (ambient) axis."""
-    return np.sqrt(_inner(a, a))
-
-
-def _dot(a, b):
-    """Inner products over the leading (ambient) axis, the layout of the
-    smoothed kernel's vectors (d, ...); broadcasts the other axes."""
-    return np.einsum("i...,i...->...", a, b)
+    """Euclidean norms over the leading (ambient) axis."""
+    return np.sqrt(_dot(a, a))
 
 
 def smooth_max_min(alpha, beta, epsilon):
@@ -172,7 +162,7 @@ def _smooth_max_min(alpha, beta, epsilon):
 def _length_bound_arrays(hat_prime, check_prime, r, p, epsilon):
     """L^{+,eps} and L^{-,eps} from tangent samples (d, ...), ambient axis
     first, and their speeds r, p (...), for one segment (M,) or a stack
-    (M, S); the third result is the tape :func:`_length_bound_grads` reads.
+    (S, M); the third result is the tape :func:`_length_bound_grads` reads.
 
     L^+ is the smoothed maximum of the two speeds.  L^- multiplies the
     clipped smoothed minimum by the mean-direction factor |u/|u| + v/|v||/2,
@@ -218,11 +208,11 @@ def length_bounds(
     minimum can kink (epsilon >= 2 min speed).
     """
     epsilon = EnergyKind.reg(epsilon).epsilon
-    hp = sample_jet(c_hat, num_nodes, 1)[1]
-    cp = sample_jet(c_check, num_nodes, 1)[1]
+    hp = sample_jet(c_hat, num_nodes, 1)[1].T
+    cp = sample_jet(c_check, num_nodes, 1)[1].T
     r, p = _norm(hp), _norm(cp)
     _check_epsilon(epsilon, _require_immersed(r, p))
-    return _length_bound_arrays(hp.T, cp.T, r, p, epsilon)[:2]
+    return _length_bound_arrays(hp, cp, r, p, epsilon)[:2]
 
 
 # ---------------------------------------------------------------------------
@@ -235,17 +225,22 @@ def length_bounds(
 
 
 def _require_immersed(r, p, earlier=None):
-    """Per-segment least speed of the speed samples r, p ((M,) or (M, S)).
+    """Per-segment least speed of the speed samples r, p ((M,) or (S, M)).
 
     Raises DegenerateCurve for the first segment i whose least speed reaches
-    the immersion floor; ``earlier(i)`` first evaluates the segments before
-    it, so that an error of theirs comes first.
+    the immersion floor, or is not finite, as any NaN or infinite coefficient
+    makes it; ``earlier(i)`` first evaluates the segments before it, so that
+    an error of theirs comes first.
     """
-    least = np.atleast_1d(np.minimum(r.min(axis=0), p.min(axis=0)))
-    first = _first_failure(least <= SPEED_FLOOR)
+    r_min, p_min = r.min(axis=-1), p.min(axis=-1)
+    least = np.atleast_1d(np.minimum(r_min, p_min))
+    finite = np.isfinite(np.atleast_1d(r_min + p_min))
+    first = _first_failure(~finite | (least <= SPEED_FLOOR))
     if first is not None:
         if first:
             earlier(first)
+        if not finite[first]:
+            raise DegenerateCurve("curve speed not finite: the coefficients hold NaN or infinity")
         raise DegenerateCurve(
             f"curve speed {least[first]:.3e} at or below floor {SPEED_FLOOR:.1e}"
         )
@@ -290,10 +285,10 @@ def _first_failure(bad):
 # with all primes in theta, so P_j is polynomial in the jets of both curves.
 # A "jet" below is the sequence over theta-derivative orders 0..R of a
 # quantity on the grid, carried at all Gauss-Legendre time nodes at once:
-# vectors have shape (d, T, M, S), ambient axis first, and scalars
-# (T, M, S), so a scalar times a vector broadcasts over d with the grid
-# axes contiguous.  delta' does not depend on t; its jet keeps a size-1 node
-# axis, (d, 1, M, S).  The recursion consumes one derivative order per
+# vectors have shape (d, T, S, M), ambient axis first, and scalars
+# (T, S, M), so a scalar times a vector broadcasts over d with the grid
+# axis contiguous.  delta' does not depend on t; its jet keeps a size-1 node
+# axis, (d, 1, S, M).  The recursion consumes one derivative order per
 # level, which is why leaves are carried to order m-1.
 #
 # With s2 = |c_t'|^2 and c_t'.c_t'' = s2'/2, the Leibniz rule gives one sum
@@ -377,7 +372,7 @@ def _pjet_reverse(cp, m, pjets, scaled, seeds):
     """Adjoint of :func:`_pjet_forward`.
 
     seeds[j-2] is the cotangent of the order-0 entry of P_j for j = 2..m,
-    shape (d, T, M, S); P_1's own seed does not depend on the node and is
+    shape (d, T, S, M); P_1's own seed does not depend on the node and is
     the caller's.  Returns the cotangent jets of c_t' (with the node axis)
     and of P_1 = delta' (summed over the nodes).
     """
@@ -408,7 +403,7 @@ def _pjet_reverse(cp, m, pjets, scaled, seeds):
 @lru_cache(maxsize=None)
 def _time_nodes(n: int):
     """The n Gauss-Legendre nodes t and weights on [0, 1] as (n, 1, 1)
-    columns ahead of the grid axes (M, S), and the blend weights
+    columns ahead of the grid axes (S, M), and the blend weights
     (1 - t, t) as rows of shape (2, n); cached read-only."""
     t, w = _gauss01(n)
     out = (t[:, None, None], w[:, None, None], np.stack((1.0 - t, t)))
@@ -428,15 +423,13 @@ def _reg_core(hat_c, chk_c, weights, epsilon, num_nodes, want_grad):
     ``want_grad``."""
     m = weights.order
     a = weights.coefficients
-    # jets with the ambient axis first, (m+1, d, M, S)
-    hat = np.ascontiguousarray(_sample(hat_c, num_nodes, m).transpose(0, 3, 1, 2))
-    chk = np.ascontiguousarray(_sample(chk_c, num_nodes, m).transpose(0, 3, 1, 2))
-    r, p = np.sqrt(_dot(hat[1], hat[1])), np.sqrt(_dot(chk[1], chk[1]))
+    hat, chk = _sample(hat_c, chk_c, num_nodes, m)
+    r, p = _norm(hat[1]), _norm(chk[1])
     least = _require_immersed(
         r, p, lambda i: _reg_core(hat_c[:i], chk_c[:i], weights, epsilon, num_nodes, want_grad)
     )
     lplus, lminus, bounds = _length_bound_arrays(hat[1], chk[1], r, p, epsilon)
-    first = _first_failure(lminus.min(axis=0) <= 0.0)
+    first = _first_failure(lminus.min(axis=-1) <= 0.0)
     # the per-pair calls up to the failing one would each have warned
     _check_epsilon(epsilon, least if first is None else least[: first + 1])
     if first is not None:
@@ -456,7 +449,7 @@ def _reg_core(hat_c, chk_c, weights, epsilon, num_nodes, want_grad):
     qint += [np.einsum("t...,it...,it...->...", tweights, pj[0], pj[0]) for pj in pjets[1:]]
     lm_pow = [lminus ** (5 - 6 * j) for j in range(1, m + 1)]
     terms = [a[j] * lm_pow[j - 1] * qint[j - 1] for j in range(1, m + 1)]
-    value = tw * np.sum(_sum([a[0] * lplus * sq0] + terms), axis=0)
+    value = tw * np.sum(_sum([a[0] * lplus * sq0] + terms), axis=-1)
 
     if not want_grad:
         return value, None, None
@@ -472,7 +465,7 @@ def _reg_core(hat_c, chk_c, weights, epsilon, num_nodes, want_grad):
     bar_cp, bar_up = _pjet_reverse(cp, m, pjets, scaled, seeds)
     bar_up[0] += ((2.0 * a[1] * tw) * lm_pow[0]) * up[0, :, 0]  # P_1's t-free seed
     # c_t' = (1-t) hat' + t check' and P_1 = check' - hat'
-    bar_hat, bar_chk = np.empty_like(hat), np.empty_like(chk)
+    bar_hat, bar_chk = bar = _cotangents(hat)
     bar_chk[0] = ((2.0 * a[0] * tw) * lplus) * delta0
     bar_hat[0] = -bar_chk[0]
     for l in range(m):
@@ -483,11 +476,7 @@ def _reg_core(hat_c, chk_c, weights, epsilon, num_nodes, want_grad):
     bar_chk[1] += bar_c1
 
     order = hat_c.shape[1] // 2
-    return (
-        value,
-        _pull_back(bar_hat.transpose(0, 2, 3, 1), order, num_nodes),
-        _pull_back(bar_chk.transpose(0, 2, 3, 1), order, num_nodes),
-    )
+    return (value, *_pull_back(bar, order, num_nodes))
 
 
 # ---------------------------------------------------------------------------
@@ -495,30 +484,39 @@ def _reg_core(hat_c, chk_c, weights, epsilon, num_nodes, want_grad):
 # ---------------------------------------------------------------------------
 #
 # A block of S segments is the pair of coefficient stacks (hat, check), each
-# of shape (S, 2N+1, d).  One matmul against the cached jet matrix samples
-# all jet orders of a stack, and per-node quantities carry the segment as
-# their last scalar axis: jets (m+1, M, S, d), vectors (M, S, d), scalars
-# (M, S).  Segment values sum over the node axis 0.  The smoothed kernel
-# moves the ambient axis first, jets (m+1, d, M, S), and back before the
-# pull-back.
+# of shape (S, 2N+1, d).  Batched matmuls sample each member, and pull its
+# cotangents back, by its own product with the cached jet matrix.  The
+# kernels keep one C-contiguous layout at every S, jets (m+1, d, S, M), so
+# numpy runs each reduction over the ambient and time-node axes in one order
+# for every member, and every sum over the M grid nodes runs along one
+# member's row: a member's numbers are those of its own S = 1 call.
 
 
-def _sample(stack, num_nodes, max_order):
-    """Jets of orders 0..max_order of a coefficient stack (S, 2N+1, d),
-    shape (max_order+1, M, S, d)."""
-    count, rows, dim = stack.shape
-    flat = stack.transpose(1, 0, 2).reshape(rows, count * dim)
-    jets = _jet_matrix(rows // 2, num_nodes, max_order) @ flat
-    return jets.reshape(max_order + 1, num_nodes, count, dim)
+def _sample(hat_c, chk_c, num_nodes, max_order):
+    """Jets of orders 0..max_order of two coefficient stacks (S, 2N+1, d),
+    shape (max_order+1, d, S, M) each."""
+    count, rows, dim = hat_c.shape
+    mat = _jet_matrix_t(rows // 2, num_nodes, max_order)
+    with np.errstate(invalid="ignore"):  # non-finite speeds fail the segment check
+        jets = np.matmul(np.concatenate((hat_c, chk_c)).swapaxes(1, 2), mat)
+    jets = jets.reshape(2, count, dim, max_order + 1, num_nodes).transpose(0, 3, 2, 1, 4)
+    return tuple(np.ascontiguousarray(jets))
+
+
+def _cotangents(jets):
+    """An empty pair of arrays of the shape of ``jets``, for the cotangents of
+    both stacks, stored member by member as :func:`_pull_back` reads them."""
+    orders, dim, count, num_nodes = jets.shape
+    return np.empty((2, count, dim, orders, num_nodes)).transpose(0, 3, 2, 1, 4)
 
 
 def _pull_back(bar, order, num_nodes):
-    """Pull jet cotangents (m+1, M, S, d) back to coefficient gradients
-    (S, 2N+1, d) with the transposed jet matrix."""
-    orders, _, count, dim = bar.shape
-    mat = _jet_matrix(order, num_nodes, orders - 1)
-    out = mat.T @ bar.reshape(orders * num_nodes, count * dim)
-    return out.reshape(-1, count, dim).transpose(1, 0, 2)
+    """Pull the cotangents (2, m+1, d, S, M) of both stacks' jets back to
+    their coefficient gradients (2, S, 2N+1, d)."""
+    _, orders, dim, count, _ = bar.shape
+    mat = _jet_matrix_t(order, num_nodes, orders - 1)
+    blocks = bar.transpose(0, 3, 2, 1, 4).reshape(2, count, dim, orders * num_nodes)
+    return np.matmul(mat, blocks.swapaxes(2, 3))
 
 
 # ---------------------------------------------------------------------------
@@ -637,23 +635,25 @@ def _phi_tails(xi, v, want_grad=False):
     return tuple(np.where(small, s, d) for s, d in zip(series, direct))
 
 
-def _rat_jets(hat_c, chk_c, num_nodes):
+def _rat_jets(hat_c, chk_c, num_nodes, earlier=None):
     """Sampled 2-jets of two coefficient stacks and their six scalar
-    pairings (r, p, q, rho, sigma, tau), each of shape (M, S)."""
-    hat, chk = _sample(hat_c, num_nodes, 2), _sample(chk_c, num_nodes, 2)
+    pairings (r, p, q, rho, sigma, tau), each of shape (S, M).  Raises
+    DegenerateCurve as :func:`_require_immersed` does, with ``earlier``."""
+    hat, chk = _sample(hat_c, chk_c, num_nodes, 2)
     r = _norm(hat[1])
     p = _norm(chk[1])
-    q = _inner(hat[1], chk[1])
-    rho = _inner(hat[1], hat[2])
-    sigma = _inner(chk[1], chk[2])
-    tau = 0.5 * (_inner(hat[1], chk[2]) + _inner(chk[1], hat[2]))
+    _require_immersed(r, p, earlier)
+    q = _dot(hat[1], chk[1])
+    rho = _dot(hat[1], hat[2])
+    sigma = _dot(chk[1], chk[2])
+    tau = 0.5 * (_dot(hat[1], chk[2]) + _dot(chk[1], hat[2]))
     return hat, chk, (r, p, q, rho, sigma, tau)
 
 
 def _require_positive_q(q):
     """Raise NonPositiveQ for the first segment whose tangent correlation
-    (M, S) is nonpositive at some node."""
-    least = q.min(axis=0)
+    (S, M) is nonpositive at some node."""
+    least = q.min(axis=-1)
     first = _first_failure(least <= 0.0)
     if first is not None:
         raise NonPositiveQ(
@@ -662,13 +662,12 @@ def _require_positive_q(q):
 
 
 def _oracle_jets(c_hat, c_check, num_nodes):
-    """:func:`_rat_jets` of one curve pair, squeezed to (M,) samples, for the
-    closed-form oracles; raises DegenerateCurve and NonPositiveQ."""
+    """:func:`_rat_jets` of one curve pair, squeezed to (3, d, M) jets and
+    (M,) pairings, for the closed-form oracles; raises DegenerateCurve and
+    NonPositiveQ."""
     hat, chk, pairings = _rat_jets(*_stacks((c_hat, c_check), "oracle arguments")[0], num_nodes)
-    r, p, q = pairings[:3]
-    _require_immersed(r, p)
-    _require_positive_q(q)
-    return hat[:, :, 0], chk[:, :, 0], tuple(x[:, 0] for x in pairings)
+    _require_positive_q(pairings[2])
+    return hat[:, :, 0], chk[:, :, 0], tuple(x[0] for x in pairings)
 
 
 def _raw_2bc_quadrature(r, p, q, rho, sigma, tau, seeds=None):
@@ -678,21 +677,20 @@ def _raw_2bc_quadrature(r, p, q, rho, sigma, tau, seeds=None):
     smooth there, so 96 nodes are exact to machine precision.  With
     ``seeds = (bar_b, bar_c)`` the third result holds the partials of
     bar_b * I2b + bar_c * I2c in (r, p, q, rho, sigma, tau), differentiated
-    under the sum; otherwise it is None.
+    under the sum; otherwise it is None.  Each grid node sums its own row of
+    time nodes, whatever else is evaluated beside it.
     """
     t, w = _gauss01(96)
-    shape = (1,) * np.ndim(r)
-    t = t.reshape(t.shape + shape)
-    w = w.reshape(w.shape + shape)
+    r, p, q, rho, sigma, tau = (np.asarray(x)[..., None] for x in (r, p, q, rho, sigma, tau))
     s = 1.0 - t
     L = s * r + t * p
     D = s * s * r * r + 2.0 * s * t * q + t * t * p * p
     Q = s * s * rho + 2.0 * s * t * tau + t * t * sigma
-    i2b = np.sum(w * L * Q / D**3, axis=0)
-    i2c = np.sum(w * L * Q * Q / D**4, axis=0)
+    i2b = np.sum(w * L * Q / D**3, axis=-1)
+    i2c = np.sum(w * L * Q * Q / D**4, axis=-1)
     if seeds is None:
         return i2b, i2c, None
-    bar_b, bar_c = seeds
+    bar_b, bar_c = (np.asarray(x)[..., None] for x in seeds)
     wd3 = w / D**3
     qd = Q / D
     bar_l = wd3 * Q * (bar_b + bar_c * qd)
@@ -700,12 +698,12 @@ def _raw_2bc_quadrature(r, p, q, rho, sigma, tau, seeds=None):
     bar_d = -wd3 * L * qd * (3.0 * bar_b + 4.0 * bar_c * qd)
     st2 = 2.0 * s * t
     grad = (
-        np.sum(s * bar_l + 2.0 * s * s * r * bar_d, axis=0),
-        np.sum(t * bar_l + 2.0 * t * t * p * bar_d, axis=0),
-        np.sum(st2 * bar_d, axis=0),
-        np.sum(s * s * bar_q, axis=0),
-        np.sum(t * t * bar_q, axis=0),
-        np.sum(st2 * bar_q, axis=0),
+        np.sum(s * bar_l + 2.0 * s * s * r * bar_d, axis=-1),
+        np.sum(t * bar_l + 2.0 * t * t * p * bar_d, axis=-1),
+        np.sum(st2 * bar_d, axis=-1),
+        np.sum(s * s * bar_q, axis=-1),
+        np.sum(t * t * bar_q, axis=-1),
+        np.sum(st2 * bar_q, axis=-1),
     )
     return i2b, i2c, grad
 
@@ -909,7 +907,7 @@ def _deltas(hat, chk):
     norms s0 = |delta|^2 and s22 = |delta''|^2."""
     d0 = chk[0] - hat[0]
     d2 = chk[2] - hat[2]
-    return d0, d2, _inner(d0, d0), _inner(d2, d2)
+    return d0, d2, _dot(d0, d0), _dot(d2, d2)
 
 
 def w_bar_oracle(
@@ -992,14 +990,14 @@ def _rat_core(hat_c, chk_c, weights, num_nodes, want_grad):
     ``want_grad``.  The values are +inf on segments with a nonpositive
     tangent correlation; the gradient raises NonPositiveQ there."""
     a0, a1, a2 = a = weights.coefficients
-    hat, chk, pairings = _rat_jets(hat_c, chk_c, num_nodes)
-    r, p, q = pairings[:3]
-    _require_immersed(
-        r, p, lambda i: _rat_core(hat_c[:i], chk_c[:i], weights, num_nodes, want_grad)
+    hat, chk, pairings = _rat_jets(
+        hat_c, chk_c, num_nodes,
+        lambda i: _rat_core(hat_c[:i], chk_c[:i], weights, num_nodes, want_grad),
     )
+    r, p, q = pairings[:3]
     tw = 2.0 * np.pi / num_nodes
     if not want_grad:
-        ok = q.min(axis=0) > 0.0
+        ok = q.min(axis=-1) > 0.0
         if not ok.all():
             values = np.full(ok.shape, np.inf)
             if ok.any():
@@ -1007,32 +1005,27 @@ def _rat_core(hat_c, chk_c, weights, num_nodes, want_grad):
             return values, None, None
         _, _, s0, s22 = _deltas(hat, chk)
         integrand, _ = _rat_node_scalar(*pairings, a, s0, s22)
-        return tw * np.sum(integrand, axis=0), None, None
+        return tw * np.sum(integrand, axis=-1), None, None
 
     _require_positive_q(q)
     delta0, delta2, s0, s22 = _deltas(hat, chk)
     integrand, partials = _rat_node_scalar(*pairings, a, s0, s22, want_grad=True)
-    value = tw * np.sum(integrand, axis=0)
+    value = tw * np.sum(integrand, axis=-1)
     d_r, d_p, d_q, d_rho, d_sigma, d_tau = partials
 
     # chain the six pairings and s0, s22 to the sampled jets
-    h_tau = 0.5 * d_tau[..., None]
-    d_q = d_q[..., None]
-    d_rho = d_rho[..., None]
-    d_sigma = d_sigma[..., None]
-    bar_hat = np.empty_like(hat)
-    bar_chk = np.empty_like(chk)
-    bar_chk[0] = (a0 * (r + p))[..., None] * delta0
+    h_tau = 0.5 * d_tau
+    bar_hat, bar_chk = bar = _cotangents(hat)
+    bar_chk[0] = (a0 * (r + p)) * delta0
     bar_hat[0] = -bar_chk[0]
-    bar_hat[1] = (d_r / r)[..., None] * hat[1] + d_q * chk[1] + d_rho * hat[2] + h_tau * chk[2]
-    bar_chk[1] = (d_p / p)[..., None] * chk[1] + d_q * hat[1] + d_sigma * chk[2] + h_tau * hat[2]
-    s22_bar = (a2 * (1.0 / (r * q) + 1.0 / (p * q)))[..., None] * delta2
+    bar_hat[1] = (d_r / r) * hat[1] + d_q * chk[1] + d_rho * hat[2] + h_tau * chk[2]
+    bar_chk[1] = (d_p / p) * chk[1] + d_q * hat[1] + d_sigma * chk[2] + h_tau * hat[2]
+    s22_bar = (a2 * (1.0 / (r * q) + 1.0 / (p * q))) * delta2
     bar_hat[2] = d_rho * hat[1] + h_tau * chk[1] - s22_bar
     bar_chk[2] = d_sigma * chk[1] + h_tau * hat[1] + s22_bar
-    bar_hat *= tw
-    bar_chk *= tw
+    bar *= tw
     order = hat_c.shape[1] // 2
-    return value, _pull_back(bar_hat, order, num_nodes), _pull_back(bar_chk, order, num_nodes)
+    return (value, *_pull_back(bar, order, num_nodes))
 
 
 # ---------------------------------------------------------------------------
@@ -1082,9 +1075,8 @@ def w_eval(c_hat, c_check, weights: MetricWeights, kind: EnergyKind, num_nodes: 
 
     ``c_hat, c_check`` are two curves (returns a float) or two coefficient
     stacks of one shape (S, 2N+1, d), the segments (c_hat[s], c_check[s]) of
-    a path (returns the S values).  Each segment's +inf and errors are those
-    of its own per-pair call, and its finite value agrees with that call to
-    round-off (1e-14 relative; see the module docstring).
+    a path (returns the S values).  Each segment's value, +inf and errors
+    are bit for bit those of its own per-pair call.
     """
     return _evaluate(c_hat, c_check, weights, kind, num_nodes, False)
 

@@ -27,7 +27,8 @@ levels of ``riemann_tensor`` run through one stacked quotient that hands
 the core all of them at once.  A centered (one-sided) Riemann tensor thus
 runs its 24 (12) solves as four stacks, 8, 8, 4 and 4 (4, 4, 2 and 2):
 the inner quotients' midpoints and extensions, then the outer ones'.
-Every member of a stack still stops by its own rule.
+Every member of a stack still stops by its own rule, and ends where its
+own solve ends, bit for bit, whatever its place in the stack.
 
 Along a path the rungs change slowly, so ``transport_path`` starts each
 rung's midpoint and extension solves from an extrapolation of how far the
@@ -365,10 +366,10 @@ def riemann_tensor(
     All inverse transports run in four lockstep stacks: the midpoint solves
     of every inner quotient, then their extension solves, then the outer
     quotients' midpoint and extension solves -- 8, 8, 4 and 4 solves
-    centered, 4, 4, 2 and 2 one-sided.  The two nested halves are stacked
-    in the order of their directions' coefficient bytes and looked up by
-    them, so the stacks do not depend on the argument order: swapping v and
-    w flips the sign exactly, and R(v, v)z is exactly zero.  The stacks share
+    centered, 4, 4, 2 and 2 one-sided.  The halves D(v, w) and D(w, v) are
+    stacked in that order; a stack member's solve does not depend on its
+    position, so swapping v and w flips the sign exactly, and R(v, v)z is
+    exactly zero.  The stacks share
     their preconditioners' Hessian blocks (13 for the 24 solves of a centered
     tensor on the rational energy).  Raises ValueError, before any solve,
     when the inner step underflows to zero, or when the rounding of the
@@ -384,22 +385,19 @@ def riemann_tensor(
     kind_out, kind_in = schedule.kinds(kind)
     centered = schedule.centered
     c_arr, v_arr, w_arr, z_arr = _stack([c, v, w, z])
-    key_vw, key_wv = (v_arr.tobytes(), w_arr.tobytes()), (w_arr.tobytes(), v_arr.tobytes())
-    halves = {key_vw: (v_arr, w_arr), key_wv: (w_arr, v_arr)}
-    keys = sorted(halves)
-    firsts, seconds = (np.stack(h) for h in zip(*(halves[key] for key in keys)))
+    firsts, seconds = np.stack((v_arr, w_arr)), np.stack((w_arr, v_arr))
     blocks = {}  # the outer extensions start where the inner midpoints do
     # the inner quotients of z along second, ordered by half and then by point
     steps = np.array((tau, -tau) if centered else (tau, 0.0))[:, None, None]
     points = (c_arr + firsts[:, None] * steps).reshape(-1, *c_arr.shape)
     inner = _quotients(points, np.repeat(seconds, 2, axis=0), z_arr, z_arr,
                        tau_in, centered, weights, kind_in, num_nodes, opts,
-                       "riemann_tensor", blocks).reshape(len(keys), 2, *c_arr.shape)
+                       "riemann_tensor", blocks).reshape(2, 2, *c_arr.shape)
     # the outer quotients of those fields along first, at c
     nested = _quotients(np.broadcast_to(c_arr, firsts.shape), firsts,
                         inner if centered else inner[:, :1], inner[:, 1], tau, centered, weights,
                         kind_out, num_nodes, opts, "riemann_tensor", blocks)
-    return FourierCurve.from_coeffs(nested[keys.index(key_vw)] - nested[keys.index(key_wv)])
+    return FourierCurve.from_coeffs(nested[0] - nested[1])
 
 
 def sectional_curvature(

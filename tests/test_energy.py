@@ -349,10 +349,9 @@ def test_w_reg_gradient_at_higher_order(weights):
     values, sh, sc = w_value_and_grad(hat, chk, weights, kind, STACK_M)
     pairs = per_pair(w_value_and_grad, hat, chk, weights, kind, STACK_M)
     for s, (value, ph, pc) in enumerate(pairs):
-        assert values[s] == pytest.approx(value, rel=1e-14)
-        scale = max(np.abs(ph.coeffs).max(), np.abs(pc.coeffs).max())
-        np.testing.assert_allclose(sh[s], ph.coeffs, rtol=0.0, atol=1e-13 * scale)
-        np.testing.assert_allclose(sc[s], pc.coeffs, rtol=0.0, atol=1e-13 * scale)
+        assert values[s] == value
+        np.testing.assert_array_equal(sh[s], ph.coeffs)
+        np.testing.assert_array_equal(sc[s], pc.coeffs)
 
 
 def test_w_reg_epsilon_too_large_raises():
@@ -432,6 +431,25 @@ def test_closed_forms_small_correlation():
     reference = quadrature_reference(r, p, q, rho, sigma, tau)
     for got, ref in zip(closed, reference):
         np.testing.assert_allclose(got, ref, rtol=1e-8)
+
+
+def test_tiny_v_fallback_is_per_node():
+    # a node's quadrature fallback (v < 0.02) is the same alone as beside
+    # other fallback nodes, bit for bit, value and partials
+    rng = np.random.default_rng(21)
+    n = 50
+    r = rng.uniform(0.3, 3.0, n)
+    p = rng.uniform(0.3, 3.0, n)
+    q = r * p * 10.0 ** rng.uniform(-7, -1.8, n)
+    rho, sigma, tau, s0, s22 = (rng.normal(scale=1.0, size=n) for _ in range(5))
+    nodes = (r, p, q, rho, sigma, tau)
+    value, partials = _rat_node_scalar(*nodes, (1.0, 1.0, 1.0), s0, s22, want_grad=True)
+    for i in range(n):
+        one = [x[i : i + 1] for x in nodes]
+        got, got_partials = _rat_node_scalar(*one, (1.0, 1.0, 1.0), s0[i : i + 1],
+                                             s22[i : i + 1], want_grad=True)
+        assert got[0] == value[i]
+        assert [g[0] for g in got_partials] == [g[i] for g in partials]
 
 
 def test_oracle_pairings_fields():
@@ -768,23 +786,39 @@ def per_pair(fn, hat, chk, *args):
     ]
 
 
+def offset_copy(stack):
+    """A copy of ``stack`` that starts one float into its buffer."""
+    out = np.empty(stack.size + 1)[1:].reshape(stack.shape)
+    out[...] = stack
+    return out
+
+
 @pytest.mark.parametrize("kind", STACK_KINDS, ids=kind_id)
-@pytest.mark.parametrize("segments", [1, 2, 20])
+@pytest.mark.parametrize("segments", [1, 2, 3, 8, 12, 13, 20, 40])
 def test_stacked_energies_match_per_pair_calls(kind, segments):
-    path = curve_stack(np.random.default_rng(30 + segments), segments + 1)
-    hat, chk = path[:-1], path[1:]
+    # bit for bit at every size, over blocks of 12 segments, on a stack that
+    # starts one float into its buffer, and on a segment whose tangents are
+    # 89 degrees apart, where the rational energy takes its tiny-v
+    # quadrature at every node
+    path = offset_copy(curve_stack(np.random.default_rng(30 + segments), segments + 1))
+    hat, chk = path[:-1], path[1:].copy()
+    tiny = segments // 2
+    hat[tiny] = pad(circle(), STACK_ORDER).coeffs
+    chk[tiny] = rotate(FourierCurve.from_coeffs(hat[tiny]), np.deg2rad(89.0)).coeffs
+    pair = FourierCurve.from_coeffs(hat[tiny]), FourierCurve.from_coeffs(chk[tiny])
+    _, _, (r, p, q, *_) = _oracle_jets(*pair, STACK_M)
+    assert np.all(q / (r * p) < 0.02)
     values = w_eval(hat, chk, W2, kind, STACK_M)
     both, gh, gc = w_value_and_grad(hat, chk, W2, kind, STACK_M)
     assert values.shape == both.shape == (segments,)
     assert gh.shape == gc.shape == hat.shape
     pairs = per_pair(w_value_and_grad, hat, chk, W2, kind, STACK_M)
     loop = np.array([value for value, _, _ in pairs])
-    np.testing.assert_allclose(values, loop, rtol=1e-14, atol=0.0)
-    np.testing.assert_allclose(both, loop, rtol=1e-14, atol=0.0)
+    np.testing.assert_array_equal(values, loop)
+    np.testing.assert_array_equal(both, loop)
     for s, (_, ph, pc) in enumerate(pairs):
-        scale = max(np.abs(ph.coeffs).max(), np.abs(pc.coeffs).max())
-        np.testing.assert_allclose(gh[s], ph.coeffs, rtol=0.0, atol=1e-13 * scale)
-        np.testing.assert_allclose(gc[s], pc.coeffs, rtol=0.0, atol=1e-13 * scale)
+        np.testing.assert_array_equal(gh[s], ph.coeffs)
+        np.testing.assert_array_equal(gc[s], pc.coeffs)
 
 
 def test_stacked_rational_energy_is_infinite_only_on_a_reversed_segment():
@@ -795,7 +829,7 @@ def test_stacked_rational_energy_is_infinite_only_on_a_reversed_segment():
     assert np.isinf(values).tolist() == [False, False, True, False, False]
     finite = np.delete(np.arange(5), 2)
     loop = per_pair(w_eval, hat[finite], chk[finite], W2, RAT, STACK_M)
-    np.testing.assert_allclose(values[finite], loop, rtol=1e-14, atol=0.0)
+    np.testing.assert_array_equal(values[finite], loop)
     with pytest.raises(NonPositiveQ):
         w_value_and_grad(hat, chk, W2, RAT, STACK_M)
 
@@ -825,6 +859,26 @@ def test_stack_errors_match_the_first_failing_segment(kind):
                 w_eval(hat, chk, W2, kind, STACK_M)
 
 
+@pytest.mark.parametrize("kind", STACK_KINDS, ids=kind_id)
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("row", [0, 3], ids=["a0", "a3"])
+def test_non_finite_coefficients_fail_their_segment(kind, bad, row):
+    # as a segment at the speed floor does, in first-failing-segment order
+    path = curve_stack(np.random.default_rng(44), 6)
+    hat, chk = path[:-1], path[1:].copy()
+    chk[2, row, 1] = bad
+    chk[4] = 0.0  # a later segment at the speed floor
+    for fn in (w_eval, w_value_and_grad):
+        with pytest.raises(DegenerateCurve, match="not finite: the coefficients hold NaN"):
+            fn(hat, chk, W2, kind, STACK_M)
+        with pytest.raises(DegenerateCurve, match="not finite"):
+            fn(chk, hat, W2, kind, STACK_M)
+    chk[1] = 0.0  # an earlier one
+    for fn in (w_eval, w_value_and_grad):
+        with pytest.raises(DegenerateCurve, match="at or below floor"):
+            fn(hat, chk, W2, kind, STACK_M)
+
+
 def test_stack_shapes_are_checked():
     path = curve_stack(np.random.default_rng(42), 3)
     for hat, chk in ((path[:-1], path[1:, :-1]), (path[0], path[1]), (path[:0], path[:0])):
@@ -842,5 +896,4 @@ def test_two_segment_stack_gives_the_midpoint_residual(kind):
         w_grad(curves[0], curves[1], W2, kind, STACK_M)[1].coeffs
         + w_grad(curves[1], curves[2], W2, kind, STACK_M)[0].coeffs
     )
-    scale = np.abs(two_calls).max()
-    np.testing.assert_allclose(gc[0] + gh[1], two_calls, rtol=0.0, atol=1e-13 * scale)
+    np.testing.assert_array_equal(gc[0] + gh[1], two_calls)

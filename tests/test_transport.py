@@ -27,6 +27,9 @@ W = MetricWeights.of(1e-4, 1.0, 1e-2)
 UNIT = MetricWeights.of(1.0, 1.0, 1.0)
 M = 64
 RAT = EnergyKind.rat()
+#: (order, M) of a grid finer than M, on which a kernel that rounds a stack
+#: member by its position moves the solutions of the stack-versus-solo tests
+FINE_GRID = (12, 48)
 
 
 def field_xy(cx, sy):
@@ -424,8 +427,8 @@ class TestCurvature:
         assert np.all((fwd + bwd).coeffs == 0.0)
 
     def test_riemann_antisymmetry_is_exact_on_a_finer_grid(self):
-        # the stacked energy kernel rounds a member by its stack position
-        # here, so both argument orders must build the same stacks
+        # the grid on which a kernel that rounds a stack member by its
+        # position breaks the exact sign flip of argument-order stacks
         c = pad(circle(), 12)
         sch = CurvatureSchedule.central(1.0 / 16)
         fwd = riemann_tensor(c, V_UNIT, W_UNIT, W_UNIT, 1.0 / 16, sch, UNIT, RAT, 48)
@@ -436,22 +439,26 @@ class TestCurvature:
     @pytest.mark.parametrize("schedule", [CurvatureSchedule.central, CurvatureSchedule.one_sided],
                              ids=["central", "one_sided"])
     def test_riemann_matches_nested_covariant_quotients(self, schedule, kind):
-        # the lockstep stacks against the definition: cov_deriv of the
-        # field x -> cov_deriv(x, second, z) along first, for both halves
-        c, tau = pad(circle(), 4), 1.0 / 8
+        # the lockstep stacks against the definition, bit for bit: cov_deriv
+        # of the field x -> cov_deriv(x, second, z) along first, for both
+        # halves, on the module's grid and on a finer one
+        tau = 1.0 / 8
         sch = schedule(tau)
         kind_out, kind_in = sch.kinds(kind)
+        for order, num_nodes in ((4, M), FINE_GRID):
+            c = pad(circle(), order)
 
-        def nested(first, second):
-            def inner(x):
-                return cov_deriv(x, second, W_UNIT, sch.inner_step(tau), UNIT, kind_in, M,
+            def nested(first, second):
+                def inner(x):
+                    return cov_deriv(x, second, W_UNIT, sch.inner_step(tau), UNIT, kind_in,
+                                     num_nodes, centered=sch.centered)
+
+                return cov_deriv(c, first, inner, tau, UNIT, kind_out, num_nodes,
                                  centered=sch.centered)
 
-            return cov_deriv(c, first, inner, tau, UNIT, kind_out, M, centered=sch.centered)
-
-        want = nested(V_UNIT, W_UNIT) - nested(W_UNIT, V_UNIT)
-        got = riemann_tensor(c, V_UNIT, W_UNIT, W_UNIT, tau, sch, UNIT, kind, M)
-        assert max_coeff_diff(got, want) <= 1e-9 * np.max(np.abs(want.coeffs))
+            want = nested(V_UNIT, W_UNIT) - nested(W_UNIT, V_UNIT)
+            got = riemann_tensor(c, V_UNIT, W_UNIT, W_UNIT, tau, sch, UNIT, kind, num_nodes)
+            np.testing.assert_array_equal(got.coeffs, want.coeffs)
 
     def test_sectional_curvature_circle(self):
         c = pad(circle(), 6)
@@ -513,39 +520,47 @@ def lockstep_problems(count=4, order=6):
     return tuple(np.stack([x.coeffs for x in xs]) for xs in (c, v, w))
 
 
-def stacked_inverse_transports(c, v, w, tau, kind):
+def stacked_inverse_transports(c, v, w, tau, kind, num_nodes=M):
     """The problems of lockstep_problems as one stack of inverse Schild
     rungs: one parallelogram per problem, through the transport core."""
-    z, _ = transport._parallelogram(c, c + (v + w) * tau, c + v * tau, W, kind, M, None, "stack")
+    z, _ = transport._parallelogram(c, c + (v + w) * tau, c + v * tau, W, kind, num_nodes, None,
+                                    "stack")
     return (z - c) * (1.0 / tau)
 
 
-def solo_inverse_transports(c, v, w, tau, kind):
+def solo_inverse_transports(c, v, w, tau, kind, num_nodes=M):
     """The problems of lockstep_problems solved one at a time."""
     return [
         inverse_transport(
             FourierCurve.from_coeffs(c[i]), FourierCurve.from_coeffs(v[i]), tau,
-            FourierCurve.from_coeffs(w[i]), W, kind, M,
+            FourierCurve.from_coeffs(w[i]), W, kind, num_nodes,
         ).coeffs
         for i in range(len(c))
     ]
 
 
-def assert_members_close(stacked, solos):
+def assert_members_equal(stacked, solos):
     for got, want in zip(stacked, solos, strict=True):
-        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+        np.testing.assert_array_equal(got, want)
 
 
 class TestLockstep:
     @pytest.mark.parametrize("kind", [RAT, EnergyKind.reg(1e-2)], ids=["rat", "reg"])
     def test_stacked_inverse_transports_match_solo_solves(self, kind):
-        c, v, w = lockstep_problems()
-        moved = stacked_inverse_transports(c, v, w, 0.1, kind)
-        assert_members_close(moved, solo_inverse_transports(c, v, w, 0.1, kind))
+        for order, num_nodes in ((6, M), FINE_GRID):
+            c, v, w = lockstep_problems(order=order)
+            moved = stacked_inverse_transports(c, v, w, 0.1, kind, num_nodes)
+            assert_members_equal(moved, solo_inverse_transports(c, v, w, 0.1, kind, num_nodes))
 
     def test_inadmissible_trial_damps_only_its_member(self, monkeypatch):
-        c, v, w = lockstep_problems()
-        solos = solo_inverse_transports(c, v, w, 0.1, RAT)
+        for order, num_nodes in ((6, M), FINE_GRID):
+            with monkeypatch.context() as patch:
+                self.check_damping(patch, order, num_nodes)
+
+    @staticmethod
+    def check_damping(monkeypatch, order, num_nodes):
+        c, v, w = lockstep_problems(order=order)
+        solos = solo_inverse_transports(c, v, w, 0.1, RAT, num_nodes)
         real_grad, sizes = geodesic.w_grad, []
 
         def rejects_first_trial_of_member_1(c_hat, c_check, *args):
@@ -558,12 +573,12 @@ class TestLockstep:
             return real_grad(c_hat, c_check, *args)
 
         monkeypatch.setattr(geodesic, "w_grad", rejects_first_trial_of_member_1)
-        moved = stacked_inverse_transports(c, v, w, 0.1, RAT)
+        moved = stacked_inverse_transports(c, v, w, 0.1, RAT, num_nodes)
         # initial guesses and first trials of all four members, then member 1
         # alone: again at its full step, then at half of it
         assert sizes[:4] == [8, 8, 2, 2]
         others = [0, 2, 3]
-        assert_members_close(moved[others], [solos[i] for i in others])
+        assert_members_equal(moved[others], [solos[i] for i in others])
         # the damped member takes another path to the solver tolerance
         assert max_coeff_diff(FourierCurve.from_coeffs(moved[1]),
                               FourierCurve.from_coeffs(solos[1])) <= 1e-8
