@@ -45,7 +45,11 @@ __all__ = [
 
 
 def grid(num_nodes: int) -> np.ndarray:
-    """Uniform angular grid ``theta_i = 2 pi i / M``, endpoint excluded."""
+    """Uniform angular grid ``theta_i = 2 pi i / M`` for an integer M >= 1."""
+    if isinstance(num_nodes, bool) or not isinstance(num_nodes, numbers.Integral):
+        raise ValueError(f"the grid size M must be an integer, got {num_nodes!r}")
+    if num_nodes < 1:
+        raise InsufficientSamples(f"a grid needs at least one node, got M = {num_nodes}")
     return 2.0 * np.pi * np.arange(num_nodes) / num_nodes
 
 
@@ -75,17 +79,16 @@ def _basis(theta: np.ndarray, order: int, deriv: int) -> np.ndarray:
 def _eval_matrix(order: int, num_nodes: int, deriv: int) -> np.ndarray:
     """:func:`_basis` on the uniform M-point grid, cached read-only.
 
-    Raises ValueError unless M is an integer, and InsufficientSamples
-    unless M > 2N: coarser grids alias the top modes, and every sampled
-    quantity built on them would be quietly wrong.
+    Raises as :func:`grid` does, and InsufficientSamples unless M > 2N:
+    coarser grids alias the top modes, and every sampled quantity built on
+    them would be quietly wrong.
     """
-    if isinstance(num_nodes, bool) or not isinstance(num_nodes, numbers.Integral):
-        raise ValueError(f"the grid size M must be an integer, got {num_nodes!r}")
+    theta = grid(num_nodes)
     if num_nodes <= 2 * order:
         raise InsufficientSamples(
             f"{num_nodes} grid nodes cannot resolve {order} modes (need M > 2N)"
         )
-    mat = _basis(grid(num_nodes), order, deriv)
+    mat = _basis(theta, order, deriv)
     mat.setflags(write=False)
     return mat
 

@@ -186,26 +186,20 @@ class SolverOptions:
     grad_tol is relative: the boundary value solver stops at
     grad_tol * (1 + initial gradient norm).  fixed_point_tol bounds the
     preconditioned residual of the Euler-Lagrange step solver, again relative
-    to 1 + the initial residual.  How far below it a solve goes depends on
-    the caller: ``exp_k`` stops each of its K steps as soon as the residual
-    is at most fixed_point_tol / K (a position error in one step becomes a
-    velocity error K times larger), and starts each step from the
-    extrapolation through the last 7 curves, of degree 2 to 5, that best
-    predicted the step before.  Every other caller -- ``el_step`` and ``el_midpoint``
-    called directly, ``exp2`` / ``log2`` and the Schild rungs of
-    ``schild_step``, ``transport_path``, ``inverse_transport``,
-    ``cov_deriv`` and ``riemann_tensor`` -- accepts at fixed_point_tol but
-    keeps iterating to the rounding floor while each sweep still gains a
-    digit, because those results get divided by small step sizes.
-    ``transport_path`` starts the two solves of each rung from the last 25
-    rungs' corrections, extrapolated, so they need fewer sweeps to reach the
-    same floor.  ``exp_k`` and ``transport_path`` also reuse one inverse
-    of the preconditioner over consecutive solves while the fixed point
-    keeps contracting as it did on a new one; their tolerances are then
-    measured with the reused inverse, and a to-the-floor solve that a
-    reused inverse leaves short of the floor goes on on a new one.
-    fixed_point_max_iters caps the sweeps of one solve; a solve
-    that stalls or runs out of sweeps above its tolerance always hands its
+    to 1 + the initial residual, and is the error the caller's result may
+    carry.  A one-shot solve -- ``el_step`` and ``el_midpoint`` called
+    directly, ``exp2`` / ``log2`` and the Schild rungs of ``schild_step``,
+    ``inverse_transport``, ``cov_deriv`` and ``riemann_tensor`` -- accepts
+    at fixed_point_tol but keeps iterating to the rounding floor while each
+    sweep still gains a digit, because its result gets divided by a small
+    step size.  Each of the K solves of a sequential chain stops at the
+    chain's error budget instead, fixed_point_tol / K^p, raised to 1e-14
+    where it falls below but never above fixed_point_tol: an error in one
+    solve grows by K^(p - 1) in the chain's result, and the K solves add
+    up.  ``exp_k``'s steps have p = 1 and both solves of each
+    ``transport_path`` rung p = 2 (see ``_FactorCache``).
+    fixed_point_max_iters caps the sweeps of one solve; a solve that
+    stalls or runs out of sweeps above its tolerance always hands its
     best iterate to a finite-difference Newton polish, and raises
     NoConvergence only when that stalls too, or when its initial guess is
     not admissible.  When ``el_step`` or ``el_midpoint`` gets a stack of
@@ -297,14 +291,7 @@ def _preconditioners(anchors, weights, kind, num_nodes, scale=1.0, blocks=None):
     """Read-only inverses of ``scale`` times the ``_hessian_block`` at each
     anchor of a coefficient stack, one per distinct anchor.  ``blocks``
     maps (anchor bytes, kind) to the blocks that other stacks of one
-    computation already built, and gains the new ones.  A
-    ``_FactorCache`` in its place lends its inverse to a one-member stack,
-    and builds it at that member's anchor when it holds none."""
-    if isinstance(blocks, _FactorCache):
-        if blocks.inverse is None:
-            blocks.inverse = _preconditioners(anchors, weights, kind, num_nodes, scale)[0]
-            blocks.base = None
-        return [blocks.inverse]
+    computation already built, and gains the new ones."""
     blocks = {} if blocks is None else blocks
     keys = [(a.tobytes(), kind) for a in anchors]
     for key, a in zip(keys, anchors):
@@ -432,10 +419,11 @@ def _solve_roots(residual, ys0, preconds, sign, opts, label, stop_tol=None):
     ``polished`` say how each solve went.
 
     Every member stops by its own rule, and only the active members enter
-    the next stacked call.  With ``stop_tol`` a member stops as soon as its
-    preconditioned residual is at most stop_tol * (1 + its initial
-    residual); without it, it accepts at opts.fixed_point_tol but polishes
-    on towards the rounding floor.  A member whose fixed point stalls above
+    the next stacked call.  With ``stop_tol`` (the budget of a sequential
+    chain) a member stops as soon as its preconditioned residual is at
+    most stop_tol * (1 + its initial residual); without it (a one-shot
+    solve), it accepts at opts.fixed_point_tol but polishes on towards the
+    rounding floor.  A member whose fixed point stalls above
     its tolerance hands its best iterate to ``_newton_polish``.
     NoConvergence, labelled ``label`` (plus "problem i/S" in a stack of
     several), is raised when that stalls too, or when a member's initial
@@ -453,11 +441,10 @@ def _solve_roots(residual, ys0, preconds, sign, opts, label, stop_tol=None):
         # Without a stop tolerance, keep polishing past the tolerance down to
         # the rounding floor while consecutive sweeps gain a full digit (the
         # map is strongly contractive for nearby curves): exp2 / log2 and the
-        # Schild rungs behind transport_path, cov_deriv and riemann_tensor
+        # Schild rungs behind schild_step, cov_deriv and riemann_tensor
         # divide their answer by small step sizes and need every digit that
-        # comes this cheap.  transport_path saves sweeps by warm-starting its
-        # rungs, not by stopping early.  exp_k passes
-        # stop_tol = fixed_point_tol / K and stops at it instead.
+        # comes this cheap.  The chains of exp_k and transport_path pass
+        # their budget as stop_tol and stop at it instead.
         to_floor = stop_tol is None
         tol = opts.fixed_point_tol if to_floor else stop_tol
         members = []
@@ -501,12 +488,22 @@ def _solve_roots(residual, ys0, preconds, sign, opts, label, stop_tol=None):
 
 
 class _FactorCache:
-    """The preconditioner of one solve type along a sequential loop, its
-    inverse reused from solve to solve (a chord method; Kelley, "Iterative
-    Methods for Linear and Nonlinear Equations", SIAM 1995, ch. 5).
+    """The one state of a sequential solve chain: its stop tolerance, the
+    preconditioner inverse it reuses from solve to solve (a chord method;
+    Kelley, "Iterative Methods for Linear and Nonlinear Equations", SIAM
+    1995, ch. 5), and the partial W_{,2}[cur, next] of its last
+    ``el_step`` solve.
 
-    ``exp_k`` passes one instance to its steps and ``transport_path`` one to
-    each of its two solves per rung, as ``_blocks`` of one-member solves.
+    ``exp_k`` builds one for its steps and ``transport_path`` one for each
+    of its two solve types per rung, and they pass it as ``_blocks`` of
+    their one-member solves.  With ``budget`` = K^p (see ``SolverOptions``)
+    every solve stops at min(fixed_point_tol, max(fixed_point_tol / K^p,
+    ``FLOOR``)): only as far as the chain's error needs, as in inexact
+    Newton methods (Dembo, Eisenstat & Steihaug, SIAM J. Numer. Anal. 19,
+    1982).  The clamp keeps it above the rounding floor, where the
+    residuals level off at 1e-16 to 6e-16 and the fixed point would stall;
+    the min keeps a smaller fixed_point_tol as it is.
+
     Consecutive anchors differ by O(1/K), so an inverse built at one anchor
     serves the next solves nearly as well.  The solve on a new inverse sets
     the reference: its sweep count and its first sweep's contraction, the
@@ -519,29 +516,31 @@ class _FactorCache:
     sit on the rounding floor and are not counted.
 
     A reused preconditioner P' also changes the norm sqrt(R . P'^-1 R) that
-    the stop rules measure.  With rho and rho' the contractions of the
+    the stop rule measures.  With rho and rho' the contractions of the
     fixed point on a new preconditioner P and on P', the map I - P'^-1 P is
     of order rho + rho', and the two norms agree to a factor
     1 + O(rho + rho'); the ratio rule keeps rho' <= 2 rho, so a stop
-    tolerance measured with P' is the same one up to that factor.  The
-    floor rule, which keeps a solve going while each sweep gains a digit,
-    is what a stale preconditioner can still fool: at rho' near 0.1 it
-    stops a to-the-floor solve at fixed_point_tol, digits short of where a
-    new one takes it.  So a to-the-floor solve that ends above ``FLOOR`` on
-    a reused inverse goes on from where it stopped on a new inverse built
-    at its own anchor (see ``_solve_anchored``).
+    tolerance measured with P' is the same one up to that factor.
     """
 
     FLOOR = 1e-14
 
-    def __init__(self):
+    def __init__(self, opts, budget):
+        tol = (opts or _DEFAULT_OPTIONS).fixed_point_tol
+        self.stop_tol = min(tol, max(tol / budget, self.FLOOR))
         self.inverse = None
         self.base = None  # (sweeps, first-sweep contraction) of the reference solve
+        self.partial = None  # (cur, next, W_{,2}[cur, next]) of the last el_step solve
+
+    def carried(self, prev, cur):
+        """The partial W_{,2}[prev, cur] when the last ``el_step`` solve
+        went from exactly ``prev`` to exactly ``cur``, else None."""
+        last_cur, last_next, partial = self.partial or (None, None, None)
+        same = np.array_equal(prev, last_cur) and np.array_equal(cur, last_next)
+        return partial if same else None
 
     def observe(self, members):
-        """Take in the one member of a solve on the inverse; False when the
-        solve must go on, on a new inverse, because it ended short of the
-        rounding floor on a reused one."""
+        """Take in the one member of a solve on the inverse."""
         (member,) = members
         history = member.history
         floor = self.FLOOR * (1.0 + history[0])
@@ -549,29 +548,30 @@ class _FactorCache:
         ratio = history[1] / history[0] if sweeps and history[1] > floor else None
         if self.base is None:
             self.base = sweeps, ratio
-            return True
+            return
         base_sweeps, base_ratio = self.base
         slower = ratio is not None and base_ratio is not None and ratio > 2.0 * base_ratio
-        short = member.to_floor and history[-1] > floor
-        if member.polished or sweeps > base_sweeps + 1 or slower or short:
-            self.inverse = None
-        return not short
+        if member.polished or sweeps > base_sweeps + 1 or slower:
+            self.inverse = self.base = None
 
 
-def _solve_anchored(residual, ys0, anchors, sign, opts, label, setting, scale=1.0,
-                    stop_tol=None, blocks=None):
-    """``_solve_roots`` on the inverses that ``_preconditioners`` gives at
-    ``anchors`` with ``setting`` = (weights, kind, num_nodes), ``scale``
-    and ``blocks``.  With a ``_FactorCache`` as ``blocks``, a solve that
-    ends short of the rounding floor on its reused inverse goes on from its
-    solution on a new inverse (see ``_FactorCache``).  Returns the
-    solutions."""
-    preconds = _preconditioners(anchors, *setting, scale, blocks)
-    sols, members = _solve_roots(residual, ys0, preconds, sign, opts, label, stop_tol)
-    if not isinstance(blocks, _FactorCache) or blocks.observe(members):
-        return sols
-    return _solve_anchored(residual, sols, anchors, sign, opts, label, setting, scale, stop_tol,
-                           blocks)
+def _solve_anchored(residual, ys0, anchors, sign, opts, label, setting, scale=1.0, blocks=None):
+    """``_solve_roots`` preconditioned by ``scale`` times the Hessian blocks
+    at ``anchors``, with ``setting`` = (weights, kind, num_nodes).  For a
+    one-shot solve ``blocks`` is None or the dict of Hessian blocks that
+    one computation shares (see ``_preconditioners``).  The
+    ``_FactorCache`` of a sequential chain in its place lends its inverse,
+    built at the one member's anchor when it holds none, and its stop
+    tolerance, and takes in how the solve went.  Returns the solutions."""
+    if not isinstance(blocks, _FactorCache):
+        preconds = _preconditioners(anchors, *setting, scale, blocks)
+        return _solve_roots(residual, ys0, preconds, sign, opts, label)[0]
+    if blocks.inverse is None:
+        blocks.inverse = _preconditioners(anchors, *setting, scale)[0]
+    sols, members = _solve_roots(residual, ys0, [blocks.inverse], sign, opts, label,
+                                 blocks.stop_tol)
+    blocks.observe(members)
+    return sols
 
 
 #: Coefficient increment of the finite-difference Jacobian in _newton_polish,
@@ -633,8 +633,6 @@ def el_step(
     opts: SolverOptions | None = None,
     init=None,
     *,
-    _stop_tol: float | None = None,
-    _carry: list | None = None,
     _blocks: dict | None = None,
 ):
     """One forward Euler-Lagrange step: the curve ``next`` solving
@@ -647,33 +645,29 @@ def el_step(
     guess extrapolates linearly (2 cur - prev); the preconditioner is the
     diagonal Hessian at ``prev``.
 
-    ``_stop_tol`` and ``_carry`` serve ``exp_k``: the first is the solver's
-    stop tolerance (see ``_solve_roots``); the second is a one-element list
-    holding the stack of partials W_{,2}[prev, cur] or None on entry, and
-    the stack of W_{,2}[cur, next] on exit when every member's last gradient
-    call was at its accepted ``next`` (None otherwise), so consecutive steps
-    share those partials.  ``_blocks`` is as in ``_preconditioners``.
+    ``_blocks`` is as in ``_solve_anchored``.  The ``_FactorCache`` of a
+    chain also carries W_{,2}[cur, next] from one step to the next, when
+    the step's last gradient call was at its accepted ``next``.
     """
     stacks, curves = _stacks((prev, cur) if init is None else (prev, cur, init),
                              "el_step arguments")
     prev, cur = stacks[:2]
-    fixed = _carry[0] if _carry is not None else None
+    chain = _blocks if isinstance(_blocks, _FactorCache) else None
+    fixed = chain.carried(prev, cur) if chain else None
     if fixed is None:
         fixed = w_grad(prev, cur, weights, kind, num_nodes)[1]
-    last = {}  # member -> its latest iterate and W_{,2}[cur, iterate]
+    last = []  # the newest iterate and its W_{,2}[cur, iterate], as a stack of one
 
     def residual(ys, idx):
         g_cur, g_next = w_grad(cur[idx], ys, weights, kind, num_nodes)
-        for row, i in enumerate(idx):
-            last[i] = ys[row], g_next[row]
+        last[:] = ys[-1], g_next[-1:]
         return fixed[idx] + g_cur
 
     y0 = stacks[2] if init is not None else 2.0 * cur - prev
     sols = _solve_anchored(residual, y0, prev, +1.0, opts, "el_step", (weights, kind, num_nodes),
-                           stop_tol=_stop_tol, blocks=_blocks)
-    if _carry is not None:
-        carried = all(np.array_equal(last[i][0], sol) for i, sol in enumerate(sols))
-        _carry[0] = np.array([last[i][1] for i in range(len(sols))]) if carried else None
+                           blocks=_blocks)
+    if chain:
+        chain.partial = (cur, sols, last[1]) if np.array_equal(last[0], sols[0]) else None
     return FourierCurve.from_coeffs(sols[0]) if curves else sols
 
 
@@ -694,7 +688,7 @@ def el_midpoint(
 
     Curves give a curve; coefficient stacks of one shape (S, 2N+1, d) give
     the stack of the S solutions, solved in lockstep.  ``_blocks`` is as in
-    ``_preconditioners``.
+    ``_solve_anchored``.
     """
     stacks, curves = _stacks((c_a, c_b) if init is None else (c_a, c_b, init),
                              "el_midpoint arguments")
@@ -821,34 +815,28 @@ def exp_k(
     endpoint with initial velocity v.  A stalled step raises NoConvergence
     whose ``partial`` is the path c_0..c_k finished before it.
 
-    Each step stops at the preconditioned residual fixed_point_tol / K
-    (relative), so the velocity error K * (position error) stays at
+    Each step stops at the chain budget fixed_point_tol / K (see
+    ``SolverOptions``), so the velocity error K * (position error) stays at
     fixed_point_tol.  Each step starts from ``_predict`` of the curves so
     far: the polynomial extrapolation of degree 2 to 5 through the last
     curves that best predicted the step just solved, high degrees where the
     path is smooth and low ones where rounding dominates the differences;
     before there is a step to score, the first step starts from 2 c_1 - c_0
-    and the second from 3 c_2 - 3 c_1 + c_0.  Each step reuses the
-    partial W_{,2}[c_{k-1}, c_k] the previous step already computed, and
-    the inverse of an earlier step's preconditioner until a step on it
-    needs more than one sweep beyond the step that built it, contracts in
-    its first sweep by more than twice that step's ratio, or ends in the
-    Newton polish (see ``_FactorCache``); the stop tolerance is measured
-    with the inverse the step used.
+    and the second from 3 c_2 - 3 c_1 + c_0.  Each step reuses the partial
+    W_{,2}[c_{k-1}, c_k] the previous step already computed, and an earlier
+    step's preconditioner inverse while that keeps contracting as well
+    (see ``_FactorCache``).
     """
     _require_count(num_segments, "num_segments")
-    opts = opts or _DEFAULT_OPTIONS
-    stop_tol = opts.fixed_point_tol / num_segments
     c0, v = _stack([c0, v])
     curves = np.empty((num_segments + 1, *c0.shape))
     curves[0], curves[1] = c0, c0 + v * (1.0 / num_segments)
-    carry, factors = [None], _FactorCache()
+    chain = _FactorCache(opts, num_segments)
     for k in range(1, num_segments):
         init = _predict(curves[k::-1])[None]
         try:
             curves[k + 1] = el_step(curves[k - 1 : k], curves[k : k + 1], weights, kind,
-                                    num_nodes, opts, init, _stop_tol=stop_tol, _carry=carry,
-                                    _blocks=factors)[0]
+                                    num_nodes, opts, init, _blocks=chain)[0]
         except NoConvergence as err:
             stalled = NoConvergence(f"exp_k stalled at step {k + 1}/{num_segments}: {err}")
             stalled.partial = _path_of(curves[: k + 1])

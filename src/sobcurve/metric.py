@@ -221,8 +221,8 @@ def w_lin_oracle(
 
 
 def sobolev_norm(curve: FourierCurve, order: int) -> float:
-    """W^r norm in theta of a coefficient curve: sum of L^2 norms of
-    derivatives 0..r, computed exactly from the coefficients (Parseval).
+    """W^r norm in theta of a coefficient curve, sqrt(sum_{j <= r} ||c^(j)||_L2^2):
+    computed exactly from the coefficients (Parseval).
 
     Raises ValueError unless the order r is an integer >= 0.
     """

@@ -38,13 +38,13 @@ which a plain extrapolation mispredicts, so the quadratic extrapolation is
 taken through every s-th rung, s = 1, 2, 4 or 8, whichever predicted the
 last rungs best.  Each of the two solve types also reuses one
 preconditioner inverse from rung to rung while the fixed point keeps
-contracting as it did on a new one.  Every solve still polishes to the
-rounding floor: the warm start saves sweeps and the reused inverses save
-Hessian blocks without stopping any solve earlier.  The other entry
-points solve each parallelogram from scratch, on inverses built at its
-own anchors, and all of them work on coefficient arrays, building one
-curve per returned vector.  Every entry point rejects a step size tau
-that is not finite and positive.
+contracting as it did on a new one, and stops at the error budget of the
+whole ladder rather than at the rounding floor.  The other entry points
+solve each parallelogram from scratch, on inverses built at its own
+anchors, and polish it to the rounding floor, since they divide by tau.
+All of them work on coefficient arrays, building one curve per returned
+vector.  Every entry point rejects a step size tau that is not finite and
+positive.
 """
 
 from __future__ import annotations
@@ -202,8 +202,11 @@ def transport_path(
     reads), for the stride s of 1, 2, 4 or 8 that predicted the last max(s)
     rungs best, which follows the kinks of a path resampled 2, 4 or 8-fold.
     Each solve type reuses its preconditioner's inverse from rung to rung
-    (see ``geodesic._FactorCache``), and each solve still polishes to the
-    rounding floor.  The rungs run on coefficient arrays at the higher
+    (see ``geodesic._FactorCache``).  Both solves of every rung stop at the
+    chain budget fixed_point_tol / K^2 (see ``SolverOptions``): a position
+    error delta in a rung's fourth corner becomes K delta in
+    w = (z - corner)/tau, and the K rungs add up to about fixed_point_tol
+    relative to |w|.  The rungs run on coefficient arrays at the higher
     order of the path and w0.  Returns the vector at the final curve, or
     the whole list w_0..w_K with ``return_all``.  A stalled rung raises
     NoConvergence whose ``partial`` is the list w_0..w_k finished before it.
@@ -215,7 +218,7 @@ def transport_path(
     # the rungs before k are one contiguous newest-first block, which
     # _predict scores through BLAS (a reversed view would round differently)
     history = np.empty((2, steps, *w.shape))
-    factors = (_FactorCache(), _FactorCache())
+    chains = (_FactorCache(opts, steps**2), _FactorCache(opts, steps**2))
     for k in range(steps):
         c = curves[k]
         # c + tau*v_k, rounded as a rung of direction v_k = (c_{k+1} - c_k)/tau
@@ -224,7 +227,7 @@ def transport_path(
         try:
             z, corrections = _parallelogram(
                 c + w * tau, corner_v, c, weights, kind, num_nodes, opts,
-                f"transport stalled at rung {k + 1}/{steps}", shifts, factors,
+                f"transport stalled at rung {k + 1}/{steps}", shifts, chains,
             )
         except NoConvergence as err:
             err.partial = vectors

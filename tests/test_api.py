@@ -97,21 +97,17 @@ def test_private_helpers_are_used():
 #: Every underscore-prefixed parameter of a function in a module's __all__,
 #: and why it exists.
 HIDDEN_PARAMETERS = {
-    "sobcurve.geodesic.el_step._stop_tol": (
-        "exp_k stops each step at fixed_point_tol / K; exp_k keeps calling el_step by its "
-        "module name, which the benchmark tracer rebinds to count steps"
-    ),
-    "sobcurve.geodesic.el_step._carry": (
-        "exp_k hands W_{,2}[c_{k-1}, c_k] from one step to the next, through the same "
-        "el_step calls"
-    ),
     "sobcurve.geodesic.el_step._blocks": (
         "the extension stacks of one nested quotient share their Hessian blocks; exp_k's "
-        "steps and transport_path's extensions reuse one preconditioner inverse"
+        "steps and transport_path's extensions pass their chain's state, which holds the "
+        "chain's stop tolerance, its reused preconditioner inverse and the partial "
+        "W_{,2}[cur, next] of its last step; exp_k keeps calling el_step by its module "
+        "name, which the benchmark tracer rebinds to count steps"
     ),
     "sobcurve.geodesic.el_midpoint._blocks": (
         "the midpoint stacks of one nested quotient share their Hessian blocks; "
-        "transport_path's midpoint solves reuse one preconditioner inverse"
+        "transport_path's midpoint solves pass their chain's state, which holds the "
+        "chain's stop tolerance and its reused preconditioner inverse"
     ),
 }
 

@@ -18,6 +18,7 @@ from sobcurve.curve import (
     curve_to_dict,
 )
 from sobcurve.energy import EnergyKind, w_eval, w_value_and_grad
+from sobcurve.errors import InsufficientSamples
 from sobcurve.metric import MetricWeights, metric_eval
 from sobcurve.oracle import TrigPolynomial
 
@@ -173,6 +174,7 @@ GRID_CALLS = {
     "sample_jet": lambda m: sample_jet(_C, m, 2),
     "min_speed": lambda m: min_speed(_C, m),
     "metric_eval": lambda m: metric_eval(_C, _C, _C, _W, m),
+    "grid": grid,
 }
 
 
@@ -186,6 +188,12 @@ def test_grid_size_must_be_an_integer(name, bad):
     with pytest.raises(ValueError, match="grid size M must be an integer"):
         call(bad)
     np.testing.assert_array_equal(call(np.int64(120)), expected)
+
+
+def test_grid_needs_a_node():
+    # grid(0) once returned an empty array
+    with pytest.raises(InsufficientSamples, match="at least one node, got M = 0"):
+        grid(0)
 
 
 ORDER_CALLS = {

@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 
@@ -818,15 +820,21 @@ class TestExpLog:
         assert calls == {"w_eval": 1, "w_value_and_grad": info["iterations"] + 1}
 
     def test_exp_k_carried_partial_equals_a_recomputed_one(self, monkeypatch):
+        # every step after the first takes W_{,2}[c_{k-1}, c_k] from its chain
         c0, v = self._shot()
+        real_grad, calls = geodesic.w_grad, []
+
+        def counted(*args, **kwargs):
+            calls.append(None)
+            return real_grad(*args, **kwargs)
+
+        monkeypatch.setattr(geodesic, "w_grad", counted)
         carried = exp_k(c0, v, 16, W, EnergyKind.rat(), M)
-        real_step = geodesic.el_step
-
-        def recomputing(*args, _carry=None, **kwargs):
-            return real_step(*args, **kwargs)
-
-        monkeypatch.setattr(geodesic, "el_step", recomputing)
+        carried_calls = len(calls)
+        calls.clear()
+        monkeypatch.setattr(geodesic._FactorCache, "carried", lambda self, prev, cur: None)
         fresh = exp_k(c0, v, 16, W, EnergyKind.rat(), M)
+        assert len(calls) - carried_calls == 14
         for got, want in zip(carried, fresh):
             np.testing.assert_array_equal(got.coeffs, want.coeffs)
 
@@ -998,50 +1006,23 @@ class TestStacks:
                 solve(*args, W, EnergyKind.rat(), M, init=init)
 
 
-def test_carry_passes_a_stack_of_partials():
-    # W_{,2}[cur, next] of every member, ready to be W_{,2}[prev, cur] of
-    # the next lockstep step
+def test_a_chain_carries_the_partial_of_its_last_step():
+    # W_{,2}[cur, next] of a chain's step, ready to be W_{,2}[prev, cur] of
+    # the next step, and used only there
     for order, num_nodes in ((4, M), FINE_GRID):
-        prev, cur = stack_problems(3, order)
-        carry = [None]
-        nxt = el_step(prev, cur, W, EnergyKind.rat(), num_nodes, _carry=carry)
-        assert carry[0].shape == nxt.shape
+        prev, cur = stack_problems(1, order)
+        chain = geodesic._FactorCache(None, 16)
+        nxt = el_step(prev, cur, W, EnergyKind.rat(), num_nodes, _blocks=chain)
         want = geodesic.w_grad(cur, nxt, W, EnergyKind.rat(), num_nodes)[1]
-        np.testing.assert_array_equal(carry[0], want)
-        again = el_step(cur, nxt, W, EnergyKind.rat(), num_nodes, _carry=carry)
+        np.testing.assert_array_equal(chain.carried(cur, nxt), want)
+        assert chain.carried(prev, cur) is None
+        assert chain.carried(cur, nxt + 1e-12) is None
+        recomputing = copy.copy(chain)
+        recomputing.partial = None
         np.testing.assert_array_equal(
-            again, el_step(cur, nxt, W, EnergyKind.rat(), num_nodes, _carry=[want])
+            el_step(cur, nxt, W, EnergyKind.rat(), num_nodes, _blocks=chain),
+            el_step(cur, nxt, W, EnergyKind.rat(), num_nodes, _blocks=recomputing),
         )
-
-
-def test_a_solve_left_short_of_the_floor_goes_on_on_a_new_factor(monkeypatch):
-    # on a factor built at curves 10% larger the fixed point contracts by
-    # about 0.27 per sweep, so the floor rule stops the solve at 4.5e-11;
-    # it goes on from there on a factor built at its own anchor
-    rng = np.random.default_rng(3)
-    a = pad(perturbed_circle(rng, 4, 0.05), 6).coeffs[None]
-    b = a * 1.05 + 0.01
-    kind = EnergyKind.reg(0.05)
-    factors = geodesic._FactorCache()
-    el_midpoint(a * 1.1, b * 1.1, W, kind, M, _blocks=factors)
-    real_block, real_solve = geodesic.hessian_scalar_at_diagonal, geodesic._solve_roots
-    anchors, ends = [], []
-
-    def block(anchor, *args):
-        anchors.append(anchor.coeffs)
-        return real_block(anchor, *args)
-
-    def solve(*args, **kwargs):
-        sols, members = real_solve(*args, **kwargs)
-        ends.append(members[0].history[-1])
-        return sols, members
-
-    monkeypatch.setattr(geodesic, "hessian_scalar_at_diagonal", block)
-    monkeypatch.setattr(geodesic, "_solve_roots", solve)
-    el_midpoint(a, b, W, kind, M, _blocks=factors)
-    assert len(ends) == 2 and ends[1] < ends[0]
-    assert ends[0] > 1e-11 > geodesic._FactorCache.FLOOR
-    np.testing.assert_array_equal(anchors, a)
 
 
 def _polynomial_sequence(coeffs, count):

@@ -221,7 +221,10 @@ def counting(monkeypatch, *names):
 
 class TestTransportPath:
     def test_warm_start_matches_a_cold_chain(self, path16):
-        warm = transport_path(path16, W_UNIT, W, RAT, M, return_all=True)
+        # the warm chain stops its solves at fixed_point_tol / K^2, so its
+        # error model promises 1e-12 at that tolerance (it reads 3.0e-13)
+        warm = transport_path(path16, W_UNIT, W, RAT, M, SolverOptions(fixed_point_tol=1e-12),
+                              return_all=True)
         cold = cold_chain(path16, W_UNIT)
         assert len(warm) == len(cold) == 17
         for got, want in zip(warm, cold):
@@ -233,16 +236,17 @@ class TestTransportPath:
         warm = calls["w_grad"]
         calls.clear()
         cold_chain(path16, W_UNIT)
-        # the quadratic extrapolation, on factors reused from rung to rung,
-        # takes 0.686 of the cold calls here (0.655 on a new factor at every
-        # rung); linear and constant extrapolation take 0.78 and 0.85
+        # the quadratic extrapolation, on factors reused from rung to rung
+        # and with every solve stopped at fixed_point_tol / K^2, takes 0.452
+        # of the cold calls here (0.641 when every solve polished to the
+        # rounding floor)
         assert warm <= 0.7 * calls["w_grad"]
 
     def test_resampled_path_reuses_its_factors(self, order8_path16, monkeypatch):
         # a path resampled 4-fold has a kink every 4 rungs; the quadratic
         # extrapolation at stride 1 with a new factor at every rung made
         # 1006 gradient calls here and built a block for each of the 128
-        # solves, the stride-scored one on reused factors makes 926 and 6
+        # solves, the stride-scored one on reused factors makes 721 and 6
         calls = counting(monkeypatch, "w_grad", "hessian_scalar_at_diagonal")
         transport_path(resample_path(order8_path16, 64), NORMAL5, W, EnergyKind.reg(1.0 / 64), M)
         assert calls["hessian_scalar_at_diagonal"] < 64 / 4
@@ -258,9 +262,24 @@ class TestTransportPath:
             assert max_coeff_diff(got, want) <= 1e-10 * 32 * np.max(np.abs(want.coeffs))
 
     def test_zero_vector_stays_zero(self):
+        # within the error model at fixed_point_tol = 1e-12 (it reads 4.7e-14)
         path = solve_bvp(circle(1.0), circle(1.2), 4, W, RAT, M)
-        out = transport_path(path, FourierCurve.zeros(1, 2), W, RAT, M)
+        out = transport_path(path, FourierCurve.zeros(1, 2), W, RAT, M,
+                             SolverOptions(fixed_point_tol=1e-12))
         assert np.max(np.abs(out.coeffs)) <= 1e-12
+
+    def test_vectors_keep_the_error_budget(self, order8_path16):
+        # both solves of every rung stop at fixed_point_tol / K^2: an error
+        # delta in a rung moves w by K delta, and K rungs add up, so every
+        # vector lies within fixed_point_tol * max|w| of a run stopped at the
+        # rounding floor (it reads 6.3e-12 here)
+        path = resample_path(order8_path16, 32)
+        kind = EnergyKind.reg(1.0 / 32)
+        got = transport_path(path, NORMAL5, W, kind, M, return_all=True)
+        deep = transport_path(path, NORMAL5, W, kind, M, SolverOptions(fixed_point_tol=1e-14),
+                              return_all=True)
+        for g, d in zip(got, deep, strict=True):
+            assert max_coeff_diff(g, d) <= 1e-10 * np.max(np.abs(d.coeffs))
 
     def test_constant_path_is_identity(self):
         c = circle()
