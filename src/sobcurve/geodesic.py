@@ -39,6 +39,7 @@ solver's time than the split call saves.
 
 from __future__ import annotations
 
+import contextvars
 import dataclasses
 import functools
 import math
@@ -197,8 +198,13 @@ class SolverOptions:
     where it falls below but never above fixed_point_tol: an error in one
     solve grows by K^(p - 1) in the chain's result, and the K solves add
     up.  ``exp_k``'s steps have p = 1 and both solves of each
-    ``transport_path`` rung p = 2 (see ``_FactorCache``).
-    fixed_point_max_iters caps the sweeps of one solve; a solve that
+    ``transport_path`` rung p = 2.  A chain solve also stops one step early
+    in calls: when its last sweep contracted the residual by a ratio below
+    1/2 (before its first sweep, the largest of the chain's last 8
+    measured ratios) and that ratio times the residual is within the
+    budget, it takes the next step without evaluating its residual (see
+    ``_FactorCache``).  fixed_point_max_iters caps the sweeps of one
+    solve, a sweep being one residual evaluation; a solve that
     stalls or runs out of sweeps above its tolerance always hands its
     best iterate to a finite-difference Newton polish, and raises
     NoConvergence only when that stalls too, or when its initial guess is
@@ -370,14 +376,19 @@ class _Member:
     state.  ``tol`` is the member's own tolerance, relative to 1 + its
     initial residual; with ``to_floor`` it keeps iterating past it while
     each sweep still gains a digit, until a sweep ends at or below
-    ``_ROUNDING_FLOOR``.  ``history`` holds the preconditioned residual at
-    the start and after each accepted sweep, and ``polished`` says whether
+    ``_ROUNDING_FLOOR``.  Without it (a chain solve) the member predicts
+    its stop: when ``rate``, the contraction of its last sweep (before its
+    first sweep, the chain's estimate), is below 1/2 and rate * residual
+    is within ``tol``, it takes its next step unmeasured and stops there.  ``history`` holds the preconditioned residual at the
+    start and after each sweep; with ``predicted`` its last entry is such
+    a predicted residual, not a measured one.  ``polished`` says whether
     the member ended in the Newton polish."""
 
-    def __init__(self, y, res_arr, precond, tol, to_floor):
-        self.precond, self.to_floor = precond, to_floor
+    def __init__(self, y, res_arr, precond, sign, tol, to_floor, rate=None):
+        self.precond, self.sign, self.to_floor = precond, sign, to_floor
         self.y = y
-        self.eta, self.res = _residual_norm(res_arr, precond)
+        self.step, self.res = _residual_norm(res_arr, precond)
+        self.step *= sign
         self.tol = tol * (1.0 + self.res)
         self.floor = _ROUNDING_FLOOR * (1.0 + self.res)
         self.best = y, res_arr, self.res
@@ -385,7 +396,9 @@ class _Member:
         self.rapid = to_floor and self.res > 0.0
         self.active = True
         self.history = [self.res]
-        self.polished = False
+        self.polished = self.predicted = False
+        self.rate = rate
+        self._predict_stop()
 
     def wants_sweep(self) -> bool:
         """Whether the member takes another sweep; clears ``active`` when not."""
@@ -396,7 +409,8 @@ class _Member:
         """Move to the admissible trial point ``y`` with residual ``res_arr``."""
         prev = self.res
         self.y = y
-        self.eta, self.res = _residual_norm(res_arr, self.precond)
+        self.step, self.res = _residual_norm(res_arr, self.precond)
+        self.step *= self.sign
         self.history.append(self.res)
         self.rapid = self.to_floor and self.floor < self.res <= 0.1 * prev
         if self.res < self.best[2]:
@@ -405,9 +419,26 @@ class _Member:
         else:
             self.stall += 1
         self.active = self.stall < 2
+        self.rate = self.res / prev
+        self._predict_stop()
+
+    def _predict_stop(self):
+        """Take the step y + P^{-1} R and stop, without evaluating its
+        residual, when the contraction predicts that residual within ``tol``
+        (termination by the step and a contraction estimate; Kelley,
+        "Iterative Methods for Linear and Nonlinear Equations", SIAM 1995,
+        ch. 4).  A one-shot solve measures every stop."""
+        rate = self.rate
+        if not self.to_floor and rate is not None and rate < 0.5 and (
+                rate * self.res <= self.tol < self.res):
+            self.y = self.y + self.step
+            self.res *= rate
+            self.history.append(self.res)
+            self.best = self.y, None, self.res
+            self.predicted, self.active = True, False
 
 
-def _solve_roots(residual, ys0, preconds, sign, opts, label, stop_tol=None):
+def _solve_roots(residual, ys0, preconds, sign, opts, label, stop_tol=None, rate=None):
     """Drive a stack of independent root problems to zero in lockstep.
 
     ``residual(ys, idx)`` returns the residuals of the members ``idx`` (an
@@ -415,19 +446,21 @@ def _solve_roots(residual, ys0, preconds, sign, opts, label, stop_tol=None):
     stacked energy call; it may raise a package error when a point leaves
     the admissible set.  ``ys0`` holds one initial guess per member and
     ``preconds`` one preconditioner.  Returns the solutions, shaped like
-    ``ys0``, and the members (``_Member``), whose ``history`` and
-    ``polished`` say how each solve went.
+    ``ys0``, and the members (``_Member``), whose ``history``,
+    ``predicted`` and ``polished`` say how each solve went.
 
     Every member stops by its own rule, and only the active members enter
     the next stacked call.  With ``stop_tol`` (the budget of a sequential
     chain) a member stops as soon as its preconditioned residual is at
-    most stop_tol * (1 + its initial residual); without it (a one-shot
-    solve), it accepts at opts.fixed_point_tol but polishes on towards the
-    rounding floor.  A member whose fixed point stalls above
-    its tolerance hands its best iterate to ``_newton_polish``.
-    NoConvergence, labelled ``label`` (plus "problem i/S" in a stack of
-    several), is raised when that stalls too, or when a member's initial
-    guess is not admissible.
+    most stop_tol * (1 + its initial residual), measured or predicted from
+    its contraction; ``rate``, the chain's contraction estimate, stands in
+    for a member's own before its first sweep.  Without it (a one-shot
+    solve), a member accepts at opts.fixed_point_tol but polishes on
+    towards the rounding floor, and measures every residual.  A member
+    whose fixed point stalls above its tolerance hands its best iterate to
+    ``_newton_polish``.  NoConvergence, labelled ``label`` (plus "problem
+    i/S" in a stack of several), is raised when that stalls too, or when a
+    member's initial guess is not admissible.
     """
     opts = opts or _DEFAULT_OPTIONS
     count = len(ys0)
@@ -451,12 +484,12 @@ def _solve_roots(residual, ys0, preconds, sign, opts, label, stop_tol=None):
         for i, out in enumerate(_residuals(residual, ys0, np.arange(count))):
             if isinstance(out, str):
                 raise NoConvergence(f"{name(i)}: initial guess not admissible: {out}")
-            members.append(_Member(ys0[i], out, preconds[i], tol, to_floor))
+            members.append(_Member(ys0[i], out, preconds[i], sign, tol, to_floor, rate))
         for _ in range(opts.fixed_point_max_iters):
             active = [i for i, m in enumerate(members) if m.wants_sweep()]
             if not active:
                 break
-            steps = [sign * members[i].eta for i in active]
+            steps = [members[i].step for i in active]
             trials = np.stack([members[i].y + step for i, step in zip(active, steps)])
             outs = _residuals(residual, trials, np.array(active))
             for i, step, y_new, out in zip(active, steps, trials, outs):
@@ -491,8 +524,7 @@ class _FactorCache:
     """The one state of a sequential solve chain: its stop tolerance, the
     preconditioner inverse it reuses from solve to solve (a chord method;
     Kelley, "Iterative Methods for Linear and Nonlinear Equations", SIAM
-    1995, ch. 5), and the partial W_{,2}[cur, next] of its last
-    ``el_step`` solve.
+    1995, ch. 5), and the contractions its solves measured.
 
     ``exp_k`` builds one for its steps and ``transport_path`` one for each
     of its two solve types per rung, and they pass it as ``_blocks`` of
@@ -502,7 +534,12 @@ class _FactorCache:
     Newton methods (Dembo, Eisenstat & Steihaug, SIAM J. Numer. Anal. 19,
     1982).  The clamp keeps it above the rounding floor, where the
     residuals level off at 1e-16 to 6e-16 and the fixed point would stall;
-    the min keeps a smaller fixed_point_tol as it is.
+    the min keeps a smaller fixed_point_tol as it is.  A solve whose own
+    contraction predicts its next residual within that tolerance takes
+    that step unmeasured (see ``_Member``); before its first sweep it has
+    no contraction of its own and uses the largest of ``rates``, the
+    chain's last ``RATES`` measured ones.  Predicted residuals are not
+    measurements, and the chain keeps none of them.
 
     Consecutive anchors differ by O(1/K), so an inverse built at one anchor
     serves the next solves nearly as well.  The solve on a new inverse sets
@@ -513,7 +550,7 @@ class _FactorCache:
     than one sweep beyond the reference, or contracts in its first sweep by
     more than twice the reference's ratio.  Sweeps that end at or below
     ``FLOOR`` (relative to 1 + the initial residual, as the tolerances are)
-    sit on the rounding floor and are not counted.
+    sit on the rounding floor: neither they nor their ratios are counted.
 
     A reused preconditioner P' also changes the norm sqrt(R . P'^-1 R) that
     the stop rule measures.  With rho and rho' the contractions of the
@@ -524,20 +561,14 @@ class _FactorCache:
     """
 
     FLOOR = 1e-14
+    RATES = 8
 
     def __init__(self, opts, budget):
         tol = (opts or _DEFAULT_OPTIONS).fixed_point_tol
         self.stop_tol = min(tol, max(tol / budget, self.FLOOR))
         self.inverse = None
         self.base = None  # (sweeps, first-sweep contraction) of the reference solve
-        self.partial = None  # (cur, next, W_{,2}[cur, next]) of the last el_step solve
-
-    def carried(self, prev, cur):
-        """The partial W_{,2}[prev, cur] when the last ``el_step`` solve
-        went from exactly ``prev`` to exactly ``cur``, else None."""
-        last_cur, last_next, partial = self.partial or (None, None, None)
-        same = np.array_equal(prev, last_cur) and np.array_equal(cur, last_next)
-        return partial if same else None
+        self.rates = []  # the last RATES measured contractions, oldest first
 
     def observe(self, members):
         """Take in the one member of a solve on the inverse."""
@@ -545,7 +576,10 @@ class _FactorCache:
         history = member.history
         floor = self.FLOOR * (1.0 + history[0])
         sweeps = sum(res > floor for res in history[1:])
-        ratio = history[1] / history[0] if sweeps and history[1] > floor else None
+        measured = history[:-1] if member.predicted else history
+        rates = [new / old for old, new in zip(measured, measured[1:]) if new > floor]
+        self.rates = (self.rates + rates)[-self.RATES:]
+        ratio = measured[1] / measured[0] if len(measured) > 1 and measured[1] > floor else None
         if self.base is None:
             self.base = sweeps, ratio
             return
@@ -561,15 +595,16 @@ def _solve_anchored(residual, ys0, anchors, sign, opts, label, setting, scale=1.
     one-shot solve ``blocks`` is None or the dict of Hessian blocks that
     one computation shares (see ``_preconditioners``).  The
     ``_FactorCache`` of a sequential chain in its place lends its inverse,
-    built at the one member's anchor when it holds none, and its stop
-    tolerance, and takes in how the solve went.  Returns the solutions."""
+    built at the one member's anchor when it holds none, its stop
+    tolerance and its contraction estimate, and takes in how the solve
+    went.  Returns the solutions."""
     if not isinstance(blocks, _FactorCache):
         preconds = _preconditioners(anchors, *setting, scale, blocks)
         return _solve_roots(residual, ys0, preconds, sign, opts, label)[0]
     if blocks.inverse is None:
         blocks.inverse = _preconditioners(anchors, *setting, scale)[0]
     sols, members = _solve_roots(residual, ys0, [blocks.inverse], sign, opts, label,
-                                 blocks.stop_tol)
+                                 blocks.stop_tol, max(blocks.rates, default=None))
     blocks.observe(members)
     return sols
 
@@ -643,31 +678,29 @@ def el_step(
     stacks of one shape (S, 2N+1, d), S independent problems solved in
     lockstep (returns the stack of their solutions).  The default initial
     guess extrapolates linearly (2 cur - prev); the preconditioner is the
-    diagonal Hessian at ``prev``.
+    diagonal Hessian at ``prev``.  The first residual call stacks the
+    fixed partial W_{,2}[prev, cur] with W_{,1}[cur, y_0], one energy
+    call where two would pay the fixed cost of a call twice; every stack
+    member equals its own call bit for bit, so the solve is the same.
 
-    ``_blocks`` is as in ``_solve_anchored``.  The ``_FactorCache`` of a
-    chain also carries W_{,2}[cur, next] from one step to the next, when
-    the step's last gradient call was at its accepted ``next``.
+    ``_blocks`` is as in ``_solve_anchored``.
     """
     stacks, curves = _stacks((prev, cur) if init is None else (prev, cur, init),
                              "el_step arguments")
     prev, cur = stacks[:2]
-    chain = _blocks if isinstance(_blocks, _FactorCache) else None
-    fixed = chain.carried(prev, cur) if chain else None
-    if fixed is None:
-        fixed = w_grad(prev, cur, weights, kind, num_nodes)[1]
-    last = []  # the newest iterate and its W_{,2}[cur, iterate], as a stack of one
+    fixed = []  # W_{,2}[prev, cur], from the first residual call
 
     def residual(ys, idx):
-        g_cur, g_next = w_grad(cur[idx], ys, weights, kind, num_nodes)
-        last[:] = ys[-1], g_next[-1:]
-        return fixed[idx] + g_cur
+        if fixed:
+            return fixed[0][idx] + w_grad(cur[idx], ys, weights, kind, num_nodes)[0]
+        g_hat, g_check = w_grad(np.concatenate((prev, cur[idx])), np.concatenate((cur, ys)),
+                                weights, kind, num_nodes)
+        fixed.append(g_check[: len(prev)])
+        return fixed[0][idx] + g_hat[len(prev):]
 
     y0 = stacks[2] if init is not None else 2.0 * cur - prev
     sols = _solve_anchored(residual, y0, prev, +1.0, opts, "el_step", (weights, kind, num_nodes),
                            blocks=_blocks)
-    if chain:
-        chain.partial = (cur, sols, last[1]) if np.array_equal(last[0], sols[0]) else None
     return FourierCurve.from_coeffs(sols[0]) if curves else sols
 
 
@@ -822,9 +855,10 @@ def exp_k(
     curves that best predicted the step just solved, high degrees where the
     path is smooth and low ones where rounding dominates the differences;
     before there is a step to score, the first step starts from 2 c_1 - c_0
-    and the second from 3 c_2 - 3 c_1 + c_0.  Each step reuses the partial
-    W_{,2}[c_{k-1}, c_k] the previous step already computed, and an earlier
-    step's preconditioner inverse while that keeps contracting as well
+    and the second from 3 c_2 - 3 c_1 + c_0.  Each step reuses an earlier
+    step's preconditioner inverse while that keeps contracting as well,
+    and skips the residual call that would only confirm a stop its
+    contraction, or before its first sweep the chain's, already predicts
     (see ``_FactorCache``).
     """
     _require_count(num_segments, "num_segments")
@@ -847,6 +881,22 @@ def exp_k(
 # ---------------------------------------------------------------------------
 # Boundary value problem
 # ---------------------------------------------------------------------------
+
+
+#: The factors that ``_endpoint_factor`` built during one ``bvp_ladder``,
+#: keyed by anchor and kind, so that its levels share them; unset outside one.
+_LADDER_FACTORS = contextvars.ContextVar("_LADDER_FACTORS")
+
+
+def _endpoint_factor(c, weights, kind, num_nodes):
+    """The lower-triangular inverse Cholesky factor L^-1 of the
+    ``_hessian_block`` at the endpoint coefficient array ``c``, built once
+    per anchor and kind in a ``bvp_ladder``."""
+    shared = _LADDER_FACTORS.get({})
+    key = (c.shape, c.tobytes(), kind)
+    if key not in shared:
+        shared[key] = np.tril(np.linalg.inv(_hessian_block(c, weights, kind, num_nodes)[1]))
+    return shared[key]
 
 
 def _path_preconditioner(a, b, weights, kind, num_nodes, shape):
@@ -875,8 +925,7 @@ def _path_preconditioner(a, b, weights, kind, num_nodes, shape):
 
         q_i = [(K - i) sum_{j <= i} j f_j + i sum_{j > i} (K - j) f_j] / K.
     """
-    f_a, f_b = (np.tril(np.linalg.inv(_hessian_block(c, weights, kind, num_nodes)[1]))
-                for c in (a, b))
+    f_a, f_b = (_endpoint_factor(c, weights, kind, num_nodes) for c in (a, b))
     k = shape[0] + 1
     i = np.arange(1.0, k)[:, None, None]  # the interior time indices
     theta = i / k
@@ -1076,7 +1125,9 @@ def bvp_ladder(
     ``kind_for`` is either a fixed EnergyKind or a callable K -> EnergyKind
     (for epsilon rules tied to the time step).  Every K must be an integer
     >= 1, and its kind an EnergyKind; a bad one raises ValueError or
-    TypeError before the first solve.  Returns {K: DiscretePath}.
+    TypeError before the first solve.  The solves share the factors of
+    their endpoints' Hessian blocks, built once per kind.  Returns
+    {K: DiscretePath}.
     """
     k_values = list(k_values)
     for k in k_values:
@@ -1086,10 +1137,14 @@ def bvp_ladder(
     kinds = {k: _require_kind(pick(k), f"kind_for at K = {k}") for k in ks}
     out = {}
     prev = None
-    for k in ks:
-        init = resample_path(prev, k) if prev is not None else None
-        out[k] = solve_bvp(
-            c_a, c_b, k, weights, kinds[k], num_nodes, opts, init_path=init
-        )
-        prev = out[k]
+    shared = _LADDER_FACTORS.set({})
+    try:
+        for k in ks:
+            init = resample_path(prev, k) if prev is not None else None
+            out[k] = solve_bvp(
+                c_a, c_b, k, weights, kinds[k], num_nodes, opts, init_path=init
+            )
+            prev = out[k]
+    finally:
+        _LADDER_FACTORS.reset(shared)
     return out

@@ -39,7 +39,8 @@ taken through every s-th rung, s = 1, 2, 4 or 8, whichever predicted the
 last rungs best.  Each of the two solve types also reuses one
 preconditioner inverse from rung to rung while the fixed point keeps
 contracting as it did on a new one, and stops at the error budget of the
-whole ladder rather than at the rounding floor.  The other entry points
+whole ladder rather than at the rounding floor, skipping the last residual
+call where the contraction already predicts the stop.  The other entry points
 solve each parallelogram from scratch, on inverses built at its own
 anchors, and polish it to the rounding floor, since they divide by tau.
 All of them work on coefficient arrays, building one curve per returned
@@ -206,7 +207,11 @@ def transport_path(
     chain budget fixed_point_tol / K^2 (see ``SolverOptions``): a position
     error delta in a rung's fourth corner becomes K delta in
     w = (z - corner)/tau, and the K rungs add up to about fixed_point_tol
-    relative to |w|.  The rungs run on coefficient arrays at the higher
+    relative to |w|.  A solve whose contraction, its own or before its
+    first sweep its solve type's, predicts its next residual within that
+    budget takes that step without the call that would confirm it, and
+    each extension folds its fixed partial into its first call (see
+    ``geodesic.el_step``).  The rungs run on coefficient arrays at the higher
     order of the path and w0.  Returns the vector at the final curve, or
     the whole list w_0..w_K with ``return_all``.  A stalled rung raises
     NoConvergence whose ``partial`` is the list w_0..w_k finished before it.

@@ -100,14 +100,15 @@ HIDDEN_PARAMETERS = {
     "sobcurve.geodesic.el_step._blocks": (
         "the extension stacks of one nested quotient share their Hessian blocks; exp_k's "
         "steps and transport_path's extensions pass their chain's state, which holds the "
-        "chain's stop tolerance, its reused preconditioner inverse and the partial "
-        "W_{,2}[cur, next] of its last step; exp_k keeps calling el_step by its module "
-        "name, which the benchmark tracer rebinds to count steps"
+        "chain's stop tolerance, its reused preconditioner inverse and the contractions "
+        "that predict its stops; exp_k keeps calling el_step by its module name, which "
+        "the benchmark tracer rebinds to count steps"
     ),
     "sobcurve.geodesic.el_midpoint._blocks": (
         "the midpoint stacks of one nested quotient share their Hessian blocks; "
         "transport_path's midpoint solves pass their chain's state, which holds the "
-        "chain's stop tolerance and its reused preconditioner inverse"
+        "chain's stop tolerance, its reused preconditioner inverse and the contractions "
+        "that predict its stops"
     ),
 }
 

@@ -1,4 +1,4 @@
-import copy
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -791,7 +791,7 @@ class TestExpLog:
         assert sobolev_norm(path[-1] - curves[-1], 2) <= 1e-8
 
     def test_exp_k_gradient_calls_per_step(self, monkeypatch):
-        # 2.17 calls per step; a fixed quadratic start takes 4.05, and
+        # 1.37 calls per step; a fixed quadratic start takes 4.05, and
         # polishing every step to the floor 9.0
         c0, v = self._shot()
         real_grad, calls = geodesic.w_grad, []
@@ -819,53 +819,63 @@ class TestExpLog:
         assert info["iterations"] == 3
         assert calls == {"w_eval": 1, "w_value_and_grad": info["iterations"] + 1}
 
-    def test_exp_k_carried_partial_equals_a_recomputed_one(self, monkeypatch):
-        # every step after the first takes W_{,2}[c_{k-1}, c_k] from its chain
+    def test_exp_k_folds_the_fixed_partial_into_its_first_call(self, monkeypatch):
+        # every step's first call stacks W_{,2}[c_{k-1}, c_k] beside
+        # W_{,1}[c_k, y_0], and every later call evaluates W_{,1}[c_k, y]
+        # alone: no call of its own for the fixed partial (66 calls in all)
         c0, v = self._shot()
-        real_grad, calls = geodesic.w_grad, []
+        real_grad, real_step, calls = geodesic.w_grad, geodesic.el_step, []
 
-        def counted(*args, **kwargs):
+        def recorded(c_hat, c_check, *args, **kwargs):
+            calls.append((c_hat, c_check))
+            return real_grad(c_hat, c_check, *args, **kwargs)
+
+        def step(*args, **kwargs):
             calls.append(None)
-            return real_grad(*args, **kwargs)
+            return real_step(*args, **kwargs)
 
-        monkeypatch.setattr(geodesic, "w_grad", counted)
-        carried = exp_k(c0, v, 16, W, EnergyKind.rat(), M)
-        carried_calls = len(calls)
-        calls.clear()
-        monkeypatch.setattr(geodesic._FactorCache, "carried", lambda self, prev, cur: None)
-        fresh = exp_k(c0, v, 16, W, EnergyKind.rat(), M)
-        assert len(calls) - carried_calls == 14
-        for got, want in zip(carried, fresh):
-            np.testing.assert_array_equal(got.coeffs, want.coeffs)
+        monkeypatch.setattr(geodesic, "w_grad", recorded)
+        monkeypatch.setattr(geodesic, "el_step", step)
+        curves = np.stack([c.coeffs for c in exp_k(c0, v, 16, W, EnergyKind.rat(), M)])
+        starts = [i for i, call in enumerate(calls) if call is None]
+        assert len(starts) == 15
+        for k, (start, end) in enumerate(zip(starts, starts[1:] + [len(calls)]), start=1):
+            (c_hat, c_check), *rest = calls[start + 1 : end]
+            np.testing.assert_array_equal(c_hat, curves[k - 1 : k + 1])
+            np.testing.assert_array_equal(c_check[0], curves[k])
+            for c_hat, _ in rest:
+                np.testing.assert_array_equal(c_hat, curves[k : k + 1])
+        assert len(calls) - len(starts) == 66
 
     def test_exp_k_partial_after_a_newton_polish(self, monkeypatch):
-        # a step that one fixed-point sweep leaves above the tolerance ends
-        # in the Newton polish; from the adaptive-order start that happens
-        # on 5 of the 63 steps
+        # a step that one fixed-point sweep leaves above the tolerance, with
+        # a contraction that does not predict its stop, ends in the Newton
+        # polish; from the adaptive-order start that happens on 4 of the 63
+        # steps.  A polished step on a reused inverse drops it, so the next
+        # step starts on one built at its own anchor (a polished step on a
+        # new inverse sets the reference instead)
         c0, v = self._shot()
         opts = SolverOptions(fixed_point_max_iters=1)
         default = exp_k(c0, v, 64, W, EnergyKind.rat(), M)
         real_polish, polishes = geodesic._newton_polish, []
+        real_observe, solves = geodesic._FactorCache.observe, []
 
         def counted(*args, **kwargs):
             polishes.append(None)
             return real_polish(*args, **kwargs)
 
+        def observed(chain, members):
+            reused = chain.base is not None
+            real_observe(chain, members)
+            solves.append((members[0].polished, reused, chain.inverse is None))
+
         monkeypatch.setattr(geodesic, "_newton_polish", counted)
+        monkeypatch.setattr(geodesic._FactorCache, "observe", observed)
         polished = exp_k(c0, v, 64, W, EnergyKind.rat(), M, opts)
-        assert len(polishes) == 5
+        assert len(polishes) == 4
+        assert all(dropped for was_polished, reused, dropped in solves if was_polished and reused)
+        assert any(was_polished and reused for was_polished, reused, _ in solves)
         assert sobolev_norm(polished[-1] - default[-1], 2) <= 1e-8
-
-        def probes_after(residual, y, *args, **kwargs):
-            out = real_polish(residual, y, *args, **kwargs)
-            residual(2.0 * y)  # the last gradient call is off the accepted iterate
-            return out
-
-        # so the next step must recompute W_{,2} rather than carry it
-        monkeypatch.setattr(geodesic, "_newton_polish", probes_after)
-        recomputed = exp_k(c0, v, 64, W, EnergyKind.rat(), M, opts)
-        for got, want in zip(recomputed, polished):
-            np.testing.assert_array_equal(got.coeffs, want.coeffs)
 
     def test_exp_k_polish_is_scale_equivariant(self):
         # x -> lam x maps the problem with weights (a0, a1, a2) to the one
@@ -1006,23 +1016,90 @@ class TestStacks:
                 solve(*args, W, EnergyKind.rat(), M, init=init)
 
 
-def test_a_chain_carries_the_partial_of_its_last_step():
-    # W_{,2}[cur, next] of a chain's step, ready to be W_{,2}[prev, cur] of
-    # the next step, and used only there
-    for order, num_nodes in ((4, M), FINE_GRID):
-        prev, cur = stack_problems(1, order)
-        chain = geodesic._FactorCache(None, 16)
-        nxt = el_step(prev, cur, W, EnergyKind.rat(), num_nodes, _blocks=chain)
-        want = geodesic.w_grad(cur, nxt, W, EnergyKind.rat(), num_nodes)[1]
-        np.testing.assert_array_equal(chain.carried(cur, nxt), want)
-        assert chain.carried(prev, cur) is None
-        assert chain.carried(cur, nxt + 1e-12) is None
-        recomputing = copy.copy(chain)
-        recomputing.partial = None
-        np.testing.assert_array_equal(
-            el_step(cur, nxt, W, EnergyKind.rat(), num_nodes, _blocks=chain),
-            el_step(cur, nxt, W, EnergyKind.rat(), num_nodes, _blocks=recomputing),
+@pytest.mark.parametrize("kind", KINDS, ids=kind_id)
+def test_the_folded_partial_equals_split_calls(kind, monkeypatch):
+    # el_step's first call stacks W_{,2}[prev, cur] beside W_{,1}[cur, y_0];
+    # with every stack split into one call per member, each solve and each
+    # exp_k chain ends bit for bit where it did
+    real_grad = geodesic.w_grad
+
+    def split(c_hat, c_check, *args, **kwargs):
+        parts = [real_grad(h[None], c[None], *args, **kwargs) for h, c in zip(c_hat, c_check)]
+        return tuple(np.concatenate(side) for side in zip(*parts))
+
+    def solves():
+        outs = [el_step(*stack_problems(count, order), W, kind, num_nodes)
+                for order, num_nodes in ((4, M), FINE_GRID) for count in (1, 3)]
+        return outs + [np.stack([c.coeffs for c in exp_k(*TestExpLog._shot(), 16, W, kind, M)])]
+
+    stacked = solves()
+    monkeypatch.setattr(geodesic, "w_grad", split)
+    for got, want in zip(solves(), stacked, strict=True):
+        np.testing.assert_array_equal(got, want)
+
+
+class TestPredictedStop:
+    """A chain solve of the scalar root problem R(y) = a (1 - y) with
+    P^{-1} = 1 and stop tolerance 1e-6: each sweep contracts by 1 - a."""
+
+    @staticmethod
+    def solve(a, points, y0=0.0, rate=None):
+        def residual(ys, idx):
+            points.extend(ys.ravel().tolist())
+            return a * (1.0 - ys)
+
+        sols, (member,) = geodesic._solve_roots(
+            residual, np.full((1, 1, 1), y0), [np.eye(1)], 1.0, None, "toy", stop_tol=1e-6,
+            rate=rate,
         )
+        return float(sols[0, 0, 0]), member
+
+    def test_a_contraction_below_one_half_predicts_the_stop(self):
+        # at contraction 0.3, 0.3 * res_10 = 1.2e-6 is within the tolerance
+        # 1e-6 * (1 + 0.7): y_11 = y_10 + eta_10 is taken unevaluated
+        points = []
+        y, member = self.solve(0.7, points)
+        assert len(points) == 11 and y not in points
+        assert y == points[-1] + 0.7 * (1.0 - points[-1])
+        assert member.predicted and len(member.history) == 12
+        *_, before, last, predicted = member.history
+        assert predicted == last / before * last
+        assert last / before == pytest.approx(0.3)
+        assert not member.polished
+
+    def test_a_contraction_of_one_half_or_more_confirms_the_stop(self):
+        # at contraction 0.6 the stop is measured: the solution is the last
+        # point evaluated, and its residual is within the tolerance
+        points = []
+        y, member = self.solve(0.4, points)
+        assert y == points[-1]
+        assert not member.predicted
+        assert member.history[-1] <= 1e-6 * (1.0 + member.history[0]) < member.history[-2]
+
+    @pytest.mark.parametrize("rate, calls", [(0.1, 1), (0.5, 2)])
+    def test_the_chain_rate_stands_in_before_the_first_sweep(self, rate, calls):
+        # res_0 = 9.5e-6: a chain contraction of 0.1 predicts 9.5e-7 and
+        # takes y_0 + eta_0 on the first call alone; 0.5 predicts nothing
+        points = []
+        y, member = self.solve(0.95, points, y0=1.0 - 1e-5, rate=rate)
+        assert len(points) == calls
+        assert member.predicted == (calls == 1)
+        assert y == pytest.approx(1.0 - 5e-7, abs=1e-15)
+
+
+def test_a_chain_counts_no_predicted_residual():
+    # a predicted last entry adds no contraction and ends no first sweep of
+    # its own; every measured one does
+    chain = geodesic._FactorCache(None, 16)
+    chain.observe([SimpleNamespace(history=[1.0, 0.1, 0.003], predicted=True, polished=False)])
+    assert chain.rates == [0.1] and chain.base == (2, 0.1)
+    chain.observe([SimpleNamespace(history=[1.0, 1e-3], predicted=True, polished=False)])
+    assert chain.rates == [0.1]
+    chain.observe([SimpleNamespace(history=[1.0, 0.2, 0.006], predicted=False, polished=False)])
+    assert chain.rates == [0.1, 0.2, 0.03]
+    fresh = geodesic._FactorCache(None, 16)
+    fresh.observe([SimpleNamespace(history=[1.0, 1e-3], predicted=True, polished=False)])
+    assert fresh.rates == [] and fresh.base == (1, None)
 
 
 def _polynomial_sequence(coeffs, count):
@@ -1104,6 +1181,31 @@ class TestBvpLadder:
         e_ladder = discrete_path_energy(ladder[8], W, kind, M)
         e_direct = discrete_path_energy(direct, W, kind, M)
         assert e_ladder == pytest.approx(e_direct, abs=1e-9)
+
+    def test_levels_share_the_endpoint_blocks(self, monkeypatch):
+        # the ladder builds the two endpoint blocks once, not once per level,
+        # and ends bit for bit where solves that build their own end; a solve
+        # after it builds its own again
+        kind = EnergyKind.rat()
+        c_a, c_b = circle(1.0), perturbed_circle(np.random.default_rng(8), 4) * 1.2
+        own, prev = {}, None
+        for k in (2, 4, 8):
+            init = resample_path(prev, k) if prev is not None else None
+            own[k] = prev = solve_bvp(c_a, c_b, k, W, kind, M, init_path=init)
+        real_block, blocks = geodesic.hessian_scalar_at_diagonal, []
+
+        def counted(*args, **kwargs):
+            blocks.append(None)
+            return real_block(*args, **kwargs)
+
+        monkeypatch.setattr(geodesic, "hessian_scalar_at_diagonal", counted)
+        ladder = bvp_ladder(c_a, c_b, [2, 4, 8], W, kind, M)
+        assert len(blocks) == 2
+        for k in (2, 4, 8):
+            for got, want in zip(ladder[k], own[k], strict=True):
+                np.testing.assert_array_equal(got.coeffs, want.coeffs)
+        solve_bvp(c_a, c_b, 4, W, kind, M)
+        assert len(blocks) == 4
 
     @pytest.mark.parametrize("bad", [2.7, True, 0])
     def test_bad_segment_counts_rejected_before_any_solve(self, bad, monkeypatch):
